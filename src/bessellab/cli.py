@@ -4,12 +4,10 @@ Each subcommand runs one experiment with its default config, optionally
 overridden by a JSON file, and writes a CSV table plus a JSON summary
 into the output directory.  Exit status is nonzero when a run reports a
 hard invariant failure (e.g. a kernel-ordering violation).
-
-The environment variable BESSELLAB_PRECISION (double | extended | auto)
-selects the working precision of the polynomial builds; see orthopoly.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from .lab import ExperimentConfig, default_config, run_experiment
@@ -34,8 +32,6 @@ def _parser():
         q.add_argument("--config", help="JSON file overriding the default config")
         q.add_argument("--out", default="results", help="output directory")
         q.add_argument("--seed", type=int, help="master seed override")
-        q.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent schedule steps")
         q.set_defaults(experiment=experiment)
     return p
 
@@ -47,12 +43,8 @@ def main(argv=None):
     else:
         cfg = default_config(args.experiment)
     if args.seed is not None:
-        d = cfg.canonical()
-        d["seed"] = int(args.seed)
-        for k in ("gammas", "schedule", "thresholds"):
-            d[k] = tuple(d[k])
-        cfg = ExperimentConfig(**d)
-    _, _, summary = run_experiment(cfg, out_dir=args.out, threads=args.threads)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    _, _, summary = run_experiment(cfg, out_dir=args.out)
     print("experiment: %s  config=%s" % (cfg.experiment, cfg.digest()))
     for key in sorted(summary):
         if key in ("config", "experiment", "config_hash"):

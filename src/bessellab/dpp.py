@@ -11,12 +11,13 @@ the downstream consumers (counting statistics, growth residuals) need.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DiscretizationFailure
+from .errors import DiscretizationFailure, DomainError
 from .sequences import make_sampled, save_points
 from .specfun import bessel_kernel
 
@@ -88,9 +89,9 @@ def nystrom(nu, T, m=512, tol=EIG_TOL):
     the fix is more nodes, not a larger tol.
     """
     if m < 64:
-        raise ValueError("need at least 64 nodes")
-    if T <= 0:
-        raise ValueError("T must be positive")
+        raise DomainError("need at least 64 nodes")
+    if not (T > 0) or not math.isfinite(T):
+        raise DomainError("T must be positive and finite")
     u, wu = np.polynomial.legendre.leggauss(int(m))
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu

@@ -31,9 +31,9 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError
+from .specfun import _maybe_scalar
 
 __all__ = [
-    "EquilibriumMeasure",
     "c_gamma",
     "density",
     "cdf",
@@ -93,8 +93,7 @@ def density(gamma, s):
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0) or np.any(s >= 1):
         raise DomainError("density is evaluated on the open interval (0, 1)")
-    out = _edge0(gamma, s) / np.sqrt(s)
-    return out[()] if out.ndim == 0 else out
+    return _maybe_scalar(_edge0(gamma, s) / np.sqrt(s))
 
 
 def cdf(gamma, x):
@@ -111,8 +110,7 @@ def cdf(gamma, x):
         t2 = np.arctan(math.sqrt(gamma - 1.0) / np.sqrt(np.maximum(1.0 - x, 1e-300)))
         t2 = np.where(x < 1.0, t2, math.pi / 2 if gamma > 1 else 0.0)
     out = sx + (2.0 / math.pi) * t1 - (2.0 / math.pi) * sx * t2
-    out = np.where(x >= 1.0, 1.0, out)
-    return out[()] if out.ndim == 0 else out
+    return _maybe_scalar(np.where(x >= 1.0, 1.0, out))
 
 
 def edge_coeff_zero(gamma):
@@ -125,22 +123,6 @@ def edge_coeff_one(gamma):
     """lim_{s->1} density * sqrt(1-s) = sqrt((gamma-1)/gamma) / pi."""
     gamma = _check_gamma(gamma)
     return math.sqrt((gamma - 1.0) / gamma) / math.pi
-
-
-class EquilibriumMeasure:
-    """Bundle of the closed forms for one gamma >= 1."""
-
-    def __init__(self, gamma):
-        self.gamma = _check_gamma(gamma)
-        self.c = c_gamma(self.gamma)
-        self.edge_zero = edge_coeff_zero(self.gamma)
-        self.edge_one = edge_coeff_one(self.gamma)
-
-    def density(self, s):
-        return density(self.gamma, s)
-
-    def cdf(self, x):
-        return cdf(self.gamma, x)
 
 
 # ---------------------------------------------------------------------------

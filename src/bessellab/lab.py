@@ -23,7 +23,6 @@ import csv
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -121,11 +120,7 @@ def _sequence(cfg):
     raise ValueError("unknown sequence kind %r" % (cfg.sequence,))
 
 
-def _pmap(fn, items, threads=1):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+_GRID_FIELDS = ("step", "x", "y", "computed", "target", "abs_error")
 
 
 def _grid_rows(label, xs, computed, target):
@@ -150,7 +145,7 @@ def _grid_rows(label, xs, computed, target):
 # hard_edge_limit
 
 
-def hard_edge_limit(cfg, threads=1):
+def hard_edge_limit(cfg):
     """Scaled conditional-weight kernels against the Bessel kernel.
 
     For each target count N in the schedule, the window R is placed halfway
@@ -173,7 +168,7 @@ def hard_edge_limit(cfg, threads=1):
         K = tab.kernel_norm_grid(n, xs / R, xs / R) / R
         return R, w, n, K
 
-    steps = _pmap(run_step, cfg.schedule, threads)
+    steps = [run_step(n) for n in cfg.schedule]
     rows, sup_errors, radii = [], [], []
     for (R, w, n, K) in steps:
         rows.extend(_grid_rows("R=%.6g" % R, xs, K, target))
@@ -192,26 +187,21 @@ def hard_edge_limit(cfg, threads=1):
 
     sup = np.asarray(sup_errors)
     summary = {
-        "experiment": cfg.experiment,
-        "config": cfg.canonical(),
-        "config_hash": cfg.digest(),
         "radii": radii,
         "counts": [int(n) for (_, _, n, _) in steps],
         "sup_errors": sup_errors,
         "strictly_decreasing": bool(np.all(np.diff(sup) < 0)),
         "identity_residual": identity_residual,
         "symmetry_defect": symmetry_defect,
-        "hard_fail": False,
     }
-    fields = ["step", "x", "y", "computed", "target", "abs_error"]
-    return rows, fields, summary
+    return rows, _GRID_FIELDS, summary
 
 
 # ------------------------------------------------------------------
 # approx_limit
 
 
-def approx_limit(cfg, threads=1):
+def approx_limit(cfg):
     """Kernel limits for the exponential approximating weights.
 
     Both signs are run in normalized form (weight under the square root)
@@ -288,7 +278,7 @@ def approx_limit(cfg, threads=1):
         ]
         return n, out
 
-    steps = _pmap(run_step, cfg.schedule, threads)
+    steps = [run_step(n) for n in cfg.schedule]
     rows, weight_rows = [], []
     sup = {k: [] for k in ("plus_norm", "minus_norm", "plus_hat", "minus_hat")}
     transform = []
@@ -309,9 +299,6 @@ def approx_limit(cfg, threads=1):
         weight_rows.extend(out["weight_rows"])
 
     summary = {
-        "experiment": cfg.experiment,
-        "config": cfg.canonical(),
-        "config_hash": cfg.digest(),
         "gamma": gamma,
         "c_gamma": cg,
         "degrees": [int(n) for n, _ in steps],
@@ -326,17 +313,15 @@ def approx_limit(cfg, threads=1):
             "residual_vs_mismatch_model": literal_vs_model,
         },
         "weight_limit_rows": weight_rows,
-        "hard_fail": False,
     }
-    fields = ["step", "x", "y", "computed", "target", "abs_error"]
-    return rows, fields, summary
+    return rows, _GRID_FIELDS, summary
 
 
 # ------------------------------------------------------------------
 # sandwich_chain
 
 
-def sandwich_chain(cfg, threads=1):
+def sandwich_chain(cfg):
     """Sandwich margins, kernel ordering, Lubinsky bound, bracket squeeze.
 
     An ordering violation is a hard failure: given the sandwich, the
@@ -352,7 +337,7 @@ def sandwich_chain(cfg, threads=1):
     scale = 1.0 / (PI2 * n**2)
     xs = cfg.grid()
     diag_pts = scale * np.linspace(0.5, 20.0, 20)
-    kw_diag = np.array([tab_w.kernel_hat(n, t, t) for t in diag_pts])
+    kw_diag = tab_w.kernel_hat(n, diag_pts, diag_pts)
 
     # final scaled-kernel table (gamma-independent)
     J = bessel_kernel(nu, xs[:, None], xs[None, :])
@@ -369,8 +354,8 @@ def sandwich_chain(cfg, threads=1):
         minus = ApproxWeight("minus", gamma, n, nu)
         tp = build_recurrence(plus, n)
         tm = build_recurrence(minus, n)
-        kp = np.array([tp.kernel_hat(n, t, t) for t in diag_pts])
-        km = np.array([tm.kernel_hat(n, t, t) for t in diag_pts])
+        kp = tp.kernel_hat(n, diag_pts, diag_pts)
+        km = tm.kernel_hat(n, diag_pts, diag_pts)
         # ordering: smaller weight, larger kernel
         viol_plus = int(np.sum(kp > kw_diag))
         viol_minus = int(np.sum(kw_diag > km))
@@ -379,10 +364,9 @@ def sandwich_chain(cfg, threads=1):
         # Lubinsky gap on both adjacent pairs of the sandwich
         slack = np.inf
         for small_tab, big_tab in ((tab_w, tp), (tm, tab_w)):
-            for x in lub_grid:
-                for y in lub_grid:
-                    lhs, rhs = lubinsky_gap(small_tab, big_tab, n, x, y)
-                    slack = min(slack, (rhs - lhs) / max(rhs, lhs, 1.0))
+            lhs, rhs = lubinsky_gap(small_tab, big_tab, n,
+                                    lub_grid[:, None], lub_grid[None, :])
+            slack = min(slack, np.min((rhs - lhs) / np.maximum(np.maximum(rhs, lhs), 1.0)))
         # diagonal bracket width at x ~ 5 (scaled), normalized form
         t5 = 5.0 * scale
         b_lo = tp.kernel_norm(n, t5, t5) * scale
@@ -397,7 +381,7 @@ def sandwich_chain(cfg, threads=1):
             "bracket_width": float(b_hi - b_lo),
         }
 
-    per_gamma = _pmap(run_gamma, cfg.gammas, threads)
+    per_gamma = [run_gamma(g) for g in cfg.gammas]
     widths = [g["bracket_width"] for g in per_gamma]
     order = np.argsort(cfg.gammas)[::-1]  # widths along decreasing gamma
     squeeze = bool(np.all(np.diff(np.asarray(widths)[order]) < 0))
@@ -408,9 +392,6 @@ def sandwich_chain(cfg, threads=1):
         for g in per_gamma
     )
     summary = {
-        "experiment": cfg.experiment,
-        "config": cfg.canonical(),
-        "config_hash": cfg.digest(),
         "R": R,
         "count": int(n),
         "per_gamma": per_gamma,
@@ -418,15 +399,14 @@ def sandwich_chain(cfg, threads=1):
         "final_sup_error": final_sup,
         "hard_fail": bool(hard_fail),
     }
-    fields = ["step", "x", "y", "computed", "target", "abs_error"]
-    return rows, fields, summary
+    return rows, _GRID_FIELDS, summary
 
 
 # ------------------------------------------------------------------
 # equilibrium_report
 
 
-def equilibrium_report(cfg, threads=1):
+def equilibrium_report(cfg):
     """Equilibrium diagnostics plus complex-map and parametrix residuals."""
     nu = cfg.nu
     xs = np.linspace(0.02, 0.98, 25)
@@ -453,7 +433,7 @@ def equilibrium_report(cfg, threads=1):
         d["lens"] = equilibrium.lens_sign_check(gamma)
         return d
 
-    per_gamma = _pmap(run_gamma, cfg.gammas, threads)
+    per_gamma = [run_gamma(g) for g in cfg.gammas]
 
     x = 0.4
     Np = equilibrium.global_parametrix(nu, x, side="+")
@@ -475,14 +455,10 @@ def equilibrium_report(cfg, threads=1):
                 }
             )
     summary = {
-        "experiment": cfg.experiment,
-        "config": cfg.canonical(),
-        "config_hash": cfg.digest(),
         "per_gamma": per_gamma,
         "parametrix_nu": nu,
         "parametrix_jump_residual": jump_residual,
         "parametrix_inf_residual": inf_residual,
-        "hard_fail": False,
     }
     fields = ["gamma", "s", "density", "cdf"]
     return rows, fields, summary
@@ -492,7 +468,7 @@ def equilibrium_report(cfg, threads=1):
 # dpp_stats
 
 
-def dpp_stats(cfg, threads=1):
+def dpp_stats(cfg):
     """Sample the process and tabulate counting statistics."""
     T = float(max(cfg.thresholds))
     kern = nystrom(cfg.nu, T, cfg.m)
@@ -503,9 +479,6 @@ def dpp_stats(cfg, threads=1):
         float(st.mean[i] - st.target_mean[i]) for i in range(len(st.thresholds))
     ]
     summary = {
-        "experiment": cfg.experiment,
-        "config": cfg.canonical(),
-        "config_hash": cfg.digest(),
         "trace": kern.trace,
         "eig_min": float(kern.eigenvalues.min()),
         "eig_max": float(kern.eigenvalues.max()),
@@ -515,7 +488,6 @@ def dpp_stats(cfg, threads=1):
         "var_slope_target": st.var_slope_target,
         "max_growth_residual": st.max_growth_residual,
         "n_samples": st.n_samples,
-        "hard_fail": False,
     }
     fields = ["threshold", "mean", "target_mean", "se_mean", "var", "se_var"]
     return rows, fields, summary
@@ -553,12 +525,19 @@ def write_summary(path, summary):
         fh.write("\n")
 
 
-def run_experiment(cfg, out_dir=None, threads=1):
-    """Run one experiment; optionally write <name>-<hash>.{csv,json}."""
+def run_experiment(cfg, out_dir=None):
+    """Run one experiment; optionally write <name>-<hash>.{csv,json}.
+
+    The summary carries the experiment name, its config and config hash,
+    and ``hard_fail`` (False unless the experiment reports otherwise).
+    """
     fn = EXPERIMENTS.get(cfg.experiment)
     if fn is None:
         raise ValueError("unknown experiment %r" % (cfg.experiment,))
-    rows, fields, summary = fn(cfg, threads=threads)
+    rows, fields, body = fn(cfg)
+    summary = {"experiment": cfg.experiment, "config": cfg.canonical(),
+               "config_hash": cfg.digest(), "hard_fail": False}
+    summary.update(body)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         stem = "%s-%s" % (cfg.experiment, cfg.digest())

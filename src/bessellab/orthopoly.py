@@ -5,9 +5,8 @@ The measure is discretized by a composite quadrature whose first panel is
 Gauss-Jacobi with the t^nu factor built in, so endpoint singularities
 (-1 < nu < 0) and zeros (nu > 0) cost no accuracy.  The three-term
 recurrence is then obtained by Lanczos iteration with full
-reorthogonalization on the diagonal operator of the discrete measure;
-above moderate degrees 80-bit extended precision is used (switchable via
-the BESSELLAB_PRECISION environment variable: "double" or "extended").
+reorthogonalization on the diagonal operator of the discrete measure,
+in double precision throughout.
 
 Notation: phi_0, phi_1, ... are orthonormal,
 
@@ -25,13 +24,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import os
 
 import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
 from .errors import DomainError, PrecisionFailure
+from .specfun import _maybe_scalar
 
 __all__ = [
     "Quadrature",
@@ -71,8 +70,8 @@ class Quadrature:
 def weight_quadrature(nu, support=1.0, n_panel=120):
     """Composite quadrature for the measure t^nu dt on [0, support]."""
     nu = float(nu)
-    if nu <= -1.0:
-        raise DomainError("endpoint exponent must be > -1")
+    if not (nu > -1.0) or not math.isfinite(nu):
+        raise DomainError("endpoint exponent must be finite and > -1")
     support = float(support)
     if not (support > 0) or not math.isfinite(support):
         raise DomainError("support must be positive and finite")
@@ -81,7 +80,10 @@ def weight_quadrature(nu, support=1.0, n_panel=120):
     nodes, masses = [], []
     # Gauss-Jacobi on [0, c]: t = c (1+x)/2 picks up (c/2)^(nu+1)
     c = support * _PANEL_EDGES[1]
-    xj, wj = special.roots_jacobi(n_panel, 0.0, nu)
+    try:
+        xj, wj = special.roots_jacobi(n_panel, 0.0, nu)
+    except ValueError as exc:  # its eigensolve overflows at very large nu
+        raise PrecisionFailure(f"no Gauss-Jacobi rule for nu={nu}") from exc
     nodes.append(c * 0.5 * (1.0 + xj))
     masses.append(wj * (0.5 * c) ** (nu + 1.0))
     # Gauss-Legendre elsewhere, t^nu folded into the mass
@@ -93,20 +95,11 @@ def weight_quadrature(nu, support=1.0, n_panel=120):
         masses.append(0.5 * (hi - lo) * wl * t**nu)
     nodes = np.concatenate(nodes)
     masses = np.concatenate(masses)
-    if np.any(nodes <= 0) or np.any(nodes >= support) or np.any(masses <= 0):
+    if not (np.all(nodes > 0) and np.all(nodes < support)
+            and np.all(masses > 0) and np.all(np.isfinite(masses))):
         raise PrecisionFailure("quadrature produced out-of-range nodes or masses")
     return Quadrature(nodes=nodes, weights=masses, endpoint_exponent=nu,
                       support=support)
-
-
-def _pick_dtype(n_max):
-    tier = os.environ.get("BESSELLAB_PRECISION", "auto").lower()
-    extended = np.longdouble if np.finfo(np.longdouble).eps < 1e-18 else np.float64
-    if tier == "double":
-        return np.float64
-    if tier == "extended":
-        return extended
-    return extended if n_max > 60 else np.float64
 
 
 @dataclasses.dataclass
@@ -127,18 +120,16 @@ class RecurrenceTable:
     quadrature: Quadrature
     scaled_masses: np.ndarray
     mass_shift: float
-    dtype: object
 
     # -- evaluation --------------------------------------------------------
 
-    def _phi_unnormalized(self, n, t, dtype=np.float64):
+    def _phi_unnormalized(self, n, t):
         """Rows 0..n of the recurrence with phi_0 = 1 (no mass normalization)."""
         if not 1 <= n <= self.n_max:
             raise DomainError(f"degree n must be in [1, {self.n_max}]")
-        t = np.atleast_1d(np.asarray(t, dtype=dtype))
-        a = self.alpha.astype(dtype)
-        b = self.beta.astype(dtype)
-        out = np.empty((n + 1, t.size), dtype=dtype)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        a, b = self.alpha, self.beta
+        out = np.empty((n + 1, t.size))
         out[0] = 1.0
         out[1] = (t - a[0]) / b[1]
         for k in range(1, n):
@@ -150,15 +141,14 @@ class RecurrenceTable:
         j = int(j)
         if j == 0:
             t = np.asarray(t, dtype=float)
-            return _scalar(np.full(np.shape(t), math.exp(-0.5 * self.log_mu0)))
+            return _maybe_scalar(np.full(np.shape(t), math.exp(-0.5 * self.log_mu0)))
         tab = self._phi_unnormalized(j, t)
-        out = tab[j].astype(float) * math.exp(-0.5 * self.log_mu0)
-        return _scalar(out.reshape(np.shape(np.asarray(t))))
+        out = tab[j] * math.exp(-0.5 * self.log_mu0)
+        return _maybe_scalar(out.reshape(np.shape(np.asarray(t))))
 
     def phi_table(self, n, t):
         """Array of phi_0..phi_n values at the points t, shape (n+1, len(t))."""
-        tab = self._phi_unnormalized(n, t).astype(float)
-        return tab * math.exp(-0.5 * self.log_mu0)
+        return self._phi_unnormalized(n, t) * math.exp(-0.5 * self.log_mu0)
 
     # -- kernels -----------------------------------------------------------
 
@@ -183,7 +173,7 @@ class RecurrenceTable:
     def kernel_hat(self, n, x, y):
         """Khat_n(x, y); Christoffel-Darboux form away from the diagonal,
         direct sum within relative distance NEAR_DIAGONAL of it."""
-        return _scalar(self._kernel_hat_core(n, x, y))
+        return _maybe_scalar(self._kernel_hat_core(n, x, y))
 
     def kernel_hat_grid(self, n, xs, ys):
         """Khat_n on the product grid xs x ys, shape (len(xs), len(ys))."""
@@ -202,7 +192,7 @@ class RecurrenceTable:
 
     def kernel_norm(self, n, x, y):
         """K_n(x, y) = exp((log w(x) + log w(y))/2) * Khat_n(x, y)."""
-        return _scalar(self._sqrt_weight_factor(x, y) * self._kernel_hat_core(n, x, y))
+        return _maybe_scalar(self._sqrt_weight_factor(x, y) * self._kernel_hat_core(n, x, y))
 
     def kernel_norm_grid(self, n, xs, ys):
         xs = np.asarray(xs, dtype=float)
@@ -212,26 +202,20 @@ class RecurrenceTable:
 
     def christoffel(self, n, x):
         """lambda_n(x) = 1 / Khat_n(x, x)."""
-        return _scalar(1.0 / self._kernel_hat_core(n, x, x))
+        return _maybe_scalar(1.0 / self._kernel_hat_core(n, x, x))
 
     # -- diagnostics -------------------------------------------------------
 
-    def gram_residual(self, n=None, dtype=None):
+    def gram_residual(self, n=None):
         """max |<phi_i, phi_j> - delta_ij| over i, j <= n on the discrete measure."""
         n = self.n_max if n is None else int(n)
-        dtype = dtype or self.dtype
-        tab = self._phi_unnormalized(n, self.quadrature.nodes, dtype=dtype)
-        m = self.scaled_masses.astype(dtype)
+        tab = self._phi_unnormalized(n, self.quadrature.nodes)
+        m = self.scaled_masses
         gram = (tab * m) @ tab.T / m.sum()
-        return float(np.max(np.abs(gram - np.eye(n + 1, dtype=dtype))))
+        return float(np.max(np.abs(gram - np.eye(n + 1))))
 
 
-def _scalar(out):
-    out = np.asarray(out)
-    return out[()] if out.ndim == 0 else out
-
-
-def build_recurrence(weight, n_max, n_panel=None, dtype=None, degree_cap=DEGREE_CAP):
+def build_recurrence(weight, n_max, n_panel=None, degree_cap=DEGREE_CAP):
     """Recurrence table of the orthonormal polynomials of ``weight``.
 
     ``weight`` must expose ``nu``, ``quad_support`` and ``log_smooth``.
@@ -254,18 +238,15 @@ def build_recurrence(weight, n_max, n_panel=None, dtype=None, degree_cap=DEGREE_
     shift = float(np.max(log_masses))
     masses = np.exp(log_masses - shift)
 
-    dt = dtype or _pick_dtype(n_max)
-    t = quad.nodes.astype(dt)
-    m = masses.astype(dt)
-
-    v = np.sqrt(m)
+    t = quad.nodes
+    v = np.sqrt(masses)
     nrm = np.sqrt(v @ v)
     v = v / nrm
-    basis = np.empty((n_max + 1, t.size), dtype=dt)
+    basis = np.empty((n_max + 1, t.size))
     basis[0] = v
-    alpha = np.zeros(n_max, dtype=dt)
-    beta = np.zeros(n_max + 1, dtype=dt)
-    floor = 100 * np.finfo(dt).eps * float(quad.support)
+    alpha = np.zeros(n_max)
+    beta = np.zeros(n_max + 1)
+    floor = 100 * np.finfo(float).eps * quad.support
 
     for k in range(n_max):
         w = t * basis[k]
@@ -279,14 +260,14 @@ def build_recurrence(weight, n_max, n_panel=None, dtype=None, degree_cap=DEGREE_
         if not (b > floor):
             raise PrecisionFailure(
                 f"recurrence construction lost positivity at degree {k + 1} "
-                f"(beta={float(b):.3e}); reduce the degree or raise precision")
+                f"(beta={b:.3e}); reduce the degree")
         beta[k + 1] = b
         basis[k + 1] = w / b
 
-    log_mu0 = shift + 2.0 * math.log(float(nrm))
+    log_mu0 = shift + 2.0 * math.log(nrm)
     return RecurrenceTable(alpha=alpha, beta=beta, log_mu0=log_mu0, n_max=n_max,
                            nu=float(weight.nu), weight=weight, quadrature=quad,
-                           scaled_masses=masses, mass_shift=shift, dtype=dt)
+                           scaled_masses=masses, mass_shift=shift)
 
 
 def brute_force_christoffel(weight, n, x, n_panel=200):

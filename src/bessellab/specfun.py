@@ -202,8 +202,8 @@ def bessel_kernel_diag(nu, x):
     """Diagonal K(x, x) of the hard-edge kernel, x > 0."""
     nu = _order(nu)
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("bessel_kernel_diag requires x > 0")
+    if not np.all((x > 0) & np.isfinite(x)):
+        raise DomainError("bessel_kernel_diag requires finite x > 0")
     u = np.sqrt(x)
     j = special.jv(nu, u)
     jp = special.jvp(nu, u)
@@ -220,8 +220,8 @@ def bessel_kernel(nu, x, y):
     nu = _order(nu)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise DomainError("bessel_kernel requires x, y > 0")
+    if not (np.all((x > 0) & np.isfinite(x)) and np.all((y > 0) & np.isfinite(y))):
+        raise DomainError("bessel_kernel requires finite x, y > 0")
     x, y = np.broadcast_arrays(x, y)
     near = np.abs(x - y) <= DIAG_SWITCH * np.maximum(x, y)
 

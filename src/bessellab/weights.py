@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PrecisionFailure
+from .specfun import _maybe_scalar
 
 __all__ = [
     "field_V",
@@ -43,11 +44,6 @@ __all__ = [
 ]
 
 _MAX_SERIES_DEPTH = 16
-
-
-def _maybe_scalar(out):
-    out = np.asarray(out)
-    return out[()] if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +268,8 @@ class ApproxWeight:
             raise DomainError("kind must be 'plus' or 'minus'")
         self.kind = kind
         self.gamma = float(gamma)
-        if self.gamma <= 1.0:
-            raise DomainError("approximating weights need gamma > 1")
+        if not (self.gamma > 1.0) or not math.isfinite(self.gamma):
+            raise DomainError("approximating weights need a finite gamma > 1")
         self.n = int(n)
         if self.n < 1:
             raise DomainError("n must be >= 1")

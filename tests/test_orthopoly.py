@@ -25,8 +25,33 @@ from bessellab.orthopoly import (
     save_recurrence_csv,
     weight_quadrature,
 )
-from bessellab.sequences import make_quadratic
+from bessellab.sequences import make_bessel_zero_squared, make_quadratic
 from bessellab.weights import ApproxWeight, ConditionalWeight, PowerWeight, ScaledWeight
+
+
+def _stieltjes_mp(mpmath, nodes, masses, n):
+    """alpha_0..alpha_{n-1} and beta_1..beta_n of the orthonormal recurrence
+    of a discrete measure, by the Stieltjes procedure at 40 digits."""
+    with mpmath.workdps(40):
+        t = [mpmath.mpf(x) for x in nodes]
+        m = [mpmath.mpf(x) for x in masses]
+        mt = [a * b for a, b in zip(m, t)]
+        prev, cur = [mpmath.mpf(0)] * len(t), [mpmath.mpf(1)] * len(t)
+        alpha, beta_monic, norm_prev = [], [], None
+        for k in range(n + 1):
+            sq = [p * p for p in cur]
+            norm = mpmath.fdot(m, sq)
+            if k:
+                beta_monic.append(norm / norm_prev)
+            if k == n:
+                break
+            a = mpmath.fdot(mt, sq) / norm
+            b = beta_monic[-1] if k else 0
+            alpha.append(a)
+            prev, cur = cur, [(x - a) * p - b * q for x, p, q in zip(t, cur, prev)]
+            norm_prev = norm
+        return (np.array([float(a) for a in alpha]),
+                np.array([float(mpmath.sqrt(b)) for b in beta_monic]))
 
 
 def _jacobi_shifted(nu, kmax):
@@ -89,6 +114,18 @@ class TestRecurrence:
     def test_gram_residual_small(self):
         tab = build_recurrence(PowerWeight(0.5), 40)
         assert tab.gram_residual() < 1e-13
+
+    def test_double_build_matches_mpmath_stieltjes(self):
+        # the float64 Lanczos build against a 40-digit Stieltjes build of
+        # the same discrete measure, at the degree cap
+        mpmath = pytest.importorskip("mpmath")
+        w = ConditionalWeight(make_bessel_zero_squared(3.0), 3.0, 2e5)
+        tab = build_recurrence(w, DEGREE_CAP)
+        assert tab.alpha.dtype == np.float64
+        alpha, beta = _stieltjes_mp(mpmath, tab.quadrature.nodes, tab.scaled_masses,
+                                    DEGREE_CAP)
+        assert np.max(np.abs(tab.beta[1:] - beta) / beta) <= 1e-14
+        assert np.max(np.abs(tab.alpha - alpha) / beta) <= 1e-14
 
     def test_gram_under_independent_quadrature(self):
         # orthonormality re-checked on a finer, separately built quadrature
@@ -243,6 +280,19 @@ class TestOrderingAndGap:
         for x, y in [(0.7, 3.0), (2.0, 11.0)]:
             lhs, rhs = lubinsky_gap(tw, tp, n_val, x * scale, y * scale)
             assert lhs <= rhs * (1 + 1e-10)
+        # grid input: one broadcast call equals the elementwise scalar calls
+        pts = np.linspace(0.5, 20.0, 6) * scale
+        lhs, rhs = lubinsky_gap(tw, tp, n_val, pts[:, None], pts[None, :])
+        assert np.all(lhs <= rhs * (1 + 1e-10))
+        kd = tw.kernel_hat(n_val, pts, pts)
+        assert_allclose(kd, [tw.kernel_hat(n_val, t, t) for t in pts], rtol=1e-15, atol=0)
+        # lhs and rhs are differences of kernel values, so they inherit the
+        # 1e-15 relative to the kernel scale, not to themselves: by
+        # Cauchy-Schwarz both are at most 4 Khat(x,x) Khat(y,y)
+        pointwise = np.array([[lubinsky_gap(tw, tp, n_val, x, y) for y in pts] for x in pts])
+        tol = 4e-15 * np.outer(kd, kd)
+        assert np.all(np.abs(lhs - pointwise[..., 0]) <= tol)
+        assert np.all(np.abs(rhs - pointwise[..., 1]) <= tol)
 
     def test_gap_degenerate_pair(self):
         # comparing a table with itself collapses both sides to zero

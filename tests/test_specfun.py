@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_less
 
+from bessellab import errors
+from bessellab.dpp import nystrom
 from bessellab.errors import DomainError
+from bessellab.orthopoly import weight_quadrature
 from bessellab.specfun import (
     BesselOrder,
     bessel_j,
@@ -25,6 +28,7 @@ from bessellab.specfun import (
     bessel_zero,
     bessel_zeros,
 )
+from bessellab.weights import ApproxWeight
 
 # mpmath, 30 digits
 J0_ZERO_1 = 2.40482555769577276862163187933
@@ -205,3 +209,27 @@ class TestBesselKernel:
             bessel_kernel(0.0, -1.0, 2.0)
         with pytest.raises(DomainError):
             bessel_kernel_diag(0.0, 0.0)
+
+
+# Entry points that take one outside float, each returning the array whose
+# values must be finite whenever no library error is raised.
+_FLOAT_ENTRY_POINTS = {
+    "nystrom": lambda v: nystrom(0.0, v, 64).eigenvalues,
+    "bessel_kernel": lambda v: bessel_kernel(0.0, v, 1.0),
+    "bessel_kernel_diag": lambda v: bessel_kernel_diag(0.0, v),
+    "weight_quadrature": lambda v: weight_quadrature(v).weights,
+    "ApproxWeight": lambda v: ApproxWeight("plus", v, 5, 0.0).log_density(0.5),
+}
+_LIBRARY_ERRORS = (errors.DomainError, errors.ConvergenceFailure, errors.SequenceExhausted,
+                   errors.PrecisionFailure, errors.DiscretizationFailure)
+
+
+@pytest.mark.parametrize("entry", sorted(_FLOAT_ENTRY_POINTS))
+@given(v=st.floats(allow_nan=True, allow_infinity=True))
+@settings(max_examples=60, deadline=None)
+def test_any_float_gives_finite_values_or_library_error(entry, v):
+    try:
+        out = _FLOAT_ENTRY_POINTS[entry](v)
+    except _LIBRARY_ERRORS:
+        return
+    assert np.all(np.isfinite(out))
