@@ -14,6 +14,7 @@ from .dpp import (
     DiscretizedKernel,
     SampleConfig,
     count_stats,
+    exact_count_law,
     load_sample,
     nystrom,
     sample,
@@ -71,6 +72,7 @@ __all__ = [
     "DiscretizedKernel",
     "SampleConfig",
     "count_stats",
+    "exact_count_law",
     "load_sample",
     "nystrom",
     "sample",

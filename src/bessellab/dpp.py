@@ -2,9 +2,21 @@
 
 The kernel is discretized with a Nystrom rule adapted to the hard edge:
 substituting x = T u^2 with u Gauss-Legendre on (0, 1) clusters nodes near
-0 where the density varies on the x^{1/2} scale.  Sampling follows the
-spectral (Hough-Krishnapur-Peres-Virag) recipe: Bernoulli thinning of the
-eigenvalues, then sequential draws from the resulting projection kernel.
+0 where the density varies on the x^{1/2} scale.
+
+Sampling follows the spectral recipe of Hough, Krishnapur, Peres and Virag
+(2006): Bernoulli(lambda_j) thinning of the eigenvalues selects k
+eigenvectors V, and the projection kernel K = V V^T is then sampled by the
+chain rule, as in the projection samplers of DPPy (Gautier, Polito,
+Bardenet, Valko 2019).  The conditional marginals start at diag(K); after
+each draw the kernel column at the chosen node is orthonormalized against
+the earlier ones (incremental Gram-Schmidt) and its square is subtracted
+from the marginals.  One sample costs O(m k^2).
+
+The same recipe gives the exact count law: N(0, T'] is a sum of
+independent Bernoulli(lambda_j), lambda_j the eigenvalues of the kernel
+restricted to (0, T'], which ``exact_count_law`` reports beside the Monte
+Carlo estimates of ``count_stats``.
 
 Points are reported at quadrature nodes.  That grid-level resolution is all
 the downstream consumers (counting statistics, growth residuals) need.
@@ -17,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DiscretizationFailure, DomainError
+from .errors import DiscretizationFailure, DomainError, PrecisionFailure
 from .sequences import make_sampled, save_points
 from .specfun import bessel_kernel
 
@@ -30,6 +42,7 @@ __all__ = [
     "sample_many",
     "count_stats",
     "counts_below",
+    "exact_count_law",
     "save_sample",
     "load_sample",
 ]
@@ -39,6 +52,11 @@ __all__ = [
 EIG_TOL = 1e-8
 
 VAR_SLOPE = 1.0 / (4.0 * np.pi**2)
+
+# Conditional marginals in the sampler are exact up to accumulated roundoff
+# of order k * 1e-16; anything more negative than this means the selected
+# eigenvectors were not orthonormal to working precision.
+MARGINAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -123,36 +141,43 @@ def _rng(seed):
 def sample(kern, seed):
     """Draw one configuration from the discretized process.
 
-    Bernoulli(lambda_j) selects eigenvectors; the selected columns span a
-    projection kernel that is then sampled point by point, projecting out
-    the direction of each chosen node before the next draw.
+    Bernoulli(lambda_j) selects k eigenvectors V (one uniform per
+    eigenvalue); the projection kernel K = V V^T is then sampled point by
+    point with one further uniform each.  The conditional marginals p start
+    at diag(K).  After node i is drawn, the column K[:, i] = V V[i] is
+    orthonormalized against the columns of the earlier draws (incremental
+    Gram-Schmidt, dividing by sqrt(p[i])) and p -= c^2.  Each draw costs
+    O(m k), a sample O(m k^2).
+
+    Raises PrecisionFailure when a marginal falls below -MARGINAL_TOL or
+    the marginals run out before k points are drawn.
     """
     rng = _rng(seed)
     keep = rng.random(kern.eigenvalues.size) < kern.eigenvalues
-    V = kern.eigenvectors[:, keep].copy()
-    chosen = []
-    while V.shape[1] > 0:
-        k = V.shape[1]
-        p = np.einsum("ij,ij->i", V, V)
-        if chosen:
-            p[chosen] = 0.0  # rows already eliminated; kill residual noise
+    V = kern.eigenvectors[:, keep]
+    k = V.shape[1]
+    p = np.einsum("ij,ij->i", V, V)
+    C = np.empty((V.shape[0], k))  # orthonormalized kernel columns
+    chosen = np.empty(k, dtype=int)
+    for t in range(k):
         total = p.sum()
-        if total <= 0:  # pragma: no cover - degenerate roundoff corner
-            break
+        if not total > 0:
+            raise PrecisionFailure(
+                "conditional marginals vanished after %d of %d points" % (t, k))
         i = int(np.searchsorted(np.cumsum(p / total), rng.random()))
         i = min(i, p.size - 1)
-        chosen.append(i)
-        if k == 1:
-            break
-        # Eliminate row i: pivot on the column with the largest entry there,
-        # subtract it from the others, drop it, re-orthonormalize the rest.
-        j = int(np.argmax(np.abs(V[i, :])))
-        col = V[:, j].copy()
-        piv = col[i]
-        V -= np.outer(col, V[i, :] / piv)
-        V = np.delete(V, j, axis=1)
-        V, _ = np.linalg.qr(V)
-    pts = np.sort(kern.nodes[chosen]) if chosen else np.empty(0)
+        chosen[t] = i
+        c = V @ V[i] - C[:, :t] @ C[i, :t]
+        c /= math.sqrt(p[i])
+        C[:, t] = c
+        p -= c * c
+        p[i] = 0.0  # taken; zero up to roundoff already
+        if p.min() < -MARGINAL_TOL:
+            raise PrecisionFailure(
+                "conditional marginal %.3e below -%g" % (p.min(), MARGINAL_TOL))
+        # what is left below zero is roundoff
+        np.maximum(p, 0.0, out=p)
+    pts = np.sort(kern.nodes[chosen])
     return SampleConfig(points=pts, seed=int(seed), T=kern.T, nu=kern.nu, m=kern.m)
 
 
@@ -206,10 +231,26 @@ def _max_growth_residual(samples, eps=0.5):
     for s in samples:
         if s.points.size < 3:
             continue
-        seq = make_sampled(s.points)
-        for n in range(3, s.points.size + 1):
-            worst = max(worst, abs(seq.growth_residual(n, eps=eps)))
+        n = np.arange(3, s.points.size + 1)
+        r = make_sampled(s.points).growth_residual(n, eps=eps)
+        worst = max(worst, float(np.max(np.abs(r))))
     return worst
+
+
+def _check_thresholds(thresholds, T):
+    thr = np.asarray(thresholds, dtype=float)
+    if not np.all(np.isfinite(thr)) or np.any(thr <= 0):
+        raise DomainError("thresholds must be positive and finite")
+    if np.any(thr > T):
+        raise ValueError("threshold exceeds the sampling window T")
+    return thr
+
+
+def _log_slope(thresholds, var):
+    # least-squares slope of var against log T', or NaN when undefined
+    if thresholds.size < 2 or not np.all(var > 0):
+        return np.nan
+    return float(np.polyfit(np.log(thresholds), var, 1)[0])
 
 
 def count_stats(samples, thresholds, eps=0.5):
@@ -223,18 +264,13 @@ def count_stats(samples, thresholds, eps=0.5):
     for s in samples:
         if s.T != T or s.nu != nu0:
             raise ValueError("samples must share T and nu")
-    thr = np.asarray(thresholds, dtype=float)
-    if np.any(thr > T):
-        raise ValueError("threshold exceeds the sampling window T")
+    thr = _check_thresholds(thresholds, T)
     ns = len(samples)
     counts = np.array([[s.count_upto(t) for t in thr] for s in samples], dtype=float)
     mean = counts.mean(axis=0)
     var = counts.var(axis=0, ddof=1) if ns > 1 else np.zeros_like(mean)
     se_mean = np.sqrt(var / ns)
     se_var = var * np.sqrt(2.0 / max(ns - 1, 1))
-    slope = np.nan
-    if thr.size >= 2 and np.all(var > 0):
-        slope = float(np.polyfit(np.log(thr), var, 1)[0])
     return CountStats(
         thresholds=thr,
         mean=mean,
@@ -243,9 +279,36 @@ def count_stats(samples, thresholds, eps=0.5):
         se_var=se_var,
         target_mean=np.sqrt(thr) / np.pi,
         n_samples=ns,
-        var_slope=slope,
+        var_slope=_log_slope(thr, var),
         max_growth_residual=_max_growth_residual(samples, eps=eps),
     )
+
+
+def exact_count_law(kern, thresholds):
+    """Exact (mean, var, var_slope) of N(0, T'] in the discretized process.
+
+    N(0, T'] has the law of a sum of independent Bernoulli(lambda_j), the
+    lambda_j being the eigenvalues of ``kern.matrix`` restricted to the
+    nodes <= T' (Hough, Krishnapur, Peres, Virag 2006), so mean = sum lambda
+    and var = sum lambda (1 - lambda).  A window that holds every node
+    reuses ``kern.eigenvalues``.  var_slope is fitted against log T' like
+    ``CountStats.var_slope``.
+    """
+    thr = _check_thresholds(thresholds, kern.T)
+    mean = np.empty(thr.size)
+    var = np.empty(thr.size)
+    for j, t in enumerate(thr):
+        inside = kern.nodes <= t
+        if inside.all():
+            lam = kern.eigenvalues
+        elif not inside.any():  # window below the first node: N = 0
+            lam = np.empty(0)
+        else:
+            sub = kern.matrix[np.ix_(inside, inside)]
+            lam = np.clip(sla.eigvalsh(sub), 0.0, 1.0)
+        mean[j] = lam.sum()
+        var[j] = np.sum(lam * (1.0 - lam))
+    return mean, var, _log_slope(thr, var)
 
 
 def save_sample(cfg, path):

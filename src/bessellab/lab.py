@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import equilibrium
-from .dpp import count_stats, nystrom, sample_many
+from .dpp import count_stats, exact_count_law, nystrom, sample_many
 from .orthopoly import build_recurrence, lubinsky_gap
 from .sequences import make_bessel_zero_squared, make_quadratic
 from .specfun import bessel_kernel
@@ -469,11 +469,13 @@ def equilibrium_report(cfg):
 
 
 def dpp_stats(cfg):
-    """Sample the process and tabulate counting statistics."""
+    """Sample the process and tabulate counting statistics, with the exact
+    count law of the discretized process beside the Monte Carlo values."""
     T = float(max(cfg.thresholds))
     kern = nystrom(cfg.nu, T, cfg.m)
     samples = sample_many(kern, cfg.n_samples, cfg.seed)
     st = count_stats(samples, cfg.thresholds)
+    exact_mean, exact_var, exact_var_slope = exact_count_law(kern, cfg.thresholds)
     rows = st.rows()
     mean_offsets = [
         float(st.mean[i] - st.target_mean[i]) for i in range(len(st.thresholds))
@@ -486,6 +488,9 @@ def dpp_stats(cfg):
         "var": [float(v) for v in st.var],
         "var_slope": st.var_slope,
         "var_slope_target": st.var_slope_target,
+        "exact_mean": [float(v) for v in exact_mean],
+        "exact_var": [float(v) for v in exact_var],
+        "exact_var_slope": exact_var_slope,
         "max_growth_residual": st.max_growth_residual,
         "n_samples": st.n_samples,
     }

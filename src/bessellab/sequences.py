@@ -122,13 +122,19 @@ class PointSequence:
         return int(np.searchsorted(pts, R, side="right"))
 
     def growth_residual(self, n, eps=0.5):
-        """(p_n - pi^2 n^2) / (n^{3/2} (log n)^{1+eps}), defined for n >= 3."""
-        n = int(n)
-        if n < 3:
+        """(p_n - pi^2 n^2) / (n^{3/2} (log n)^{1+eps}), defined for n >= 3.
+
+        n may be an integer array; the result then has its shape.
+        """
+        idx = np.asarray(n, dtype=int)
+        if np.min(idx) < 3:
             raise DomainError("growth residual needs n >= 3")
         if eps <= 0:
             raise DomainError("eps must be positive")
-        return (self.p(n) - PI2 * n * n) / (n**1.5 * math.log(n) ** (1.0 + eps))
+        pts = self.prefix(np.max(idx))
+        n = idx.astype(float)
+        r = (pts[idx - 1] - PI2 * n * n) / (n**1.5 * np.log(n) ** (1.0 + eps))
+        return float(r) if r.ndim == 0 else r
 
     # -- tail sums ---------------------------------------------------------
 

@@ -213,24 +213,32 @@ def bessel_kernel_diag(nu, x):
 def bessel_kernel(nu, x, y):
     """Hard-edge Bessel kernel K(x, y) on (0, oo)^2.
 
+    J_nu(sqrt t) and sqrt(t) J_nu'(sqrt t) are evaluated once per entry of
+    the un-broadcast x and of y, and only the products are broadcast, so an
+    m x m outer grid such as ``x[:, None], x[None, :]`` costs O(m) Bessel
+    evaluations rather than O(m^2).
+
     Within relative distance DIAG_SWITCH of the diagonal the analytic
-    diagonal limit at the midpoint is used; by symmetry the midpoint value
-    differs from the true one only at second order in |x - y|.
+    diagonal limit at the midpoint is used, evaluated on those entries
+    only; by symmetry the midpoint value differs from the true one only at
+    second order in |x - y|.
     """
     nu = _order(nu)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.all((x > 0) & np.isfinite(x)) and np.all((y > 0) & np.isfinite(y))):
         raise DomainError("bessel_kernel requires finite x, y > 0")
-    x, y = np.broadcast_arrays(x, y)
-    near = np.abs(x - y) <= DIAG_SWITCH * np.maximum(x, y)
-
-    sx = np.sqrt(np.where(near, 1.0, x))
-    sy = np.sqrt(np.where(near, 1.0, y))
-    num = (special.jv(nu, sx) * sy * special.jvp(nu, sy)
-           - special.jv(nu, sy) * sx * special.jvp(nu, sx))
+    sx = np.sqrt(x)
+    sy = np.sqrt(y)
+    jx = special.jv(nu, sx)
+    jy = special.jv(nu, sy)
+    dx = sx * special.jvp(nu, sx)
+    dy = sy * special.jvp(nu, sy)
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = num / (2.0 * (x - y))
+        out = np.asarray((jx * dy - jy * dx) / (2.0 * (x - y)))
 
-    out = np.where(near, bessel_kernel_diag(nu, 0.5 * (x + y)), off)
+    near = np.abs(x - y) <= DIAG_SWITCH * np.maximum(x, y)
+    if np.any(near):
+        xb, yb = np.broadcast_arrays(x, y)
+        out[near] = bessel_kernel_diag(nu, 0.5 * (xb[near] + yb[near]))
     return _maybe_scalar(out)

@@ -1,8 +1,10 @@
 """Tests for the determinantal sampler of the hard-edge process.
 
 The discretized kernel is checked against direct quadrature of the
-diagonal, and the sampler against its exact first moment (mean count =
-trace) using a fixed master seed, so every run sees the same draws.
+diagonal and against the closed-form gap probability, and the sampler
+against its exact first moment (mean count = trace), against the exact
+count law, and draw for draw against a QR-based reference sampler, using
+fixed seeds so every run sees the same draws.
 """
 
 import math
@@ -16,15 +18,46 @@ from bessellab.dpp import (
     CountStats,
     DiscretizedKernel,
     SampleConfig,
+    _rng,
     count_stats,
     counts_below,
+    exact_count_law,
     load_sample,
     nystrom,
     sample,
     sample_many,
     save_sample,
 )
+from bessellab.errors import DomainError, PrecisionFailure
 from bessellab.specfun import bessel_kernel_diag
+
+
+def _qr_sample_points(kern, seed):
+    # Reference projection sampler, O(m k^3): eliminate the chosen row by a
+    # pivot column, drop that column and re-orthonormalize the rest by QR.
+    # It consumes the same uniforms as dpp.sample.
+    rng = _rng(seed)
+    keep = rng.random(kern.eigenvalues.size) < kern.eigenvalues
+    V = kern.eigenvectors[:, keep]
+    chosen = []
+    while V.shape[1] > 0:
+        p = np.einsum("ij,ij->i", V, V)
+        p[chosen] = 0.0
+        i = min(int(np.searchsorted(np.cumsum(p / p.sum()), rng.random())), p.size - 1)
+        chosen.append(i)
+        j = int(np.argmax(np.abs(V[i])))
+        V = np.delete(V - np.outer(V[:, j], V[i] / V[i, j]), j, axis=1)
+        if V.shape[1]:
+            V, _ = np.linalg.qr(V)
+    return np.sort(kern.nodes[chosen])
+
+
+def _kernel_from_columns(V):
+    # a DiscretizedKernel whose "eigenvectors" are the given columns, all kept
+    m, k = V.shape
+    return DiscretizedKernel(nu=0.0, T=10.0, m=m, nodes=np.linspace(1.0, 9.0, m),
+                             weights=np.ones(m), matrix=V @ V.T,
+                             eigenvalues=np.ones(k), eigenvectors=V)
 
 
 class TestNystrom:
@@ -60,6 +93,12 @@ class TestNystrom:
     def test_nodes_cluster_near_origin(self):
         kern = nystrom(0.0, 100.0, m=128)
         assert np.sum(kern.nodes < 1.0) > np.sum(kern.nodes > 99.0)
+
+    @pytest.mark.parametrize("s", [2.0, 5.0, 10.0])
+    def test_gap_probability_closed_form(self, s):
+        # det(I - K) on (0, s) = exp(-s/4) for nu = 0 (Bornemann 2010)
+        lam = nystrom(0.0, s, 128).eigenvalues
+        assert abs(np.prod(1.0 - lam) - math.exp(-s / 4.0)) <= 1e-12
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -103,6 +142,29 @@ class TestSampling:
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - kern.trace) < 3.5 * se + 1e-9
 
+    @pytest.mark.parametrize("nu, T, m, n_seeds", [
+        (0.0, 1e4, 512, 50), (0.5, 100.0, 128, 100), (2.0, 1e3, 256, 100)])
+    def test_matches_qr_reference_sampler(self, nu, T, m, n_seeds):
+        kern = nystrom(nu, T, m)
+        for seed in range(n_seeds):
+            assert np.array_equal(sample(kern, seed).points, _qr_sample_points(kern, seed))
+
+    def test_vanished_marginals_raise(self):
+        # two kept columns that both live on node 0: after the first draw no
+        # conditional mass is left for the second
+        V = np.zeros((3, 2))
+        V[0] = 1.0
+        with pytest.raises(PrecisionFailure, match="vanished"):
+            sample(_kernel_from_columns(V), 0)
+
+    def test_negative_marginal_raises(self):
+        # one column of norm ~1e8, far from unit: its squares exceed 2^53,
+        # and whichever node is drawn first, the update leaves -4 on the
+        # other instead of 0
+        V = np.array([[97964705.0], [96300487.0]])
+        with pytest.raises(PrecisionFailure, match="below"):
+            sample(_kernel_from_columns(V), 0)
+
     def test_count_upto(self):
         cfg = SampleConfig(points=np.array([1.0, 5.0, 20.0]), seed=0, T=50.0, nu=0.0, m=64)
         assert cfg.count_upto(5.0) == 2
@@ -111,9 +173,13 @@ class TestSampling:
 
 
 @pytest.fixture(scope="module")
-def runs():
-    kern = nystrom(0.0, 1000.0, m=256)
-    return sample_many(kern, 120, 99)
+def kern1000():
+    return nystrom(0.0, 1000.0, m=256)
+
+
+@pytest.fixture(scope="module")
+def runs(kern1000):
+    return sample_many(kern1000, 120, 99)
 
 
 class TestCountStats:
@@ -131,11 +197,42 @@ class TestCountStats:
         stats = count_stats(runs, [100.0, 1000.0])
         assert stats.var[1] > stats.var[0]
 
+    def test_monte_carlo_matches_exact_law(self, runs, kern1000):
+        thr = [10.0, 100.0, 1000.0]
+        stats = count_stats(runs, thr)
+        mean, var, _ = exact_count_law(kern1000, thr)
+        assert np.all(np.abs(stats.mean - mean) <= 5.0 * stats.se_mean)
+        assert np.all(np.abs(stats.var - var) <= 5.0 * stats.se_var)
+
+    def test_exact_law_full_window_reuses_spectrum(self, kern1000):
+        mean, var, slope = exact_count_law(kern1000, [100.0, kern1000.T])
+        assert mean[1] == kern1000.trace
+        lam = kern1000.eigenvalues
+        assert var[1] == np.sum(lam * (1.0 - lam))
+        assert 0.0 < mean[0] < mean[1] and 0.0 < var[0] < var[1]
+        assert slope > 0.0
+        with pytest.raises(ValueError):
+            exact_count_law(kern1000, [2000.0])
+
+    def test_exact_law_empty_window(self, kern1000):
+        # below the first node (~5e-7 here) the window holds no point
+        mean, var, slope = exact_count_law(kern1000, [1e-12, kern1000.T])
+        assert mean[0] == 0.0 and var[0] == 0.0
+        assert mean[1] == kern1000.trace
+        assert math.isnan(slope)
+
     def test_threshold_validation(self, runs):
         with pytest.raises(ValueError):
             count_stats(runs, [2000.0])
         with pytest.raises(ValueError):
             count_stats([], [10.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_nonpositive_or_nonfinite_threshold_rejected(self, runs, kern1000, bad):
+        with pytest.raises(DomainError):
+            count_stats(runs, [10.0, bad])
+        with pytest.raises(DomainError):
+            exact_count_law(kern1000, [10.0, bad])
 
     def test_mixed_windows_rejected(self, runs):
         other = sample(nystrom(0.0, 100.0, m=128), 1)

@@ -161,6 +161,17 @@ class TestFiniteSequences:
         b = make_bessel_zero_squared(0.0)
         assert_allclose(s.growth_residual(5), b.growth_residual(5), rtol=1e-12)
 
+    def test_growth_residual_index_array(self):
+        s = make_sampled(make_bessel_zero_squared(0.0).prefix(40), nu=0.0)
+        n = np.arange(3, 41)
+        r = s.growth_residual(n, eps=0.25)
+        assert r.shape == n.shape
+        assert_allclose(r, [s.growth_residual(int(k), eps=0.25) for k in n], rtol=1e-15)
+        with pytest.raises(DomainError):
+            s.growth_residual(np.array([2, 5]))
+        with pytest.raises(SequenceExhausted):
+            s.growth_residual(np.array([5, 41]))
+
 
 class TestSerialization:
     def test_save_load_roundtrip(self, tmp_path):

@@ -4,18 +4,20 @@ hard-edge reproducing kernel built from them.
 Reference values come from three independent routes: the ascending power
 series evaluated locally (``_series_j``), elementary closed forms at
 half-integer order, and mpmath computed at 30 digits (frozen literals,
-marked "mpmath" below).
+marked "mpmath" below) or at 40 digits in the test itself.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_less
+from scipy import special
 
-from bessellab import errors
+from bessellab import errors, specfun
 from bessellab.dpp import nystrom
 from bessellab.errors import DomainError
 from bessellab.orthopoly import weight_quadrature
@@ -39,6 +41,21 @@ J_07_33 = 0.0531584604426000953118645995637
 JP_07_33 = -0.442056925884658484364303162188
 J_2_17 = 0.158363841238503471416085914878
 JP_2_17 = -0.116299532903486940990432403007
+
+
+def _kernel_mp(mpmath, nu, x, y):
+    # the off-diagonal kernel formula at the working precision of mpmath
+    nu, x, y = mpmath.mpf(nu), mpmath.mpf(x), mpmath.mpf(y)
+    sx, sy = mpmath.sqrt(x), mpmath.sqrt(y)
+    jx, jy = mpmath.besselj(nu, sx), mpmath.besselj(nu, sy)
+    djx, djy = mpmath.besselj(nu, sx, 1), mpmath.besselj(nu, sy, 1)
+    return (jx * sy * djy - jy * sx * djx) / (2 * (x - y))
+
+
+def _dpp_grid(m=512, T=1e4):
+    # the Nystrom nodes of dpp.nystrom
+    u, _ = np.polynomial.legendre.leggauss(m)
+    return T * (0.5 * (u + 1.0)) ** 2
 
 
 def _series_j(nu, u, terms=80):
@@ -203,6 +220,58 @@ class TestBesselKernel:
         assert out.shape == (3, 3)
         assert_allclose(out, out.T, rtol=1e-12)
         assert_allclose(np.diag(out), bessel_kernel_diag(0.0, x), rtol=1e-12)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])
+    def test_outer_grid_matches_flattened_pairs(self, nu):
+        # evaluating per argument before broadcasting must not move a bit,
+        # near-diagonal entries included
+        x = np.geomspace(1e-4, 1e4, 30)
+        x = np.concatenate([x, x * (1.0 + 1e-9)])
+        grid = bessel_kernel(nu, x[:, None], x[None, :])
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        pairs = bessel_kernel(nu, X.ravel(), Y.ravel())
+        assert np.array_equal(grid.ravel(), pairs)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.5, 2.0])
+    def test_grid_no_farther_from_mpmath_than_pairwise_grouping(self, nu):
+        # The kernel once grouped its products as (J(sx) sy) J'(sy) on the
+        # broadcast arrays.  Where that grouping and the per-argument one,
+        # J(sx) (sy J'(sy)), differ most on the dpp_stats grid, the
+        # per-argument value must be no farther from 40 digits.
+        mpmath = pytest.importorskip("mpmath")
+        x = _dpp_grid()
+        new = bessel_kernel(nu, x[:, None], x[None, :])
+        sx, sy = np.sqrt(x)[:, None], np.sqrt(x)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            old = ((special.jv(nu, sx) * sy * special.jvp(nu, sy)
+                    - special.jv(nu, sy) * sx * special.jvp(nu, sx))
+                   / (2.0 * (x[:, None] - x[None, :])))
+        np.fill_diagonal(old, np.diag(new))  # both use the diagonal limit there
+        rows, cols = np.unravel_index(np.argsort(np.abs(old - new), axis=None)[-20:], new.shape)
+        with mpmath.workdps(40):
+            ref = np.array([float(_kernel_mp(mpmath, nu, x[i], x[j]))
+                            for i, j in zip(rows, cols)])
+        new_err = np.max(np.abs(new[rows, cols] - ref))
+        assert new_err <= np.max(np.abs(old[rows, cols] - ref))
+        assert new_err <= 1e-11 * np.max(np.abs(ref))
+
+    def test_outer_grid_costs_linear_bessel_work(self, monkeypatch):
+        # count every element scipy's jv/jvp evaluate for bessellab.specfun:
+        # the 512 x 512 Nystrom grid needs 4m off-diagonal plus 2m diagonal
+        counted = [0]
+
+        def counting(fn):
+            def wrapped(nu, u):
+                out = fn(nu, u)
+                counted[0] += np.size(out)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(specfun, "special", types.SimpleNamespace(
+            jv=counting(special.jv), jvp=counting(special.jvp)))
+        m = 512
+        nystrom(0.0, 1e4, m)
+        assert 0 < counted[0] <= 6 * m
 
     def test_nonpositive_arguments_rejected(self):
         with pytest.raises(DomainError):
