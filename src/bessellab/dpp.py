@@ -31,7 +31,7 @@ import scipy.linalg as sla
 
 from .errors import DiscretizationFailure, DomainError, PrecisionFailure
 from .sequences import make_sampled, save_points
-from .specfun import bessel_kernel
+from .specfun import _gauss_legendre, bessel_kernel
 
 __all__ = [
     "DiscretizedKernel",
@@ -103,22 +103,27 @@ class SampleConfig:
 def nystrom(nu, T, m=512, tol=EIG_TOL):
     """Discretize the kernel on [0, T] with m nodes and diagonalize.
 
+    The Gauss-Legendre rule is computed once per process for each m.
     Raises DiscretizationFailure when an eigenvalue escapes [-tol, 1 + tol];
-    the fix is more nodes, not a larger tol.
+    the fix is more nodes, not a larger tol.  Raises PrecisionFailure when
+    T is so close to the float maximum that the matrix overflows.
     """
     if m < 64:
         raise DomainError("need at least 64 nodes")
     if not (T > 0) or not math.isfinite(T):
         raise DomainError("T must be positive and finite")
-    u, wu = np.polynomial.legendre.leggauss(int(m))
+    u, wu = _gauss_legendre(int(m))
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
     x = T * u**2
-    w = 2.0 * T * u * wu  # dx = 2 T u du
     K = bessel_kernel(nu, x[:, None], x[None, :])
-    sw = np.sqrt(w)
-    A = sw[:, None] * K * sw[None, :]
-    A = 0.5 * (A + A.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = 2.0 * T * u * wu  # dx = 2 T u du
+        sw = np.sqrt(w)
+        A = sw[:, None] * K * sw[None, :]
+        A = 0.5 * (A + A.T)
+    if not np.all(np.isfinite(A)):
+        raise PrecisionFailure(f"Nystrom matrix overflows at T={T!r}")
     lam, vec = sla.eigh(A)
     if lam[0] < -tol or lam[-1] > 1.0 + tol:
         raise DiscretizationFailure(

@@ -124,21 +124,13 @@ _GRID_FIELDS = ("step", "x", "y", "computed", "target", "abs_error")
 
 
 def _grid_rows(label, xs, computed, target):
-    rows = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            c, t = float(computed[i, j]), float(target[i, j])
-            rows.append(
-                {
-                    "step": label,
-                    "x": float(x),
-                    "y": float(y),
-                    "computed": c,
-                    "target": t,
-                    "abs_error": abs(c - t),
-                }
-            )
-    return rows
+    xs = np.asarray(xs, dtype=float)
+    xg, yg = np.meshgrid(xs, xs, indexing="ij")
+    cols = [np.asarray(a, dtype=float).ravel().tolist() for a in (xg, yg, computed, target)]
+    return [
+        {"step": label, "x": x, "y": y, "computed": c, "target": t, "abs_error": abs(c - t)}
+        for x, y, c, t in zip(*cols)
+    ]
 
 
 # ------------------------------------------------------------------

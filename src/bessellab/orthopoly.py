@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy import linalg as sla
 from scipy import special
 
 from .errors import DomainError, PrecisionFailure
-from .specfun import _maybe_scalar
+from .specfun import _gauss_legendre, _maybe_scalar
 
 __all__ = [
     "Quadrature",
@@ -67,8 +68,33 @@ class Quadrature:
         return float(np.sum(self.weights * self.nodes**k))
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_jacobi(n, nu):
+    """n-point Gauss-Jacobi rule for the weight (1 + x)^nu on [-1, 1].
+
+    Computed once per (n, nu) and shared: both arrays are read-only.  A
+    rule scipy cannot form (very large nu) raises PrecisionFailure, which
+    is not cached.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            x, w = special.roots_jacobi(n, 0.0, nu)
+    except ValueError as exc:  # its eigensolve overflows at very large nu
+        raise PrecisionFailure(f"no Gauss-Jacobi rule for nu={nu}") from exc
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise PrecisionFailure(f"Gauss-Jacobi rule for nu={nu} is not finite")
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def weight_quadrature(nu, support=1.0, n_panel=120):
-    """Composite quadrature for the measure t^nu dt on [0, support]."""
+    """Composite quadrature for the measure t^nu dt on [0, support].
+
+    The Gauss-Jacobi and Gauss-Legendre rules behind it are computed once
+    per process for each (n_panel, nu) and n_panel; only their mapping onto
+    the panels is done per call.
+    """
     nu = float(nu)
     if not (nu > -1.0) or not math.isfinite(nu):
         raise DomainError("endpoint exponent must be finite and > -1")
@@ -80,19 +106,19 @@ def weight_quadrature(nu, support=1.0, n_panel=120):
     nodes, masses = [], []
     # Gauss-Jacobi on [0, c]: t = c (1+x)/2 picks up (c/2)^(nu+1)
     c = support * _PANEL_EDGES[1]
-    try:
-        xj, wj = special.roots_jacobi(n_panel, 0.0, nu)
-    except ValueError as exc:  # its eigensolve overflows at very large nu
-        raise PrecisionFailure(f"no Gauss-Jacobi rule for nu={nu}") from exc
-    nodes.append(c * 0.5 * (1.0 + xj))
-    masses.append(wj * (0.5 * c) ** (nu + 1.0))
-    # Gauss-Legendre elsewhere, t^nu folded into the mass
-    xl, wl = np.polynomial.legendre.leggauss(n_panel)
-    for a, b in zip(_PANEL_EDGES[1:-1], _PANEL_EDGES[2:]):
-        lo, hi = support * a, support * b
-        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xl
-        nodes.append(t)
-        masses.append(0.5 * (hi - lo) * wl * t**nu)
+    xj, wj = _gauss_jacobi(n_panel, nu)
+    xl, wl = _gauss_legendre(n_panel)
+    # masses that overflow or vanish are caught by the range check below;
+    # the np.float64 power gives inf where a float power raises OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes.append(c * 0.5 * (1.0 + xj))
+        masses.append(wj * np.float64(0.5 * c) ** (nu + 1.0))
+        # Gauss-Legendre elsewhere, t^nu folded into the mass
+        for a, b in zip(_PANEL_EDGES[1:-1], _PANEL_EDGES[2:]):
+            lo, hi = support * a, support * b
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xl
+            nodes.append(t)
+            masses.append(0.5 * (hi - lo) * wl * t**nu)
     nodes = np.concatenate(nodes)
     masses = np.concatenate(masses)
     if not (np.all(nodes > 0) and np.all(nodes < support)

@@ -17,6 +17,7 @@ u^2 J'' + u J' + (u^2 - nu^2) J = 0.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -66,6 +67,19 @@ def _order(nu):
 def _maybe_scalar(out):
     out = np.asarray(out)
     return out[()] if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    The rule depends on n alone, so it is computed once per process and
+    shared: both arrays are read-only, and callers map them into new ones.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def bessel_j(nu, u):
@@ -234,11 +248,15 @@ def bessel_kernel(nu, x, y):
     jy = special.jv(nu, sy)
     dx = sx * special.jvp(nu, sx)
     dy = sy * special.jvp(nu, sy)
+    # halving the numerator rather than doubling x - y is exact and cannot
+    # overflow when x - y is near the float maximum
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray((jx * dy - jy * dx) / (2.0 * (x - y)))
+        out = np.asarray(0.5 * (jx * dy - jy * dx) / (x - y))
 
     near = np.abs(x - y) <= DIAG_SWITCH * np.maximum(x, y)
     if np.any(near):
         xb, yb = np.broadcast_arrays(x, y)
-        out[near] = bessel_kernel_diag(nu, 0.5 * (xb[near] + yb[near]))
+        # halving before adding is exact and cannot overflow near the float
+        # maximum
+        out[near] = bessel_kernel_diag(nu, 0.5 * xb[near] + 0.5 * yb[near])
     return _maybe_scalar(out)

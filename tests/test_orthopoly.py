@@ -7,14 +7,16 @@ function solved directly from a moment system.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_less
+from numpy.testing import assert_allclose, assert_array_equal, assert_array_less
 from scipy import special
 
+from bessellab import orthopoly, specfun
 from bessellab.errors import DomainError, PrecisionFailure
 from bessellab.orthopoly import (
     DEGREE_CAP,
@@ -86,6 +88,65 @@ class TestQuadrature:
             weight_quadrature(-1.2)
         with pytest.raises(DomainError):
             weight_quadrature(0.0, support=-1.0)
+        # (support/32)^(nu+1) overflows the Gauss-Jacobi masses
+        with pytest.raises(PrecisionFailure):
+            weight_quadrature(2.0, support=1e300)
+
+    def test_rules_computed_once_per_pair(self, monkeypatch):
+        # count the Gauss rules the package computes: three builds at one
+        # (nu, n_panel) need one Gauss-Jacobi and one Gauss-Legendre rule
+        calls = {"roots_jacobi": 0, "leggauss": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(orthopoly, "special", types.SimpleNamespace(
+            roots_jacobi=counting("roots_jacobi", special.roots_jacobi)))
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            counting("leggauss", np.polynomial.legendre.leggauss))
+        orthopoly._gauss_jacobi.cache_clear()
+        specfun._gauss_legendre.cache_clear()
+        for _ in range(3):
+            build_recurrence(PowerWeight(0.5), 20, n_panel=97)
+        assert calls == {"roots_jacobi": 1, "leggauss": 1}
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])
+    def test_cached_rules_match_direct_construction(self, nu):
+        # the composite rule built from fresh scipy/numpy rules, bit for bit,
+        # on the first (uncached) and the second (cached) call
+        n, support = 120, 3.0
+        xj, wj = special.roots_jacobi(n, 0.0, nu)
+        xl, wl = np.polynomial.legendre.leggauss(n)
+        c = support / 16.0
+        nodes, masses = [c * 0.5 * (1.0 + xj)], [wj * (0.5 * c) ** (nu + 1.0)]
+        edges = (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0, 1.0)
+        for a, b in zip(edges[:-1], edges[1:]):
+            lo, hi = support * a, support * b
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xl
+            nodes.append(t)
+            masses.append(0.5 * (hi - lo) * wl * t**nu)
+        orthopoly._gauss_jacobi.cache_clear()
+        specfun._gauss_legendre.cache_clear()
+        for _ in range(2):
+            quad = weight_quadrature(nu, support, n_panel=n)
+            assert_array_equal(quad.nodes, np.concatenate(nodes))
+            assert_array_equal(quad.weights, np.concatenate(masses))
+
+    def test_cached_rules_cannot_be_corrupted(self):
+        first = weight_quadrature(0.5)
+        nodes, masses = first.nodes.copy(), first.weights.copy()
+        first.nodes[:] = -1.0
+        first.weights[:] = -1.0
+        again = weight_quadrature(0.5)
+        assert_array_equal(again.nodes, nodes)
+        assert_array_equal(again.weights, masses)
+        for rule in (orthopoly._gauss_jacobi(120, 0.5), specfun._gauss_legendre(120)):
+            for arr in rule:
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
 
 class TestRecurrence:

@@ -12,7 +12,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_less
 from scipy import special
@@ -293,8 +293,14 @@ _LIBRARY_ERRORS = (errors.DomainError, errors.ConvergenceFailure, errors.Sequenc
                    errors.PrecisionFailure, errors.DiscretizationFailure)
 
 
+# A RuntimeWarning escaping an entry point fails the test.  The examples
+# are a huge order (the Gauss-Jacobi rule overflows) and a window near the
+# float maximum (the Nystrom masses overflow).
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", sorted(_FLOAT_ENTRY_POINTS))
 @given(v=st.floats(allow_nan=True, allow_infinity=True))
+@example(v=1034.0)
+@example(v=8.98846567431158e+307)
 @settings(max_examples=60, deadline=None)
 def test_any_float_gives_finite_values_or_library_error(entry, v):
     try:
