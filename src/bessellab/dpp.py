@@ -100,6 +100,17 @@ class SampleConfig:
         return int(np.searchsorted(self.points, threshold, side="right"))
 
 
+def _clip_to_window(lam, tol, m):
+    """Ascending eigenvalues clipped to [0, 1], after checking that they
+    lie in [-tol, 1 + tol]; an escape raises DiscretizationFailure."""
+    if lam[0] < -tol or lam[-1] > 1.0 + tol:
+        raise DiscretizationFailure(
+            "eigenvalues [%.3e, %.3e] escape [-%g, 1+%g]; increase m (have m=%d)"
+            % (lam[0], lam[-1], tol, tol, m)
+        )
+    return np.clip(lam, 0.0, 1.0)
+
+
 def nystrom(nu, T, m=512, tol=EIG_TOL):
     """Discretize the kernel on [0, T] with m nodes and diagonalize.
 
@@ -125,12 +136,7 @@ def nystrom(nu, T, m=512, tol=EIG_TOL):
     if not np.all(np.isfinite(A)):
         raise PrecisionFailure(f"Nystrom matrix overflows at T={T!r}")
     lam, vec = sla.eigh(A)
-    if lam[0] < -tol or lam[-1] > 1.0 + tol:
-        raise DiscretizationFailure(
-            "eigenvalues [%.3e, %.3e] escape [-%g, 1+%g]; increase m (have m=%d)"
-            % (lam[0], lam[-1], tol, tol, m)
-        )
-    lam = np.clip(lam, 0.0, 1.0)
+    lam = _clip_to_window(lam, tol, m)
     return DiscretizedKernel(
         nu=float(nu), T=float(T), m=int(m), nodes=x, weights=w,
         matrix=A, eigenvalues=lam, eigenvectors=vec,
@@ -296,8 +302,10 @@ def exact_count_law(kern, thresholds):
     lambda_j being the eigenvalues of ``kern.matrix`` restricted to the
     nodes <= T' (Hough, Krishnapur, Peres, Virag 2006), so mean = sum lambda
     and var = sum lambda (1 - lambda).  A window that holds every node
-    reuses ``kern.eigenvalues``.  var_slope is fitted against log T' like
-    ``CountStats.var_slope``.
+    reuses ``kern.eigenvalues``; the others are checked against the same
+    [-EIG_TOL, 1 + EIG_TOL] window as ``nystrom`` before clipping, which by
+    Cauchy interlacing only a hand-built matrix can fail.  var_slope is
+    fitted against log T' like ``CountStats.var_slope``.
     """
     thr = _check_thresholds(thresholds, kern.T)
     mean = np.empty(thr.size)
@@ -310,7 +318,7 @@ def exact_count_law(kern, thresholds):
             lam = np.empty(0)
         else:
             sub = kern.matrix[np.ix_(inside, inside)]
-            lam = np.clip(sla.eigvalsh(sub), 0.0, 1.0)
+            lam = _clip_to_window(sla.eigvalsh(sub), EIG_TOL, kern.m)
         mean[j] = lam.sum()
         var[j] = np.sum(lam * (1.0 - lam))
     return mean, var, _log_slope(thr, var)

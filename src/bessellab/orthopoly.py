@@ -1,4 +1,4 @@
-"""Orthonormal polynomials and Christoffel-Darboux kernels for weights
+"""Orthonormal polynomials and their reproducing kernels for weights
 t^nu h(t) on [0, b].
 
 The measure is discretized by a composite quadrature whose first panel is
@@ -14,9 +14,16 @@ Notation: phi_0, phi_1, ... are orthonormal,
 
 and the kernels are
 
-    Khat_n(x, y) = sum_{i<n} phi_i(x) phi_i(y)
-                 = b_n [phi_n(x) phi_{n-1}(y) - phi_{n-1}(x) phi_n(y)] / (x - y),
+    Khat_n(x, y) = sum_{i<n} phi_i(x) phi_i(y),
     K_n(x, y)    = sqrt(w(x) w(y)) Khat_n(x, y).
+
+Every kernel is evaluated as this direct sum, from one table of
+phi_0..phi_{n-1} per distinct argument.  The Christoffel-Darboux form
+
+    Khat_n(x, y) = b_n [phi_n(x) phi_{n-1}(y) - phi_{n-1}(x) phi_n(y)] / (x - y)
+
+cancels catastrophically near the diagonal and is less accurate than the
+sum everywhere; it serves only as a test oracle for the coefficients.
 """
 
 from __future__ import annotations
@@ -44,10 +51,6 @@ __all__ = [
 ]
 
 DEGREE_CAP = 160
-
-# relative |x - y| below which kernels switch from the Christoffel-Darboux
-# closed form to the direct sum
-NEAR_DIAGONAL = 1e-6
 
 # geometric panel edges (fractions of the support); the first panel is
 # Gauss-Jacobi, the rest Gauss-Legendre
@@ -150,16 +153,27 @@ class RecurrenceTable:
     # -- evaluation --------------------------------------------------------
 
     def _phi_unnormalized(self, n, t):
-        """Rows 0..n of the recurrence with phi_0 = 1 (no mass normalization)."""
+        """Rows 0..n of the recurrence with phi_0 = 1 (no mass normalization),
+        at the flattened points t.
+
+        Raises DomainError for a non-finite t and PrecisionFailure when the
+        recurrence overflows.
+        """
         if not 1 <= n <= self.n_max:
             raise DomainError(f"degree n must be in [1, {self.n_max}]")
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float).ravel()
+        if not np.all(np.isfinite(t)):
+            raise DomainError("evaluation points must be finite")
         a, b = self.alpha, self.beta
         out = np.empty((n + 1, t.size))
         out[0] = 1.0
-        out[1] = (t - a[0]) / b[1]
-        for k in range(1, n):
-            out[k + 1] = ((t - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
+        # an overflow is caught by the check below, not reported as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[1] = (t - a[0]) / b[1]
+            for k in range(1, n):
+                out[k + 1] = ((t - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
+        if not np.all(np.isfinite(out)):
+            raise PrecisionFailure(f"degree-{n} recurrence overflows at these points")
         return out
 
     def phi(self, j, t):
@@ -178,34 +192,35 @@ class RecurrenceTable:
 
     # -- kernels -----------------------------------------------------------
 
-    def _kernel_hat_core(self, n, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        x, y = np.broadcast_arrays(x, y)
-        xf = np.atleast_1d(x).ravel()
-        yf = np.atleast_1d(y).ravel()
-        px = self._phi_unnormalized(n, xf)
-        py = self._phi_unnormalized(n, yf)
-        direct = np.einsum("ij,ij->j", px[:n], py[:n])
-        bn = float(self.beta[n])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cd = bn * (px[n] * py[n - 1] - px[n - 1] * py[n]) / (xf - yf)
-        near = np.abs(xf - yf) <= NEAR_DIAGONAL * np.maximum(
-            1.0, np.maximum(np.abs(xf), np.abs(yf)))
-        out = np.where(near, direct, cd) * math.exp(-self.log_mu0)
-        return out.reshape(shape)
+    def _phi_rows(self, n, t):
+        """phi_0..phi_{n-1} at t with phi_0 = 1, shape t.shape + (n,)."""
+        t = np.asarray(t, dtype=float)
+        return self._phi_unnormalized(n, t)[:n].T.reshape(t.shape + (n,))
+
+    def _sum_rows(self, px, py, grid=False):
+        """Khat from two ``_phi_rows`` tables: pairwise, their point shapes
+        broadcast, or with ``grid`` on the product of two 1-d point sets."""
+        # an overflow is caught by the check below, not reported as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (px @ py.T if grid else np.sum(px * py, axis=-1)) * math.exp(-self.log_mu0)
+        if not np.all(np.isfinite(out)):
+            raise PrecisionFailure("kernel overflows at these points")
+        return out
+
+    def _kernel_hat(self, n, x, y, grid=False):
+        # points equal to x reuse its table, so a diagonal costs one table
+        px = self._phi_rows(n, x)
+        py = px if np.array_equal(x, y) else self._phi_rows(n, y)
+        return self._sum_rows(px, py, grid)
 
     def kernel_hat(self, n, x, y):
-        """Khat_n(x, y); Christoffel-Darboux form away from the diagonal,
-        direct sum within relative distance NEAR_DIAGONAL of it."""
-        return _maybe_scalar(self._kernel_hat_core(n, x, y))
+        """Khat_n(x, y), the direct sum over degrees below n, with x
+        broadcast against y."""
+        return _maybe_scalar(self._kernel_hat(n, x, y))
 
     def kernel_hat_grid(self, n, xs, ys):
         """Khat_n on the product grid xs x ys, shape (len(xs), len(ys))."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        return self._kernel_hat_core(n, xs[:, None], ys[None, :])
+        return self._kernel_hat(n, xs, ys, grid=True)
 
     def _sqrt_weight_factor(self, x, y):
         lwx = np.asarray(self.weight.log_density(x), dtype=float)
@@ -218,17 +233,18 @@ class RecurrenceTable:
 
     def kernel_norm(self, n, x, y):
         """K_n(x, y) = exp((log w(x) + log w(y))/2) * Khat_n(x, y)."""
-        return _maybe_scalar(self._sqrt_weight_factor(x, y) * self._kernel_hat_core(n, x, y))
+        return _maybe_scalar(self._sqrt_weight_factor(x, y) * self._kernel_hat(n, x, y))
 
     def kernel_norm_grid(self, n, xs, ys):
+        """K_n on the product grid xs x ys, shape (len(xs), len(ys))."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         fac = self._sqrt_weight_factor(xs[:, None], ys[None, :])
-        return fac * self._kernel_hat_core(n, xs[:, None], ys[None, :])
+        return fac * self._kernel_hat(n, xs, ys, grid=True)
 
     def christoffel(self, n, x):
         """lambda_n(x) = 1 / Khat_n(x, x)."""
-        return _maybe_scalar(1.0 / self._kernel_hat_core(n, x, x))
+        return _maybe_scalar(1.0 / self._kernel_hat(n, x, x))
 
     # -- diagnostics -------------------------------------------------------
 
@@ -351,16 +367,15 @@ def lubinsky_gap(tab_small, tab_big, n, x, y):
 
         (Khat_a(x,y) - Khat_b(x,y))^2 <= Khat_a(y,y) (Khat_a(x,x) - Khat_b(x,x)),
 
-    returned as a raw (lhs, rhs) pair so callers can inspect slack.
+    returned as a raw (lhs, rhs) pair so callers can inspect slack.  x is
+    broadcast against y; the five kernels come from four phi tables.
     """
-    ka_xy = tab_small.kernel_hat(n, x, y)
-    kb_xy = tab_big.kernel_hat(n, x, y)
-    ka_yy = tab_small.kernel_hat(n, y, y)
-    ka_xx = tab_small.kernel_hat(n, x, x)
-    kb_xx = tab_big.kernel_hat(n, x, x)
-    lhs = (ka_xy - kb_xy) ** 2
-    rhs = ka_yy * (ka_xx - kb_xx)
-    return lhs, rhs
+    ax, ay = tab_small._phi_rows(n, x), tab_small._phi_rows(n, y)
+    bx, by = tab_big._phi_rows(n, x), tab_big._phi_rows(n, y)
+    lhs = (tab_small._sum_rows(ax, ay) - tab_big._sum_rows(bx, by)) ** 2
+    rhs = tab_small._sum_rows(ay, ay) * (tab_small._sum_rows(ax, ax)
+                                         - tab_big._sum_rows(bx, bx))
+    return _maybe_scalar(lhs), _maybe_scalar(rhs)
 
 
 def save_recurrence_csv(tab, path):

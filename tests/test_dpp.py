@@ -28,7 +28,7 @@ from bessellab.dpp import (
     sample_many,
     save_sample,
 )
-from bessellab.errors import DomainError, PrecisionFailure
+from bessellab.errors import DiscretizationFailure, DomainError, PrecisionFailure
 from bessellab.specfun import bessel_kernel_diag
 
 
@@ -220,6 +220,20 @@ class TestCountStats:
         assert mean[0] == 0.0 and var[0] == 0.0
         assert mean[1] == kern1000.trace
         assert math.isnan(slope)
+
+    def test_exact_law_checks_window_spectrum(self):
+        # a sub-window eigenvalue of 1.5 is an error, not a value to clip to 1
+        def kernel(diag):
+            matrix = np.diag(diag)
+            lam, vec = np.linalg.eigh(matrix)
+            return DiscretizedKernel(nu=0.0, T=4.0, m=3, nodes=np.array([1.0, 2.0, 3.0]),
+                                     weights=np.ones(3), matrix=matrix, eigenvalues=lam,
+                                     eigenvectors=vec)
+
+        with pytest.raises(DiscretizationFailure):
+            exact_count_law(kernel([1.5, 0.5, 0.2]), [2.5])
+        mean, var, _ = exact_count_law(kernel([0.5, 0.25, 1.5]), [2.5])
+        assert mean[0] == 0.75 and var[0] == 0.4375
 
     def test_threshold_validation(self, runs):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
-"""Tests for orthonormal-polynomial recurrences and Christoffel-Darboux
-kernels on [0, 1].
+"""Tests for orthonormal-polynomial recurrences and their kernels on [0, 1].
 
 Closed-form oracles: shifted Legendre (weight 1) and shifted Jacobi
 (weight t^nu) recurrence coefficients, plus a brute-force Christoffel
-function solved directly from a moment system.
+function solved directly from a moment system.  The kernels are direct
+sums; the Christoffel-Darboux quotient, computed here from the recurrence
+coefficients, and a 40-digit mpmath direct sum are their oracles.
 """
 
 import math
@@ -234,16 +235,18 @@ class TestKernels:
         assert np.ndim(v) == 0
         assert_allclose(v, tab.kernel_hat(7, 0.8, 0.3), rtol=1e-13)
 
-    def test_near_diagonal_switch_is_seamless(self):
-        # the Christoffel-Darboux quotient just outside the switch must agree
-        # with the direct sum evaluated at the same pair of points
+    def test_christoffel_darboux_identity(self):
+        # Khat_n(x, y) = b_n [phi_n(x) phi_{n-1}(y) - phi_{n-1}(x) phi_n(y)] / (x - y)
+        # ties the direct sum to alpha and beta.  The quotient loses
+        # ~eps / (relative offset) to cancellation, which sets the tolerance.
         tab = build_recurrence(PowerWeight(0.0), 30)
         n, x = 25, 0.37
-        for off in (5e-6, 1e-5, 1e-4):
+        for off in (1e-4, 1e-3, 1e-2, 0.1, 0.5):
             y = x * (1 + off)
-            phi = tab.phi_table(n - 1, np.array([x, y]))
-            direct = float(np.sum(phi[:, 0] * phi[:, 1]))
-            assert_allclose(tab.kernel_hat(n, x, y), direct, rtol=1e-9)
+            phi = tab.phi_table(n, np.array([x, y]))
+            cd = tab.beta[n] * (phi[n, 0] * phi[n - 1, 1] - phi[n - 1, 0] * phi[n, 1]) / (x - y)
+            scale = math.sqrt(tab.kernel_hat(n, x, x) * tab.kernel_hat(n, y, y))
+            assert abs(tab.kernel_hat(n, x, y) - cd) <= 1e-15 / off * scale
 
     @pytest.mark.parametrize("nu", [0.0, 0.5])
     def test_reproducing_property(self, nu):
@@ -275,6 +278,59 @@ class TestKernels:
         for i, x in enumerate(xs):
             for j, y in enumerate(xs):
                 assert_allclose(grid[i, j], tab.kernel_hat(8, x, y), rtol=1e-13)
+
+
+def _kernel_hat_mp(mpmath, tab, n, x, y):
+    """Khat_n(x, y) as a 40-digit direct sum over the table's alpha, beta."""
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(v)) for v in tab.alpha]
+        b = [mpmath.mpf(float(v)) for v in tab.beta]
+
+        def rows(t):
+            t = mpmath.mpf(t)
+            out = [mpmath.mpf(1), (t - a[0]) / b[1]]
+            for k in range(1, n - 1):
+                out.append(((t - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1])
+            return out
+
+        return mpmath.exp(-mpmath.mpf(tab.log_mu0)) * mpmath.fdot(rows(x), rows(y))
+
+
+_SYM_TAB = build_recurrence(PowerWeight(0.5), 30)
+
+
+class TestKernelAccuracy:
+    @pytest.mark.parametrize("nu", [0.0, 2.0])
+    def test_direct_sum_matches_mpmath(self, nu):
+        # the same alpha, beta summed at 40 digits: off the diagonal and on
+        # it, float64 stays within 5e-13 of the kernel scale at degree 121
+        mpmath = pytest.importorskip("mpmath")
+        n = 121
+        tab = build_recurrence(ConditionalWeight(make_quadratic(), nu, 1e4), n)
+        for x in (2.1e-4, 3e-3, 0.3):
+            kxx = _kernel_hat_mp(mpmath, tab, n, x, x)
+            for off in (0.0, 1e-7, 1e-5, 1e-3, 1e-2, 0.1, 0.5):
+                y = x * (1 + off)
+                ref = _kernel_hat_mp(mpmath, tab, n, x, y)
+                scale = float(mpmath.sqrt(kxx * _kernel_hat_mp(mpmath, tab, n, y, y)))
+                assert abs(tab.kernel_hat(n, x, y) - float(ref)) <= 5e-13 * scale
+
+    @given(n=st.integers(min_value=1, max_value=30),
+           x=st.floats(min_value=-0.5, max_value=1.5),
+           y=st.floats(min_value=-0.5, max_value=1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_bit_for_bit(self, n, x, y):
+        assert _SYM_TAB.kernel_hat(n, x, y) == _SYM_TAB.kernel_hat(n, y, x)
+
+    def test_nonfinite_or_overflowing_points_raise(self):
+        tab = build_recurrence(PowerWeight(0.0), 8)
+        for x, y in ((math.nan, 0.4), (0.3, math.inf), (0.3, -math.inf)):
+            with pytest.raises(DomainError):
+                tab.kernel_hat(5, x, y)
+        with pytest.raises(PrecisionFailure):
+            tab.kernel_hat(5, 1e200, 0.4)
+        with pytest.raises(PrecisionFailure):
+            tab.kernel_hat_grid(5, [0.2, 1e200], [0.4])
 
 
 class TestChristoffel:
@@ -354,6 +410,26 @@ class TestOrderingAndGap:
         tol = 4e-15 * np.outer(kd, kd)
         assert np.all(np.abs(lhs - pointwise[..., 0]) <= tol)
         assert np.all(np.abs(rhs - pointwise[..., 1]) <= tol)
+
+    def test_gap_builds_four_tables(self, monkeypatch):
+        # one phi table per (table, argument): small(x), small(y), big(x), big(y)
+        tab_a = build_recurrence(PowerWeight(0.0), 10)
+        tab_b = build_recurrence(PowerWeight(0.5), 10)
+        calls = []
+        build = RecurrenceTable._phi_unnormalized
+
+        def counting(self, n, t):
+            calls.append(n)
+            return build(self, n, t)
+
+        monkeypatch.setattr(RecurrenceTable, "_phi_unnormalized", counting)
+        pts = np.linspace(0.1, 0.9, 5)
+        lubinsky_gap(tab_a, tab_b, 8, pts[:, None], pts[None, :])
+        assert len(calls) == 4
+        calls.clear()
+        tab_a.christoffel(8, pts)
+        tab_a.kernel_hat(8, pts, pts)
+        assert len(calls) == 2
 
     def test_gap_degenerate_pair(self):
         # comparing a table with itself collapses both sides to zero

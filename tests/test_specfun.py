@@ -20,7 +20,7 @@ from scipy import special
 from bessellab import errors, specfun
 from bessellab.dpp import nystrom
 from bessellab.errors import DomainError
-from bessellab.orthopoly import weight_quadrature
+from bessellab.orthopoly import build_recurrence, weight_quadrature
 from bessellab.specfun import (
     BesselOrder,
     bessel_j,
@@ -30,7 +30,7 @@ from bessellab.specfun import (
     bessel_zero,
     bessel_zeros,
 )
-from bessellab.weights import ApproxWeight
+from bessellab.weights import ApproxWeight, PowerWeight
 
 # mpmath, 30 digits
 J0_ZERO_1 = 2.40482555769577276862163187933
@@ -280,9 +280,12 @@ class TestBesselKernel:
             bessel_kernel_diag(0.0, 0.0)
 
 
+_TAB = build_recurrence(PowerWeight(0.0), 8)
+
 # Entry points that take one outside float, each returning the array whose
 # values must be finite whenever no library error is raised.
 _FLOAT_ENTRY_POINTS = {
+    "kernel_hat": lambda v: _TAB.kernel_hat(8, v, 0.5),
     "nystrom": lambda v: nystrom(0.0, v, 64).eigenvalues,
     "bessel_kernel": lambda v: bessel_kernel(0.0, v, 1.0),
     "bessel_kernel_diag": lambda v: bessel_kernel_diag(0.0, v),
