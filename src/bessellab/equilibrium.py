@@ -17,14 +17,20 @@ f = -phi^2/4 (conformal near 0, f'(0) = pi^2/(4 c_gamma)) are evaluated
 with explicit boundary values on the cut; the matrix N solves the global
 jump problem N_+ = N_- [[0, x^nu], [-x^-nu, 0]] on (0, 1) with N(oo) = I.
 
-Potential integrals use adaptive quadrature after substitutions that
-remove the inverse-square-root endpoint singularities and the log factor's
-kink.
+Potential integrals use substitutions that remove the inverse-square-root
+endpoint singularities and the log factor's kink, leaving at most a u log u
+singularity at an endpoint.  Every such integral is one array evaluation of
+a fixed tanh-sinh (double-exponential) rule on (0, 1) (Takahasi & Mori,
+1974): 205 nodes at step h = 1/32 on |t| <= 3.2.  Its every-other-node
+subrule (103 nodes, step 2h) gives a second sum for free, and their
+difference is the quadrature certificate ``diagnostics`` reports.  Only
+``g_map`` keeps adaptive quadrature (see there).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -53,7 +59,12 @@ __all__ = [
     "diagnostics",
 ]
 
+# adaptive quadrature settings, used by g_map alone
 _QUAD = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 300}
+
+# tanh-sinh rule: step h and range of t
+_DE_STEP = 1.0 / 32.0
+_DE_TMAX = 3.2
 
 
 def _check_gamma(gamma):
@@ -129,38 +140,99 @@ def edge_coeff_one(gamma):
 # potential integrals
 
 
+@functools.lru_cache(maxsize=1)
+def _tanh_sinh():
+    """Nodes x and an (n, 2) weight matrix of the tanh-sinh rule on (0, 1).
+
+    x = 1/(1 + exp(-pi sinh t)) at t = k h, |t| <= _DE_TMAX, with weights
+    h pi cosh(t) x (1 - x); 1 - x is formed as 1/(1 + exp(pi sinh t)), so
+    no node is 0 and the weights keep full relative accuracy at both ends.
+    Only the outermost node, t = 3.1875, rounds to x = 1; the substitutions
+    in this module put every singularity at the lower end, so the
+    integrands are analytic there.  Column 0 holds the full rule, column 1
+    the subrule at step 2h (the nodes with even k).  The rule is fixed, so
+    it is computed once per process; both arrays are read-only.
+    """
+    kmax = int(_DE_TMAX / _DE_STEP)
+    k = np.arange(-kmax, kmax + 1)
+    e = math.pi * np.sinh(_DE_STEP * k)
+    x = 1.0 / (1.0 + np.exp(-e))
+    w = _DE_STEP * math.pi * np.cosh(_DE_STEP * k) * x / (1.0 + np.exp(e))
+    weights = np.stack([w, np.where(k % 2 == 0, 2.0 * w, 0.0)], axis=1)
+    x.setflags(write=False)
+    weights.setflags(write=False)
+    return x, weights
+
+
+def _integrate(f, b):
+    """Both rule sums for the integral of f over (0, b), on a last axis of
+    length 2 (full rule first).
+
+    An array ``b`` carries a trailing axis of length 1, which that last
+    axis replaces, so that ``f`` sees one row of nodes per upper limit.
+    """
+    x, weights = _tanh_sinh()
+    return b * (f(b * x) @ weights)
+
+
+def _mu_integral(gamma, h):
+    """Both rule sums for the integral of h(s) d mu_gamma(s), h smooth on
+    [0, 1]: s = v^2 on [0, 1/2] and 1 - s = w^2 on [1/2, 1] remove the
+    edge singularities."""
+    b = math.sqrt(0.5)
+    return (_integrate(lambda v: 2.0 * _edge0(gamma, v * v) * h(v * v), b)
+            + _integrate(lambda w: 2.0 * _edge1(gamma, 1.0 - w * w) * h(1.0 - w * w), b))
+
+
 def mass_error(gamma):
-    """|integral of the density - 1|, by substitution-split quadrature."""
+    """|integral of the density - 1|, by the tanh-sinh rule after the
+    substitutions of ``_mu_integral``."""
     gamma = _check_gamma(gamma)
-    i0, _ = integrate.quad(lambda v: 2.0 * _edge0(gamma, v * v), 0.0,
-                           math.sqrt(0.5), **_QUAD)
-    i1, _ = integrate.quad(lambda w: 2.0 * _edge1(gamma, 1.0 - w * w), 0.0,
-                           math.sqrt(0.5), **_QUAD)
-    return abs(i0 + i1 - 1.0)
+    return abs(float(_mu_integral(gamma, lambda s: 1.0)[0]) - 1.0)
+
+
+def _log_potential_sums(gamma, x):
+    # both rule sums of log_potential at the points x, shape x.shape + (2,)
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > 0.0) & (x < 1.0)):
+        raise DomainError("log_potential is evaluated on the open interval (0, 1)")
+    x = x[..., None]
+    rho = lambda s: _edge0(gamma, s) / np.sqrt(s)
+    left, right = np.sqrt(0.5 * x), np.sqrt(0.5 * (1.0 - x))
+    return (_integrate(lambda v: 2.0 * _edge0(gamma, v * v) * np.log(x - v * v), left)
+            + _integrate(lambda u: 4.0 * u * np.log(u) * rho(x - u * u), left)
+            + _integrate(lambda u: 4.0 * u * np.log(u) * rho(x + u * u), right)
+            + _integrate(lambda w: 2.0 * _edge1(gamma, 1.0 - w * w)
+                         * np.log(1.0 - w * w - x), right))
 
 
 def log_potential(gamma, x):
-    """integral of log|x - s| d mu_gamma(s), x in (0, 1).
+    """integral of log|x - s| d mu_gamma(s), x in (0, 1); x may be an array.
 
     Substitutions s = v^2, s = x -+ u^2 and 1 - s = w^2 remove the edge
-    singularities and the log kink; each piece is then adaptively
-    integrated.
+    singularities and the log kink; each of the four pieces is then one
+    (points x nodes) evaluation of the 205-node tanh-sinh rule.  On
+    gamma in {1.1, 2, 5} the values agree with 40-digit references to
+    1e-14; ``diagnostics`` reports the rule's own error estimate as
+    ``quadrature_error``.
     """
     gamma = _check_gamma(gamma)
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise DomainError("log_potential is evaluated on the open interval (0, 1)")
-    rho = lambda s: _edge0(gamma, s) / np.sqrt(s)
-    pa, _ = integrate.quad(lambda v: 2.0 * _edge0(gamma, v * v) * np.log(x - v * v),
-                           0.0, math.sqrt(0.5 * x), **_QUAD)
-    pb, _ = integrate.quad(lambda u: 4.0 * u * np.log(u) * rho(x - u * u),
-                           0.0, math.sqrt(0.5 * x), **_QUAD)
-    pc, _ = integrate.quad(lambda u: 4.0 * u * np.log(u) * rho(x + u * u),
-                           0.0, math.sqrt(0.5 * (1.0 - x)), **_QUAD)
-    pd, _ = integrate.quad(lambda w: 2.0 * _edge1(gamma, 1.0 - w * w)
-                           * np.log(1.0 - w * w - x),
-                           0.0, math.sqrt(0.5 * (1.0 - x)), **_QUAD)
-    return pa + pb + pc + pd
+    return _maybe_scalar(_log_potential_sums(gamma, x)[..., 0])
+
+
+def _default_grid(n_grid):
+    return np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
+
+
+def _variational(gamma, grid):
+    # (ell, deviation, quadrature error) of the residual 2 U - V(x/gamma)
+    from .weights import field_V
+
+    sums = _log_potential_sums(gamma, grid)
+    resid = 2.0 * sums[:, 0] - field_V(grid / gamma)
+    ell = float(np.mean(resid))
+    return (ell, float(np.max(np.abs(resid - ell))),
+            float(np.max(np.abs(sums[:, 0] - sums[:, 1]))))
 
 
 def variational_check(gamma, grid=None, n_grid=50):
@@ -179,35 +251,28 @@ def variational_check(gamma, grid=None, n_grid=50):
     on [0, 1] by the integral of the Green function 2 arccosh sqrt(t) over
     [1, gamma].
     """
-    from .weights import field_V
-
     gamma = _check_gamma(gamma)
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
-    grid = np.asarray(grid, dtype=float)
-    resid = np.array([2.0 * log_potential(gamma, x) - float(field_V(x / gamma))
-                      for x in grid])
-    ell = float(np.mean(resid))
-    return ell, float(np.max(np.abs(resid - ell)))
+    grid = _default_grid(n_grid) if grid is None else np.asarray(grid, dtype=float).ravel()
+    return _variational(gamma, grid)[:2]
 
 
 def reference_potential(gamma, x):
     """integral of log|x - s| dm_gamma(s) for the un-balayaged measure
-    m_gamma with density 1/(2 sqrt(gamma s)) on [0, gamma], x in (0, gamma)."""
+    m_gamma with density 1/(2 sqrt(gamma s)) on [0, gamma], x in (0, gamma);
+    x may be an array.  Same substitutions and rule as ``log_potential``."""
     gamma = _check_gamma(gamma)
-    x = float(x)
-    if not 0.0 < x < gamma:
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > 0.0) & (x < gamma)):
         raise DomainError("reference_potential needs x in (0, gamma)")
+    x = x[..., None]
     rho = lambda s: 0.5 / np.sqrt(gamma * s)
-    pa, _ = integrate.quad(lambda v: np.log(x - v * v) / math.sqrt(gamma),
-                           0.0, math.sqrt(0.5 * x), **_QUAD)
-    pb, _ = integrate.quad(lambda u: 4.0 * u * np.log(u) * rho(x - u * u),
-                           0.0, math.sqrt(0.5 * x), **_QUAD)
-    pc, _ = integrate.quad(lambda u: 4.0 * u * np.log(u) * rho(x + u * u),
-                           0.0, math.sqrt(0.5 * (gamma - x)), **_QUAD)
-    pd, _ = integrate.quad(lambda s: np.log(s - x) * rho(s),
-                           0.5 * (gamma + x), gamma, **_QUAD)
-    return pa + pb + pc + pd
+    left, right = np.sqrt(0.5 * x), np.sqrt(0.5 * (gamma - x))
+    mid = 0.5 * (gamma + x)
+    sums = (_integrate(lambda v: np.log(x - v * v) / math.sqrt(gamma), left)
+            + _integrate(lambda u: 4.0 * u * np.log(u) * rho(x - u * u), left)
+            + _integrate(lambda u: 4.0 * u * np.log(u) * rho(x + u * u), right)
+            + _integrate(lambda d: np.log(mid + d - x) * rho(mid + d), gamma - mid))
+    return _maybe_scalar(sums[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +281,9 @@ def reference_potential(gamma, x):
 
 def g_map(gamma, z):
     """g(z) = integral of log(z - s) d mu_gamma(s), z off (-oo, 1]."""
+    # Adaptive quadrature, unlike the rest of the module: for z near the cut
+    # the integrand is nearly singular at an interior point, which a fixed
+    # rule cannot resolve; the breakpoint below tells quad where it is.
     gamma = _check_gamma(gamma)
     z = complex(z)
     if z.imag == 0.0 and z.real <= 1.0:
@@ -245,12 +313,7 @@ def g_boundary(gamma, x, side):
         return log_potential(gamma, x) + sgn * 1j * math.pi * (1.0 - float(cdf(gamma, x)))
     if x <= 0.0:
         # log|x-s| = log(s-x) is smooth except at the s=0 edge when x=0
-        i0 = integrate.quad(lambda v: 2.0 * _edge0(gamma, v * v) * np.log(v * v - x),
-                            0.0, math.sqrt(0.5), **_QUAD)[0]
-        i1 = integrate.quad(lambda w: 2.0 * _edge1(gamma, 1.0 - w * w)
-                            * np.log(1.0 - w * w - x),
-                            0.0, math.sqrt(0.5), **_QUAD)[0]
-        return i0 + i1 + sgn * 1j * math.pi
+        return float(_mu_integral(gamma, lambda s: np.log(s - x))[0]) + sgn * 1j * math.pi
     raise DomainError("boundary values exist for x <= 0 or x in (0, 1)")
 
 
@@ -295,19 +358,19 @@ def phi_map(gamma, z, side=None):
 
 
 def phi_boundary(gamma, x, side):
-    """Exact boundary values of phi on [0, 1)."""
+    """Exact boundary values of phi on [0, 1); x may be an array."""
     gamma = _check_gamma(gamma)
-    x = float(x)
-    if not 0.0 <= x < 1.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x < 1.0)):
         raise DomainError("phi boundary values are provided on [0, 1)")
     sgn = _side_sign(side)
     if gamma == 1.0:
-        val = math.pi * math.sqrt(x)
+        val = math.pi * np.sqrt(x)
     else:
-        a1 = math.atan(math.sqrt((gamma - 1.0) * x / (gamma * (1.0 - x))))
-        a2 = math.atan(math.sqrt((1.0 - x) / (gamma - 1.0)))
-        val = 2.0 * (a1 + math.sqrt(x / gamma) * a2)
-    return sgn * 1j * val
+        a1 = np.arctan(np.sqrt((gamma - 1.0) * x / (gamma * (1.0 - x))))
+        a2 = np.arctan(np.sqrt((1.0 - x) / (gamma - 1.0)))
+        val = 2.0 * (a1 + np.sqrt(x / gamma) * a2)
+    return _maybe_scalar(sgn * 1j * val)
 
 
 def f_map(gamma, z):
@@ -393,17 +456,39 @@ def lens_sign_check(gamma, re_grid=None, im_grid=None):
 def diagnostics(gamma, n_grid=50):
     """JSON-ready equilibrium diagnostics for one gamma.
 
-    ``ell_estimate`` is the Lagrange constant from ``variational_check``; it
-    converges to the closed form ell(gamma) given there (-4 at gamma = 1).
+    ``ell_estimate`` and ``variational_deviation`` are those of
+    ``variational_check`` on n_grid points; ell_estimate converges to the
+    closed form ell(gamma) given there (-4 at gamma = 1).
+    ``quadrature_error`` is the largest difference over that grid between
+    the log-potential sums at steps h and 2h of the tanh-sinh rule: it
+    estimates the error of the step-2h sum, and the reported step-h sum,
+    whose error decays double-exponentially in 1/h, is more accurate
+    still.  ``phi_boundary_residual`` is the
+    largest |phi_+ - i pi cdf| on 25 points of [0.02, 0.98],
+    ``f_slope_residual`` the largest |f(z)/z - pi^2/(4 c_gamma)| on the
+    circle |z| = 1e-4, and ``lens`` the report of ``lens_sign_check``.
     """
     gamma = _check_gamma(gamma)
-    ell, dev = variational_check(gamma, n_grid=n_grid)
+    ell, dev, quad_err = _variational(gamma, _default_grid(n_grid))
+    xs = np.linspace(0.02, 0.98, 25)
+    phi_res = np.max(np.abs(phi_boundary(gamma, xs, "+") - 1j * np.pi * cdf(gamma, xs)))
+    target = np.pi**2 / (4.0 * c_gamma(gamma))
+    slope = []
+    for th in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+        z = 1e-4 * np.exp(1j * th)
+        if abs(z.imag) < 1e-12:
+            z = complex(z.real, 0.0)
+        slope.append(abs(f_map(gamma, z) / z - target))
     return {
         "gamma": gamma,
         "mass_error": mass_error(gamma),
         "ell_estimate": ell,
         "variational_deviation": dev,
+        "quadrature_error": quad_err,
         "edge_coefficients": {"zero": edge_coeff_zero(gamma),
                               "one": edge_coeff_one(gamma)},
         "c_gamma": c_gamma(gamma),
+        "phi_boundary_residual": float(phi_res),
+        "f_slope_residual": float(max(slope)),
+        "lens": lens_sign_check(gamma),
     }

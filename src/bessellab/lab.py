@@ -401,31 +401,7 @@ def sandwich_chain(cfg):
 def equilibrium_report(cfg):
     """Equilibrium diagnostics plus complex-map and parametrix residuals."""
     nu = cfg.nu
-    xs = np.linspace(0.02, 0.98, 25)
-
-    def run_gamma(gamma):
-        d = equilibrium.diagnostics(gamma)
-        d["phi_boundary_residual"] = float(
-            max(
-                abs(
-                    equilibrium.phi_boundary(gamma, x, "+")
-                    - 1j * np.pi * equilibrium.cdf(gamma, x)
-                )
-                for x in xs
-            )
-        )
-        target = np.pi**2 / (4.0 * equilibrium.c_gamma(gamma))
-        devs = []
-        for th in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-            z = 1e-4 * np.exp(1j * th)
-            if abs(z.imag) < 1e-12:
-                z = complex(z.real, 0.0)
-            devs.append(abs(equilibrium.f_map(gamma, z) / z - target))
-        d["f_slope_residual"] = float(max(devs))
-        d["lens"] = equilibrium.lens_sign_check(gamma)
-        return d
-
-    per_gamma = [run_gamma(g) for g in cfg.gammas]
+    per_gamma = [equilibrium.diagnostics(g) for g in cfg.gammas]
 
     x = 0.4
     Np = equilibrium.global_parametrix(nu, x, side="+")
@@ -435,17 +411,13 @@ def equilibrium_report(cfg):
     NI = equilibrium.global_parametrix(nu, 1e6 + 0.0j)
     inf_residual = float(np.max(np.abs(NI - np.eye(2))))
 
-    rows = []
-    for g in cfg.gammas:
-        for s in np.linspace(0.05, 0.95, 19):
-            rows.append(
-                {
-                    "gamma": float(g),
-                    "s": float(s),
-                    "density": float(equilibrium.density(g, s)),
-                    "cdf": float(equilibrium.cdf(g, s)),
-                }
-            )
+    s = np.linspace(0.05, 0.95, 19)
+    rows = [
+        {"gamma": float(g), "s": si, "density": d, "cdf": c}
+        for g in cfg.gammas
+        for si, d, c in zip(s.tolist(), equilibrium.density(g, s).tolist(),
+                            equilibrium.cdf(g, s).tolist())
+    ]
     summary = {
         "per_gamma": per_gamma,
         "parametrix_nu": nu,
@@ -532,12 +504,13 @@ def run_experiment(cfg, out_dir=None):
     if fn is None:
         raise ValueError("unknown experiment %r" % (cfg.experiment,))
     rows, fields, body = fn(cfg)
+    digest = cfg.digest()
     summary = {"experiment": cfg.experiment, "config": cfg.canonical(),
-               "config_hash": cfg.digest(), "hard_fail": False}
+               "config_hash": digest, "hard_fail": False}
     summary.update(body)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        stem = "%s-%s" % (cfg.experiment, cfg.digest())
+        stem = "%s-%s" % (cfg.experiment, digest)
         write_csv(os.path.join(out_dir, stem + ".csv"), rows, fields)
         write_summary(os.path.join(out_dir, stem + ".json"), summary)
         summary = dict(summary, csv=os.path.join(out_dir, stem + ".csv"))

@@ -179,10 +179,8 @@ class RecurrenceTable:
     def phi(self, j, t):
         """Value of the orthonormal polynomial phi_j at t."""
         j = int(j)
-        if j == 0:
-            t = np.asarray(t, dtype=float)
-            return _maybe_scalar(np.full(np.shape(t), math.exp(-0.5 * self.log_mu0)))
-        tab = self._phi_unnormalized(j, t)
+        # the least table has rows 0 and 1, so phi_0 takes the same checks
+        tab = self._phi_unnormalized(j or 1, t)
         out = tab[j] * math.exp(-0.5 * self.log_mu0)
         return _maybe_scalar(out.reshape(np.shape(np.asarray(t))))
 
@@ -223,6 +221,12 @@ class RecurrenceTable:
         return self._kernel_hat(n, xs, ys, grid=True)
 
     def _sqrt_weight_factor(self, x, y):
+        support = self.weight.support
+        for t in (np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
+            if not np.all(np.isfinite(t)):
+                raise DomainError("evaluation points must be finite")
+            if not np.all((t >= 0.0) & (t <= support)):
+                raise DomainError(f"evaluation points must lie in the weight's support [0, {support}]")
         lwx = np.asarray(self.weight.log_density(x), dtype=float)
         lwy = np.asarray(self.weight.log_density(y), dtype=float)
         if not (np.all(np.isfinite(lwx)) and np.all(np.isfinite(lwy))):

@@ -125,6 +125,66 @@ class TestMassAndVariational:
             assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def _log_potential_mp(mpmath, gamma, x):
+    """40-digit integral of log|x - s| rho_gamma(s) ds, split at 0, x and 1."""
+    with mpmath.workdps(40):
+        g, x = mpmath.mpf(gamma), mpmath.mpf(x)
+
+        def rho(s):
+            q = mpmath.sqrt((g - 1) / (1 - s))
+            return (mpmath.mpf(1) / 2 + (q - mpmath.atan(q)) / mpmath.pi) / mpmath.sqrt(g * s)
+
+        return mpmath.quad(lambda s: mpmath.log(abs(x - s)) * rho(s), [0, x, 1])
+
+
+class TestPotentialRule:
+    @pytest.mark.parametrize("g", [1.1, 2.0, 5.0])
+    def test_log_potential_matches_mpmath(self, g):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.array([0.01, 0.3, 0.99])
+        ref = [float(_log_potential_mp(mpmath, g, x)) for x in xs]
+        assert_allclose(eq.log_potential(g, xs), ref, rtol=0, atol=1e-14)
+
+    def test_array_matches_pointwise(self):
+        xs = np.linspace(0.05, 0.95, 7)
+        pointwise = [eq.log_potential(2.0, x) for x in xs]
+        assert_allclose(eq.log_potential(2.0, xs), pointwise, rtol=0, atol=1e-15)
+        pointwise = [eq.reference_potential(2.0, x) for x in xs]
+        assert_allclose(eq.reference_potential(2.0, xs), pointwise, rtol=0, atol=1e-15)
+        with pytest.raises(DomainError):
+            eq.log_potential(2.0, np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("g", [1.1, 2.0, 5.0])
+    def test_quadrature_certificate(self, g):
+        assert eq.diagnostics(g)["quadrature_error"] <= 1e-13
+
+    def test_rule_is_cached_and_read_only(self):
+        x, weights = eq._tanh_sinh()
+        assert eq._tanh_sinh()[0] is x
+        assert x.shape == (205,) and weights.shape == (205, 2)
+        assert np.all((x > 0.0) & (x <= 1.0))
+        # both columns integrate 1 over (0, 1)
+        assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            x[0] = 0.5
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0.5
+
+    def test_only_g_map_uses_adaptive_quadrature(self, monkeypatch):
+        from scipy import integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(integrate, "quad", refuse)
+        for g in (1.1, 2.0, 5.0):
+            assert eq.diagnostics(g)["variational_deviation"] < 1e-6
+        assert np.isfinite(eq.reference_potential(2.0, 1.3))
+        assert np.isfinite(eq.g_boundary(2.0, -0.5, "+").real)
+        with pytest.raises(AssertionError):
+            eq.g_map(2.0, 0.5 + 0.1j)
+
+
 class TestGMap:
     def test_behaves_like_log_at_infinity(self):
         z = 1e6 * cmath.exp(0.7j)
@@ -159,6 +219,10 @@ class TestPhiAndF:
             assert abs(eq.phi_boundary(g, x, "+") - 1j * math.pi * eq.cdf(g, x)) < 1e-13
             # the two boundary values are conjugate
             assert abs(eq.phi_boundary(g, x, "-") + 1j * math.pi * eq.cdf(g, x)) < 1e-13
+        xs = np.array([0.0, 0.25, 0.7])
+        assert np.max(np.abs(eq.phi_boundary(g, xs, "+") - 1j * math.pi * eq.cdf(g, xs))) < 1e-13
+        with pytest.raises(DomainError):
+            eq.phi_boundary(g, np.array([0.5, 1.0]), "+")
 
     def test_phi_square_root_vanishing_at_origin(self):
         # phi(z) = i pi sqrt(z)/sqrt(c_gamma) + O(z^(3/2)) in the upper half plane
@@ -242,3 +306,5 @@ class TestLens:
         json.dumps(d)
         assert d["gamma"] == 1.5
         assert d["mass_error"] < 1e-10
+        assert d["phi_boundary_residual"] < 1e-10
+        assert d["lens"]["max_re_phi"] < 0

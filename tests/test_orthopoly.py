@@ -331,6 +331,16 @@ class TestKernelAccuracy:
             tab.kernel_hat(5, 1e200, 0.4)
         with pytest.raises(PrecisionFailure):
             tab.kernel_hat_grid(5, [0.2, 1e200], [0.4])
+        # phi_0 is a constant, but it rejects a non-finite point like phi_j
+        half = build_recurrence(PowerWeight(0.5), 8)
+        for j in (0, 3):
+            with pytest.raises(DomainError):
+                half.phi(j, math.nan)
+        # the weight factor checks its points before taking log w
+        with pytest.raises(DomainError, match="support"):
+            half.kernel_norm(5, -1.0, 0.4)
+        with pytest.raises(DomainError, match="finite"):
+            half.kernel_norm(5, math.nan, 0.4)
 
 
 class TestChristoffel:
