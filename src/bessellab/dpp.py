@@ -7,11 +7,13 @@ substituting x = T u^2 with u Gauss-Legendre on (0, 1) clusters nodes near
 Sampling follows the spectral recipe of Hough, Krishnapur, Peres and Virag
 (2006): Bernoulli(lambda_j) thinning of the eigenvalues selects k
 eigenvectors V, and the projection kernel K = V V^T is then sampled by the
-chain rule, as in the projection samplers of DPPy (Gautier, Polito,
-Bardenet, Valko 2019).  The conditional marginals start at diag(K); after
-each draw the kernel column at the chosen node is orthonormalized against
-the earlier ones (incremental Gram-Schmidt) and its square is subtracted
-from the marginals.  One sample costs O(m k^2).
+chain rule, with the k chain-rule uniforms drawn in one call.  The chain
+rule runs in eigen-coordinates, like ``proj_dpp_sampler_eig_GS`` of DPPy
+(Gautier, Polito, Bardenet, Valko 2019): the conditional marginals start
+at diag(K); after each draw the chosen node's row of V is orthonormalized
+against the earlier ones (incremental Gram-Schmidt in R^k), one length-m
+product maps it to the orthonormalized kernel column, and its square is
+subtracted from the marginals.  A draw costs O(m k), a sample O(m k^2).
 
 The same recipe gives the exact count law: N(0, T'] is a sum of
 independent Bernoulli(lambda_j), lambda_j the eigenvalues of the kernel
@@ -30,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DiscretizationFailure, DomainError, PrecisionFailure
-from .sequences import make_sampled, save_points
+from .sequences import _growth_residual, make_sampled, save_points
 from .specfun import _gauss_legendre, bessel_kernel
 
 __all__ = [
@@ -152,42 +154,55 @@ def _rng(seed):
 def sample(kern, seed):
     """Draw one configuration from the discretized process.
 
-    Bernoulli(lambda_j) selects k eigenvectors V (one uniform per
+    Bernoulli(lambda_j) selects k eigenvectors (one uniform per
     eigenvalue); the projection kernel K = V V^T is then sampled point by
-    point with one further uniform each.  The conditional marginals p start
-    at diag(K).  After node i is drawn, the column K[:, i] = V V[i] is
-    orthonormalized against the columns of the earlier draws (incremental
-    Gram-Schmidt, dividing by sqrt(p[i])) and p -= c^2.  Each draw costs
-    O(m k), a sample O(m k^2).
+    point, with the k chain-rule uniforms drawn in one call (the same
+    values as k scalar draws).  The sampler works in eigen-coordinates:
+    W = V^T holds column w_i for node i, the marginals p start at the
+    column sums of W^2 = diag(K), and the earlier directions are rows of a
+    k x k array E.  After node i is drawn,
+    g = (w_i - E^T (E w_i)) / sqrt(p[i]) is orthonormal to them, the
+    orthonormalized kernel column is c = g W, and p -= c^2.  Each draw
+    costs O(m k) (one length-m product), a sample O(m k^2).
 
     Raises PrecisionFailure when a marginal falls below -MARGINAL_TOL or
     the marginals run out before k points are drawn.
     """
     rng = _rng(seed)
     keep = rng.random(kern.eigenvalues.size) < kern.eigenvalues
-    V = kern.eigenvectors[:, keep]
-    k = V.shape[1]
-    p = np.einsum("ij,ij->i", V, V)
-    C = np.empty((V.shape[0], k))  # orthonormalized kernel columns
+    W = kern.eigenvectors.T[keep]  # k x m, C-contiguous
+    k, m = W.shape
+    u = rng.random(k)
+    p = np.einsum("ij,ij->j", W, W)
+    E = np.empty((k, k))  # orthonormal directions of the earlier draws
+    c = np.empty(m)
+    cdf = np.empty(m)
     chosen = np.empty(k, dtype=int)
     for t in range(k):
         total = p.sum()
         if not total > 0:
             raise PrecisionFailure(
                 "conditional marginals vanished after %d of %d points" % (t, k))
-        i = int(np.searchsorted(np.cumsum(p / total), rng.random()))
-        i = min(i, p.size - 1)
+        np.divide(p, total, out=cdf)
+        np.add.accumulate(cdf, out=cdf)  # cumsum, minus its wrapper's cost
+        i = min(int(cdf.searchsorted(u[t])), m - 1)
         chosen[t] = i
-        c = V @ V[i] - C[:, :t] @ C[i, :t]
-        c /= math.sqrt(p[i])
-        C[:, t] = c
-        p -= c * c
+        w = W[:, i]
+        g = E[t]
+        Et = E[:t]
+        np.subtract(w, Et.T @ (Et @ w), out=g)
+        g /= math.sqrt(p[i])
+        np.dot(g, W, out=c)
+        c *= c
+        p -= c
         p[i] = 0.0  # taken; zero up to roundoff already
-        if p.min() < -MARGINAL_TOL:
-            raise PrecisionFailure(
-                "conditional marginal %.3e below -%g" % (p.min(), MARGINAL_TOL))
-        # what is left below zero is roundoff
-        np.maximum(p, 0.0, out=p)
+        low = p.min()
+        if low < 0.0:
+            if low < -MARGINAL_TOL:
+                raise PrecisionFailure(
+                    "conditional marginal %.3e below -%g" % (low, MARGINAL_TOL))
+            # what is left below zero is roundoff
+            np.maximum(p, 0.0, out=p)
     pts = np.sort(kern.nodes[chosen])
     return SampleConfig(points=pts, seed=int(seed), T=kern.T, nu=kern.nu, m=kern.m)
 
@@ -238,14 +253,16 @@ class CountStats:
 
 
 def _max_growth_residual(samples, eps=0.5):
-    worst = 0.0
-    for s in samples:
-        if s.points.size < 3:
-            continue
-        n = np.arange(3, s.points.size + 1)
-        r = make_sampled(s.points).growth_residual(n, eps=eps)
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+    # samples as zero-padded rows of one array; entries past a row's last
+    # point, and every entry of a row with fewer than 3 points, are masked
+    sizes = np.array([s.points.size for s in samples])
+    width = int(sizes.max())
+    filled = np.arange(width) < sizes[:, None]
+    pts = np.zeros(filled.shape)
+    pts[filled] = np.concatenate([s.points for s in samples])
+    n = np.arange(3, width + 1, dtype=float)
+    r = _growth_residual(pts[:, 2:], n, eps)
+    return float(np.max(np.abs(r), where=filled[:, 2:], initial=0.0))
 
 
 def _check_thresholds(thresholds, T):
@@ -277,7 +294,8 @@ def count_stats(samples, thresholds, eps=0.5):
             raise ValueError("samples must share T and nu")
     thr = _check_thresholds(thresholds, T)
     ns = len(samples)
-    counts = np.array([[s.count_upto(t) for t in thr] for s in samples], dtype=float)
+    counts = np.array([np.searchsorted(s.points, thr, side="right") for s in samples],
+                      dtype=float)
     mean = counts.mean(axis=0)
     var = counts.var(axis=0, ddof=1) if ns > 1 else np.zeros_like(mean)
     se_mean = np.sqrt(var / ns)

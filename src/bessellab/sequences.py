@@ -129,11 +129,8 @@ class PointSequence:
         idx = np.asarray(n, dtype=int)
         if np.min(idx) < 3:
             raise DomainError("growth residual needs n >= 3")
-        if eps <= 0:
-            raise DomainError("eps must be positive")
         pts = self.prefix(np.max(idx))
-        n = idx.astype(float)
-        r = (pts[idx - 1] - PI2 * n * n) / (n**1.5 * np.log(n) ** (1.0 + eps))
+        r = _growth_residual(pts[idx - 1], idx.astype(float), eps)
         return float(r) if r.ndim == 0 else r
 
     # -- tail sums ---------------------------------------------------------
@@ -204,6 +201,14 @@ class PointSequence:
             extra = f"nu={self.nu}" if self.kind == "bessel" else "lazy"
             return f"PointSequence({self.kind!r}, {extra})"
         return f"PointSequence({self.kind!r}, {self.size} points)"
+
+
+def _growth_residual(p, n, eps):
+    """(p - pi^2 n^2) / (n^{3/2} (log n)^{1+eps}) elementwise, broadcasting
+    the points p against their float indices n >= 3."""
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    return (p - PI2 * n * n) / (n**1.5 * np.log(n) ** (1.0 + eps))
 
 
 def make_quadratic():

@@ -29,6 +29,7 @@ from bessellab.dpp import (
     save_sample,
 )
 from bessellab.errors import DiscretizationFailure, DomainError, PrecisionFailure
+from bessellab.sequences import make_sampled
 from bessellab.specfun import bessel_kernel_diag
 
 
@@ -158,12 +159,36 @@ class TestSampling:
             sample(_kernel_from_columns(V), 0)
 
     def test_negative_marginal_raises(self):
-        # one column of norm ~1e8, far from unit: its squares exceed 2^53,
-        # and whichever node is drawn first, the update leaves -4 on the
-        # other instead of 0
-        V = np.array([[97964705.0], [96300487.0]])
+        # columns of norm ~2.5e4 put the marginals at ~1e8, where the
+        # roundoff left after the last draw is ~1e-8 instead of the ~1e-16
+        # of a unit-norm kernel; at seed 0 node 2 ends at -7.5e-9
+        V = np.array([[20357.0, 14860.0], [4038.0, -13653.0],
+                      [-50.0, 7418.0], [-14558.0, 4465.0]])
         with pytest.raises(PrecisionFailure, match="below"):
             sample(_kernel_from_columns(V), 0)
+
+    def test_single_large_column_samples(self):
+        # one column of norm ~1e8: its squares exceed 2^53, but in
+        # eigen-coordinates g = w_i / sqrt(w_i^2) rounds to exactly 1, so
+        # whichever node is drawn the update leaves an exact 0 on the other
+        V = np.array([[97964705.0], [96300487.0]])
+        cfg = sample(_kernel_from_columns(V), 0)
+        assert cfg.points.size == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 20260825])
+    def test_batched_uniforms_match_scalar_draws(self, seed):
+        # sample draws its k chain-rule uniforms with one random(k) call
+        # after the random(n) of the eigenvalue thinning; the points stay
+        # those of k scalar draws only while the generator returns the
+        # same values either way
+        for n in (0, 1, 7, 127, 512):
+            for k in (1, 2, 5, 33):
+                batched, scalar = _rng(seed), _rng(seed)
+                batched.random(n)
+                scalar.random(n)
+                drawn = batched.random(k)
+                assert np.array_equal(drawn, [scalar.random() for _ in range(k)])
+                assert batched.random() == scalar.random()
 
     def test_count_upto(self):
         cfg = SampleConfig(points=np.array([1.0, 5.0, 20.0]), seed=0, T=50.0, nu=0.0, m=64)
@@ -252,6 +277,27 @@ class TestCountStats:
         other = sample(nystrom(0.0, 100.0, m=128), 1)
         with pytest.raises(ValueError):
             count_stats(list(runs) + [other], [50.0])
+
+    def test_array_form_matches_per_sample_loop(self, runs):
+        # counts and the worst growth residual equal the per-sample
+        # count_upto and PointSequence.growth_residual loop bit for bit,
+        # with samples of fewer than 3 points skipped
+        short = [SampleConfig(points=pts, seed=0, T=1000.0, nu=0.0, m=256)
+                 for pts in (np.empty(0), np.array([3.0]), np.array([3.0, 40.0]))]
+        batch = short + list(runs)
+        thr = [10.0, 100.0, 1000.0]
+        counts = np.array([[s.count_upto(t) for t in thr] for s in batch], dtype=float)
+        worst = 0.0
+        for s in batch:
+            if s.points.size >= 3:
+                n = np.arange(3, s.points.size + 1)
+                r = make_sampled(s.points).growth_residual(n, eps=0.25)
+                worst = max(worst, float(np.max(np.abs(r))))
+        stats = count_stats(batch, thr, eps=0.25)
+        assert np.array_equal(stats.mean, counts.mean(axis=0))
+        assert np.array_equal(stats.var, counts.var(axis=0, ddof=1))
+        assert stats.max_growth_residual == worst > 0.0
+        assert count_stats(short, thr).max_growth_residual == 0.0
 
 
 class TestSerialization:

@@ -126,22 +126,31 @@ class TestMassAndVariational:
 
 
 def _log_potential_mp(mpmath, gamma, x):
-    """40-digit integral of log|x - s| rho_gamma(s) ds, split at 0, x and 1."""
+    """40-digit integral of log|x - s| rho_gamma(s) ds, split at 0, x and 1.
+
+    The piece on (x, 1) runs in d = 1 - s, so that 1 - s keeps its digits
+    when x is within a few ulps of 1.
+    """
     with mpmath.workdps(40):
         g, x = mpmath.mpf(gamma), mpmath.mpf(x)
 
-        def rho(s):
-            q = mpmath.sqrt((g - 1) / (1 - s))
+        def rho(s, om):
+            # density at s, given om = 1 - s
+            q = mpmath.sqrt((g - 1) / om)
             return (mpmath.mpf(1) / 2 + (q - mpmath.atan(q)) / mpmath.pi) / mpmath.sqrt(g * s)
 
-        return mpmath.quad(lambda s: mpmath.log(abs(x - s)) * rho(s), [0, x, 1])
+        left = mpmath.quad(lambda s: mpmath.log(x - s) * rho(s, 1 - s), [0, x])
+        right = mpmath.quad(lambda d: mpmath.log(1 - x - d) * rho(1 - d, d), [0, 1 - x])
+        return left + right
 
 
 class TestPotentialRule:
     @pytest.mark.parametrize("g", [1.1, 2.0, 5.0])
     def test_log_potential_matches_mpmath(self, g):
         mpmath = pytest.importorskip("mpmath")
-        xs = np.array([0.01, 0.3, 0.99])
+        # the last two sit two ulps and one ulp below 1, where 1 - s must be
+        # formed from 1 - x to stay nonzero
+        xs = np.array([0.01, 0.3, 0.99, 1 - 2**-52, 1 - 2**-53])
         ref = [float(_log_potential_mp(mpmath, g, x)) for x in xs]
         assert_allclose(eq.log_potential(g, xs), ref, rtol=0, atol=1e-14)
 
