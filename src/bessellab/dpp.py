@@ -43,7 +43,6 @@ __all__ = [
     "sample",
     "sample_many",
     "count_stats",
-    "counts_below",
     "exact_count_law",
     "save_sample",
     "load_sample",
@@ -78,9 +77,6 @@ class DiscretizedKernel:
     def trace(self):
         return float(np.sum(self.eigenvalues))
 
-    def expected_count(self):
-        return self.trace
-
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -102,24 +98,25 @@ class SampleConfig:
         return int(np.searchsorted(self.points, threshold, side="right"))
 
 
-def _clip_to_window(lam, tol, m):
+def _clip_to_window(lam, m):
     """Ascending eigenvalues clipped to [0, 1], after checking that they
-    lie in [-tol, 1 + tol]; an escape raises DiscretizationFailure."""
-    if lam[0] < -tol or lam[-1] > 1.0 + tol:
+    lie in [-EIG_TOL, 1 + EIG_TOL]; an escape raises DiscretizationFailure."""
+    if lam[0] < -EIG_TOL or lam[-1] > 1.0 + EIG_TOL:
         raise DiscretizationFailure(
             "eigenvalues [%.3e, %.3e] escape [-%g, 1+%g]; increase m (have m=%d)"
-            % (lam[0], lam[-1], tol, tol, m)
+            % (lam[0], lam[-1], EIG_TOL, EIG_TOL, m)
         )
     return np.clip(lam, 0.0, 1.0)
 
 
-def nystrom(nu, T, m=512, tol=EIG_TOL):
+def nystrom(nu, T, m=512):
     """Discretize the kernel on [0, T] with m nodes and diagonalize.
 
     The Gauss-Legendre rule is computed once per process for each m.
-    Raises DiscretizationFailure when an eigenvalue escapes [-tol, 1 + tol];
-    the fix is more nodes, not a larger tol.  Raises PrecisionFailure when
-    T is so close to the float maximum that the matrix overflows.
+    Raises DiscretizationFailure when an eigenvalue escapes
+    [-EIG_TOL, 1 + EIG_TOL]; the fix is more nodes.  Raises
+    PrecisionFailure when T is so close to the float maximum that the
+    matrix overflows.
     """
     if m < 64:
         raise DomainError("need at least 64 nodes")
@@ -138,7 +135,7 @@ def nystrom(nu, T, m=512, tol=EIG_TOL):
     if not np.all(np.isfinite(A)):
         raise PrecisionFailure(f"Nystrom matrix overflows at T={T!r}")
     lam, vec = sla.eigh(A)
-    lam = _clip_to_window(lam, tol, m)
+    lam = _clip_to_window(lam, m)
     return DiscretizedKernel(
         nu=float(nu), T=float(T), m=int(m), nodes=x, weights=w,
         matrix=A, eigenvalues=lam, eigenvectors=vec,
@@ -179,13 +176,13 @@ def sample(kern, seed):
     cdf = np.empty(m)
     chosen = np.empty(k, dtype=int)
     for t in range(k):
-        total = p.sum()
-        if not total > 0:
+        np.add.accumulate(p, out=cdf)  # cumsum, minus its wrapper's cost
+        if not cdf[-1] > 0:
             raise PrecisionFailure(
                 "conditional marginals vanished after %d of %d points" % (t, k))
-        np.divide(p, total, out=cdf)
-        np.add.accumulate(cdf, out=cdf)  # cumsum, minus its wrapper's cost
-        i = min(int(cdf.searchsorted(u[t])), m - 1)
+        # the first node whose cumulative mass exceeds u * total: u < 1
+        # keeps i < m, and a node of zero marginal is never drawn
+        i = int(cdf.searchsorted(u[t] * cdf[-1], side="right"))
         chosen[t] = i
         w = W[:, i]
         g = E[t]
@@ -215,10 +212,6 @@ def sample_many(kern, n_samples, master_seed):
         int(n_samples), dtype=np.uint64
     )
     return [sample(kern, int(s)) for s in seeds]
-
-
-def counts_below(samples, threshold):
-    return np.array([s.count_upto(threshold) for s in samples])
 
 
 @dataclass(frozen=True)
@@ -336,7 +329,7 @@ def exact_count_law(kern, thresholds):
             lam = np.empty(0)
         else:
             sub = kern.matrix[np.ix_(inside, inside)]
-            lam = _clip_to_window(sla.eigvalsh(sub), EIG_TOL, kern.m)
+            lam = _clip_to_window(sla.eigvalsh(sub), kern.m)
         mean[j] = lam.sum()
         var[j] = np.sum(lam * (1.0 - lam))
     return mean, var, _log_slope(thr, var)

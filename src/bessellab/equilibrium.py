@@ -237,14 +237,12 @@ def log_potential(gamma, x):
     return _maybe_scalar(_log_potential_sums(gamma, x)[..., 0])
 
 
-def _default_grid(n_grid):
-    return np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
-
-
-def _variational(gamma, grid):
+def _variational(gamma):
     # (ell, deviation, quadrature error) of the residual 2 U - V(x/gamma)
+    # on the 50 interior points of an equispaced grid of [0, 1]
     from .weights import field_V
 
+    grid = np.linspace(0.0, 1.0, 52)[1:-1]
     sums = _log_potential_sums(gamma, grid)
     resid = 2.0 * sums[:, 0] - field_V(grid / gamma)
     ell = float(np.mean(resid))
@@ -252,8 +250,8 @@ def _variational(gamma, grid):
             float(np.max(np.abs(sums[:, 0] - sums[:, 1]))))
 
 
-def variational_check(gamma, grid=None, n_grid=50):
-    """(ell_estimate, max_deviation) of 2 U(x) - V(x/gamma) over a grid.
+def variational_check(gamma):
+    """(ell_estimate, max_deviation) of 2 U(x) - V(x/gamma) on 50 points.
 
     The equilibrium property makes the residual constant in x; the mean is
     reported as the Lagrange constant estimate and the worst pointwise
@@ -269,8 +267,7 @@ def variational_check(gamma, grid=None, n_grid=50):
     [1, gamma].
     """
     gamma = _check_gamma(gamma)
-    grid = _default_grid(n_grid) if grid is None else np.asarray(grid, dtype=float).ravel()
-    return _variational(gamma, grid)[:2]
+    return _variational(gamma)[:2]
 
 
 def reference_potential(gamma, x):
@@ -335,9 +332,9 @@ def g_boundary(gamma, x, side):
 
 
 def _side_sign(side):
-    if side in (1, +1, "+", "plus", "upper"):
+    if side == "+":
         return 1.0
-    if side in (-1, "-", "minus", "lower"):
+    if side == "-":
         return -1.0
     raise DomainError(f"side must be '+' or '-', got {side!r}")
 
@@ -444,19 +441,17 @@ def global_parametrix(nu, z, side=None):
     return _parametrix_from_parts(nu, a, sqrt_ratio)
 
 
-def lens_sign_check(gamma, re_grid=None, im_grid=None):
+def lens_sign_check(gamma):
     """Diagnostics for Re phi < 0 off the cut near (0, 1).
 
-    Returns a dict with the maximum of Re phi over the sampled lens points
+    Returns a dict with the maximum of Re phi over the lens points
+    x + iy, x on 19 points of [0.05, 0.95] and |y| on 8 of [0.01, 0.2]
     (strictly negative when the lens opening is valid), the worst
     conjugate-symmetry defect, and the largest |Re phi| on the cut itself.
     """
     gamma = _check_gamma(gamma)
-    if re_grid is None:
-        re_grid = np.linspace(0.05, 0.95, 19)
-    if im_grid is None:
-        im_grid = np.concatenate([np.linspace(0.01, 0.2, 8),
-                                  -np.linspace(0.01, 0.2, 8)])
+    re_grid = np.linspace(0.05, 0.95, 19)
+    im_grid = np.concatenate([np.linspace(0.01, 0.2, 8), -np.linspace(0.01, 0.2, 8)])
     worst_re = -np.inf
     worst_sym = 0.0
     for xr in re_grid:
@@ -470,11 +465,11 @@ def lens_sign_check(gamma, re_grid=None, im_grid=None):
             "conjugate_defect": float(worst_sym), "max_re_on_cut": float(on_cut)}
 
 
-def diagnostics(gamma, n_grid=50):
+def diagnostics(gamma):
     """JSON-ready equilibrium diagnostics for one gamma.
 
     ``ell_estimate`` and ``variational_deviation`` are those of
-    ``variational_check`` on n_grid points; ell_estimate converges to the
+    ``variational_check`` on its 50 points; ell_estimate converges to the
     closed form ell(gamma) given there (-4 at gamma = 1).
     ``quadrature_error`` is the largest difference over that grid between
     the log-potential sums at steps h and 2h of the tanh-sinh rule: it
@@ -486,7 +481,7 @@ def diagnostics(gamma, n_grid=50):
     circle |z| = 1e-4, and ``lens`` the report of ``lens_sign_check``.
     """
     gamma = _check_gamma(gamma)
-    ell, dev, quad_err = _variational(gamma, _default_grid(n_grid))
+    ell, dev, quad_err = _variational(gamma)
     xs = np.linspace(0.02, 0.98, 25)
     phi_res = np.max(np.abs(phi_boundary(gamma, xs, "+") - 1j * np.pi * cdf(gamma, xs)))
     target = np.pi**2 / (4.0 * c_gamma(gamma))

@@ -340,8 +340,7 @@ def sandwich_chain(cfg):
     lub_grid = np.linspace(0.5, 20.0, 10) * scale
 
     def run_gamma(gamma):
-        rep = check_sandwich(seq, nu, gamma, R, num=1000,
-                             tail_tolerance=cfg.tail_tolerance)
+        rep = check_sandwich(w, gamma)
         plus = ApproxWeight("plus", gamma, n, nu)
         minus = ApproxWeight("minus", gamma, n, nu)
         tp = build_recurrence(plus, n)

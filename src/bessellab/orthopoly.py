@@ -261,23 +261,20 @@ class RecurrenceTable:
         return float(np.max(np.abs(gram - np.eye(n + 1))))
 
 
-def build_recurrence(weight, n_max, n_panel=None, degree_cap=DEGREE_CAP):
+def build_recurrence(weight, n_max):
     """Recurrence table of the orthonormal polynomials of ``weight``.
 
     ``weight`` must expose ``nu``, ``quad_support`` and ``log_smooth``.
-    Raises PrecisionFailure (naming the degree) if the discrete measure
-    loses positive definiteness.
+    The quadrature has max(120, n_max + 40) nodes per panel.  Raises
+    DomainError beyond DEGREE_CAP, and PrecisionFailure (naming the
+    degree) if the discrete measure loses positive definiteness.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if n_max > degree_cap:
-        raise DomainError(
-            f"n_max={n_max} exceeds the degree cap {degree_cap}; raise degree_cap "
-            "explicitly if this is intended")
-    if n_panel is None:
-        n_panel = max(120, n_max + 40)
-    quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=n_panel)
+    if n_max > DEGREE_CAP:
+        raise DomainError(f"n_max={n_max} exceeds the degree cap {DEGREE_CAP}")
+    quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=max(120, n_max + 40))
 
     log_masses = np.log(quad.weights) + np.asarray(
         weight.log_smooth(quad.nodes), dtype=float)
@@ -316,18 +313,18 @@ def build_recurrence(weight, n_max, n_panel=None, degree_cap=DEGREE_CAP):
                            scaled_masses=masses, mass_shift=shift)
 
 
-def brute_force_christoffel(weight, n, x, n_panel=200):
+def brute_force_christoffel(weight, n, x):
     """Christoffel function by the moment-matrix route, for cross-checks.
 
     lambda_n(x) = 1 / (v(x)^T Minv v(x)) with M the (n x n) Hankel moment
     matrix of the weight and v(x) the monomial vector.  Only sensible for
     small n; the moment matrix conditioning is checked and the computation
-    refused beyond ~1e13.
+    refused beyond ~1e13.  The quadrature has 200 nodes per panel.
     """
     n = int(n)
     if not 1 <= n <= 8:
         raise DomainError("brute-force route supports 1 <= n <= 8 only")
-    quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=n_panel)
+    quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=200)
     log_masses = np.log(quad.weights) + np.asarray(
         weight.log_smooth(quad.nodes), dtype=float)
     shift = float(np.max(log_masses))

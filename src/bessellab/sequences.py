@@ -182,20 +182,6 @@ class PointSequence:
         val = float(np.sum(self._points[M:] ** (-k)))
         return val, 8e-16 * val
 
-    # -- serialization -----------------------------------------------------
-
-    def to_descriptor(self):
-        d = {"kind": self.kind}
-        if self.nu is not None:
-            d["nu"] = self.nu
-        if self.size is not None:
-            d["points"] = [float(p) for p in self._points]
-        return d
-
-    @classmethod
-    def from_descriptor(cls, d):
-        return cls(d["kind"], nu=d.get("nu"), points=d.get("points"))
-
     def __repr__(self):
         if self.size is None:
             extra = f"nu={self.nu}" if self.kind == "bessel" else "lazy"

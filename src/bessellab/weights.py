@@ -106,13 +106,12 @@ class ConditionalWeight:
         Gap length.  All retained product factors have p_n > R.
     tail_tolerance : float
         Certified bound on the absolute error of log-weight values coming
-        from the truncated product tail.
-    explicit_terms : int, optional
-        Initial truncation index M; doubled automatically until the tail
-        certificate meets ``tail_tolerance``.
+        from the truncated product tail.  The explicit part starts at
+        M = max(256, 4 N(R)) terms and M doubles until the tail
+        certificate meets it.
     """
 
-    def __init__(self, seq, nu, R, tail_tolerance=1e-10, explicit_terms=None):
+    def __init__(self, seq, nu, R, tail_tolerance=1e-10):
         from . import specfun  # validation of nu only
 
         self.seq = seq
@@ -125,8 +124,7 @@ class ConditionalWeight:
         self.tail_tolerance = float(tail_tolerance)
         self.n_cond = seq.count_upto(self.R)
 
-        M = int(explicit_terms) if explicit_terms is not None else max(256, 4 * self.n_cond)
-        M = max(M, self.n_cond)
+        M = max(256, 4 * self.n_cond)
         extra = None
         for _ in range(12):
             ok, payload = self._try_tail(M, extra)
@@ -230,25 +228,6 @@ class ConditionalWeight:
     def log_density(self, t):
         return self.log_unit(t)
 
-    def to_descriptor(self):
-        return {
-            "type": "conditional",
-            "sequence": self.seq.to_descriptor(),
-            "nu": self.nu,
-            "R": self.R,
-            "M": int(self.M),
-            "series_depth": int(self.series_depth),
-            "tail_tolerance": self.tail_tolerance,
-        }
-
-    @classmethod
-    def from_descriptor(cls, d):
-        from .sequences import PointSequence
-
-        return cls(PointSequence.from_descriptor(d["sequence"]), d["nu"], d["R"],
-                   tail_tolerance=d.get("tail_tolerance", 1e-10),
-                   explicit_terms=d.get("M"))
-
     def __repr__(self):
         return (f"ConditionalWeight({self.seq!r}, nu={self.nu}, R={self.R}, "
                 f"M={self.M}, depth={self.series_depth})")
@@ -304,28 +283,17 @@ class ApproxWeight:
         # the minus weight vanishes beyond its cutoff, so quadrature stops there
         return self.cutoff
 
-    def to_descriptor(self):
-        return {"type": "approx", "kind": self.kind, "gamma": self.gamma,
-                "n": self.n, "nu": self.nu}
-
-    @classmethod
-    def from_descriptor(cls, d):
-        return cls(d["kind"], d["gamma"], d["n"], d["nu"])
-
     def __repr__(self):
         return f"ApproxWeight({self.kind!r}, gamma={self.gamma}, n={self.n}, nu={self.nu})"
 
 
 class PowerWeight:
-    """The bare weight t^nu on [0, support]; smooth factor identically 1."""
+    """The bare weight t^nu on [0, 1]; smooth factor identically 1."""
 
-    def __init__(self, nu, support=1.0):
+    def __init__(self, nu):
         from . import specfun
 
         self.nu = specfun.BesselOrder(nu).nu
-        self._support = float(support)
-        if self._support <= 0:
-            raise DomainError("support must be positive")
 
     def log_smooth(self, t):
         t = np.asarray(t, dtype=float)
@@ -340,11 +308,11 @@ class PowerWeight:
 
     @property
     def support(self):
-        return self._support
+        return 1.0
 
     @property
     def quad_support(self):
-        return self._support
+        return 1.0
 
 
 class ScaledWeight:
@@ -428,22 +396,19 @@ class SandwichReport:
         }
 
 
-def check_sandwich(seq, nu, gamma, R, num=1000, grid=None, tail_tolerance=1e-10):
-    """Measure minus <= w <= plus for the conditional weight of seq at R.
+def check_sandwich(w, gamma):
+    """Measure minus <= w <= plus for the ConditionalWeight w.
 
-    The exponential weights use n = N(R), the certified count of points
-    below R.  Returns a SandwichReport over an interior grid of [0, 1].
+    The exponential weights use n = w.n_cond, the certified count of points
+    below w.R.  Returns a SandwichReport over the 1000 interior points of
+    an equispaced grid of [0, 1].
     """
-    w = ConditionalWeight(seq, nu, R, tail_tolerance=tail_tolerance)
     n = w.n_cond
-    plus = ApproxWeight("plus", gamma, n, nu)
-    minus = ApproxWeight("minus", gamma, n, nu)
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, num + 2)[1:-1]
-    else:
-        grid = np.asarray(grid, dtype=float)
+    plus = ApproxWeight("plus", gamma, n, w.nu)
+    minus = ApproxWeight("minus", gamma, n, w.nu)
+    grid = np.linspace(0.0, 1.0, 1002)[1:-1]
     logw = w.log_unit(grid)
     lo = logw - minus.log_density(grid)
     hi = plus.log_density(grid) - logw
-    return SandwichReport(gamma=float(gamma), R=float(R), n_cond=n, grid=grid,
+    return SandwichReport(gamma=float(gamma), R=w.R, n_cond=n, grid=grid,
                           lower_margin=np.asarray(lo), upper_margin=np.asarray(hi))

@@ -39,7 +39,7 @@ def test_criterion_1_equilibrium_measure():
     worst_ell = 0.0
     for g in (1.1, 2.0, 5.0):
         worst_mass = max(worst_mass, abs(eq.mass_error(g)))
-        ell, dev = eq.variational_check(g, n_grid=50)
+        ell, dev = eq.variational_check(g)
         worst_dev = max(worst_dev, dev)
         ell_exact = (2.0 * math.log(g) - 4.0 - 4.0 * math.acosh(math.sqrt(g))
                      + 4.0 * math.sqrt(1.0 - 1.0 / g))

@@ -108,12 +108,12 @@ class TestMassAndVariational:
 
     @pytest.mark.parametrize("g", [1.1, 2.0, 5.0])
     def test_variational_residual_is_flat(self, g):
-        ell, dev = eq.variational_check(g, n_grid=30)
+        ell, dev = eq.variational_check(g)
         assert dev < 1e-6
         assert_allclose(ell, ELL[g], atol=1e-9)
 
     def test_lagrange_constant_tends_to_minus_four(self):
-        ell, _ = eq.variational_check(1.001, n_grid=30)
+        ell, _ = eq.variational_check(1.001)
         assert_allclose(ell, ELL[1.001], atol=1e-9)
         assert abs(ell + 4.0) < 2e-3
 
@@ -233,6 +233,15 @@ class TestPhiAndF:
         with pytest.raises(DomainError):
             eq.phi_boundary(g, np.array([0.5, 1.0]), "+")
 
+    @pytest.mark.parametrize("side", ["plus", 1])
+    def test_side_is_plus_or_minus_sign(self, side):
+        with pytest.raises(DomainError):
+            eq.phi_boundary(2.0, 0.5, side)
+        with pytest.raises(DomainError):
+            eq.g_boundary(2.0, 0.5, side)
+        with pytest.raises(DomainError):
+            eq.global_parametrix(0.5, 0.4, side=side)
+
     def test_phi_square_root_vanishing_at_origin(self):
         # phi(z) = i pi sqrt(z)/sqrt(c_gamma) + O(z^(3/2)) in the upper half plane
         g = 2.0
@@ -311,7 +320,7 @@ class TestLens:
     def test_diagnostics_serializable(self):
         import json
 
-        d = eq.diagnostics(1.5, n_grid=10)
+        d = eq.diagnostics(1.5)
         json.dumps(d)
         assert d["gamma"] == 1.5
         assert d["mass_error"] < 1e-10

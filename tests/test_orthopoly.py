@@ -111,7 +111,7 @@ class TestQuadrature:
         orthopoly._gauss_jacobi.cache_clear()
         specfun._gauss_legendre.cache_clear()
         for _ in range(3):
-            build_recurrence(PowerWeight(0.5), 20, n_panel=97)
+            build_recurrence(PowerWeight(0.5), 20)
         assert calls == {"roots_jacobi": 1, "leggauss": 1}
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])

@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 
 from bessellab.errors import DomainError, SequenceExhausted
 from bessellab.sequences import (
-    PointSequence,
     load_points,
     make_bessel_zero_squared,
     make_quadratic,
@@ -180,13 +179,6 @@ class TestSerialization:
         save_points(b, path, n=20)
         loaded = load_points(path)
         assert_allclose(loaded.prefix(20), b.prefix(20), rtol=0, atol=0)
-
-    def test_descriptor_roundtrip(self):
-        for seq in (make_quadratic(), make_bessel_zero_squared(0.5), make_user([2.0, 3.0])):
-            clone = PointSequence.from_descriptor(seq.to_descriptor())
-            assert clone.kind == seq.kind
-            if seq.size is not None:
-                assert_allclose(clone.prefix(seq.size), seq.prefix(seq.size), rtol=0, atol=0)
 
     def test_repr_smoke(self):
         assert "quadratic" in repr(make_quadratic())

@@ -130,12 +130,6 @@ class TestConditionalWeight:
         w = ConditionalWeight(make_quadratic(), nu, 100.0)
         assert w.log_unit(0.0) == expected
 
-    def test_descriptor_roundtrip(self):
-        w = ConditionalWeight(make_bessel_zero_squared(0.5), 0.5, 200.0)
-        clone = ConditionalWeight.from_descriptor(w.to_descriptor())
-        t = np.linspace(0.1, 0.9, 7)
-        assert_allclose(clone.log_unit(t), w.log_unit(t), rtol=0, atol=1e-14)
-
     def test_invalid_parameters(self):
         seq = make_quadratic()
         with pytest.raises(DomainError):
@@ -209,15 +203,15 @@ class TestSimpleWeights:
 
 class TestSandwich:
     def test_holds_for_large_gap(self):
-        rep = check_sandwich(make_quadratic(), 0.0, 1.2, 1e3, num=300)
+        rep = check_sandwich(ConditionalWeight(make_quadratic(), 0.0, 1e3), 1.2)
         assert rep.ok
         assert rep.lower_violations == 0 and rep.upper_violations == 0
-        assert rep.summary()["points"] == 300
+        assert rep.summary()["points"] == 1000
 
     def test_margins_at_origin_are_zero(self):
         # at t = 0 (nu = 0) all three weights equal 1; interior grid margins
         # must stay strictly positive for a comfortable gap
-        rep = check_sandwich(make_quadratic(), 0.0, 1.2, 1e3, num=100)
+        rep = check_sandwich(ConditionalWeight(make_quadratic(), 0.0, 1e3), 1.2)
         assert rep.lower_margin.min() > 0
         assert rep.upper_margin.min() > 0
 
@@ -226,11 +220,11 @@ class TestSandwich:
         # part of the grid; the report must say so rather than raise
         seq = make_quadratic()
         R = (seq.p(1) + seq.p(2)) / 2.0
-        rep = check_sandwich(seq, 0.0, 1.2, R, num=200)
+        rep = check_sandwich(ConditionalWeight(seq, 0.0, R), 1.2)
         assert not rep.ok
         assert rep.lower_violations > 0
         assert rep.summary()["min_lower_margin"] < 0
 
     def test_bessel_sequence_sandwich(self):
-        rep = check_sandwich(make_bessel_zero_squared(0.0), 0.0, 1.3, 500.0, num=150)
+        rep = check_sandwich(ConditionalWeight(make_bessel_zero_squared(0.0), 0.0, 500.0), 1.3)
         assert rep.ok
