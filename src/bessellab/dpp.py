@@ -245,7 +245,7 @@ class CountStats:
         return out
 
 
-def _max_growth_residual(samples, eps=0.5):
+def _max_growth_residual(samples):
     # samples as zero-padded rows of one array; entries past a row's last
     # point, and every entry of a row with fewer than 3 points, are masked
     sizes = np.array([s.points.size for s in samples])
@@ -254,7 +254,7 @@ def _max_growth_residual(samples, eps=0.5):
     pts = np.zeros(filled.shape)
     pts[filled] = np.concatenate([s.points for s in samples])
     n = np.arange(3, width + 1, dtype=float)
-    r = _growth_residual(pts[:, 2:], n, eps)
+    r = _growth_residual(pts[:, 2:], n)
     return float(np.max(np.abs(r), where=filled[:, 2:], initial=0.0))
 
 
@@ -274,10 +274,11 @@ def _log_slope(thresholds, var):
     return float(np.polyfit(np.log(thresholds), var, 1)[0])
 
 
-def count_stats(samples, thresholds, eps=0.5):
+def count_stats(samples, thresholds):
     """Mean/variance table of N(T') with standard errors and the variance
     slope against log T'.  Also reports the worst growth residual
-    (p_n - pi^2 n^2) / (n^{3/2} log^{1+eps} n) across all samples."""
+    (p_n - pi^2 n^2) / (n^{3/2} log^{3/2} n) across all samples (eps =
+    GROWTH_EPS = 1/2 of ``PointSequence.growth_residual``)."""
     if not samples:
         raise ValueError("empty sample list")
     T = samples[0].T
@@ -302,7 +303,7 @@ def count_stats(samples, thresholds, eps=0.5):
         target_mean=np.sqrt(thr) / np.pi,
         n_samples=ns,
         var_slope=_log_slope(thr, var),
-        max_growth_residual=_max_growth_residual(samples, eps=eps),
+        max_growth_residual=_max_growth_residual(samples),
     )
 
 

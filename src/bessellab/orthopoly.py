@@ -63,7 +63,6 @@ class Quadrature:
 
     nodes: np.ndarray
     weights: np.ndarray
-    endpoint_exponent: float
     support: float
 
     def moment(self, k):
@@ -127,8 +126,7 @@ def weight_quadrature(nu, support=1.0, n_panel=120):
     if not (np.all(nodes > 0) and np.all(nodes < support)
             and np.all(masses > 0) and np.all(np.isfinite(masses))):
         raise PrecisionFailure("quadrature produced out-of-range nodes or masses")
-    return Quadrature(nodes=nodes, weights=masses, endpoint_exponent=nu,
-                      support=support)
+    return Quadrature(nodes=nodes, weights=masses, support=support)
 
 
 @dataclasses.dataclass
@@ -148,7 +146,6 @@ class RecurrenceTable:
     weight: object
     quadrature: Quadrature
     scaled_masses: np.ndarray
-    mass_shift: float
 
     # -- evaluation --------------------------------------------------------
 
@@ -221,12 +218,7 @@ class RecurrenceTable:
         return self._kernel_hat(n, xs, ys, grid=True)
 
     def _sqrt_weight_factor(self, x, y):
-        support = self.weight.support
-        for t in (np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
-            if not np.all(np.isfinite(t)):
-                raise DomainError("evaluation points must be finite")
-            if not np.all((t >= 0.0) & (t <= support)):
-                raise DomainError(f"evaluation points must lie in the weight's support [0, {support}]")
+        # the weight raises DomainError for points not finite or off its support
         lwx = np.asarray(self.weight.log_density(x), dtype=float)
         lwy = np.asarray(self.weight.log_density(y), dtype=float)
         if not (np.all(np.isfinite(lwx)) and np.all(np.isfinite(lwy))):
@@ -252,34 +244,42 @@ class RecurrenceTable:
 
     # -- diagnostics -------------------------------------------------------
 
-    def gram_residual(self, n=None):
-        """max |<phi_i, phi_j> - delta_ij| over i, j <= n on the discrete measure."""
-        n = self.n_max if n is None else int(n)
+    def gram_residual(self):
+        """max |<phi_i, phi_j> - delta_ij| over i, j <= n_max on the discrete measure."""
+        n = self.n_max
         tab = self._phi_unnormalized(n, self.quadrature.nodes)
         m = self.scaled_masses
         gram = (tab * m) @ tab.T / m.sum()
         return float(np.max(np.abs(gram - np.eye(n + 1))))
 
 
+def _discrete_measure(weight, n_panel):
+    """(quadrature, masses, shift): the weight's measure on the nodes of
+    ``weight_quadrature`` on [0, quad_support], as masses scaled by
+    exp(-shift) so that the largest is 1."""
+    quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=n_panel)
+    log_masses = np.log(quad.weights) + np.asarray(
+        weight.log_smooth(quad.nodes), dtype=float)
+    shift = float(np.max(log_masses))
+    return quad, np.exp(log_masses - shift), shift
+
+
 def build_recurrence(weight, n_max):
     """Recurrence table of the orthonormal polynomials of ``weight``.
 
-    ``weight`` must expose ``nu``, ``quad_support`` and ``log_smooth``.
-    The quadrature has max(120, n_max + 40) nodes per panel.  Raises
-    DomainError beyond DEGREE_CAP, and PrecisionFailure (naming the
-    degree) if the discrete measure loses positive definiteness.
+    The build reads the weight's ``nu``, ``quad_support`` and
+    ``log_smooth``; the table's ``kernel_norm`` and ``kernel_norm_grid``
+    read its ``log_density``.  The quadrature has max(120, n_max + 40)
+    nodes per panel.  Raises DomainError beyond DEGREE_CAP, and
+    PrecisionFailure (naming the degree) if the discrete measure loses
+    positive definiteness.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if n_max > DEGREE_CAP:
         raise DomainError(f"n_max={n_max} exceeds the degree cap {DEGREE_CAP}")
-    quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=max(120, n_max + 40))
-
-    log_masses = np.log(quad.weights) + np.asarray(
-        weight.log_smooth(quad.nodes), dtype=float)
-    shift = float(np.max(log_masses))
-    masses = np.exp(log_masses - shift)
+    quad, masses, shift = _discrete_measure(weight, max(120, n_max + 40))
 
     t = quad.nodes
     v = np.sqrt(masses)
@@ -310,7 +310,7 @@ def build_recurrence(weight, n_max):
     log_mu0 = shift + 2.0 * math.log(nrm)
     return RecurrenceTable(alpha=alpha, beta=beta, log_mu0=log_mu0, n_max=n_max,
                            nu=float(weight.nu), weight=weight, quadrature=quad,
-                           scaled_masses=masses, mass_shift=shift)
+                           scaled_masses=masses)
 
 
 def brute_force_christoffel(weight, n, x):
@@ -324,11 +324,7 @@ def brute_force_christoffel(weight, n, x):
     n = int(n)
     if not 1 <= n <= 8:
         raise DomainError("brute-force route supports 1 <= n <= 8 only")
-    quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=200)
-    log_masses = np.log(quad.weights) + np.asarray(
-        weight.log_smooth(quad.nodes), dtype=float)
-    shift = float(np.max(log_masses))
-    masses = np.exp(log_masses - shift)
+    quad, masses, shift = _discrete_measure(weight, 200)
 
     # The Christoffel value is invariant under any invertible change of
     # polynomial basis, so work in powers of t/sigma with sigma the mean of

@@ -33,6 +33,9 @@ __all__ = [
 
 PI2 = math.pi * math.pi
 
+# the eps of the growth residual's normalization n^{3/2} (log n)^{1+eps}
+GROWTH_EPS = 0.5
+
 _LAZY_KINDS = ("quadratic", "bessel")
 _FINITE_KINDS = ("sampled", "user")
 
@@ -41,11 +44,9 @@ class PointSequence:
     """A strictly increasing sequence of positive reals, 1-based."""
 
     def __init__(self, kind, nu=None, points=None):
+        # only the bessel kind reads its order
+        self.nu = specfun.BesselOrder(nu).nu if kind == "bessel" else None
         if kind in _LAZY_KINDS:
-            if kind == "bessel":
-                self.nu = specfun.BesselOrder(nu).nu
-            else:
-                self.nu = None
             self._points = np.empty(0)
             self.size = None
         elif kind in _FINITE_KINDS:
@@ -54,7 +55,6 @@ class PointSequence:
                 raise DomainError("finite sequences need a non-empty 1-d point list")
             if np.any(pts <= 0) or np.any(np.diff(pts) <= 0):
                 raise DomainError("points must be positive and strictly increasing")
-            self.nu = None if nu is None else float(nu)
             self._points = pts
             self.size = int(pts.size)
         else:
@@ -77,7 +77,7 @@ class PointSequence:
 
     def prefix(self, n):
         """First n points as an array (a read-only view of the cache)."""
-        n = int(n)
+        n = int(_as_index(n))
         if n < 0:
             raise DomainError("prefix length must be >= 0")
         self._ensure(n)
@@ -87,7 +87,7 @@ class PointSequence:
 
     def p(self, n):
         """The n-th point, n >= 1."""
-        n = int(n)
+        n = int(_as_index(n))
         if n < 1:
             raise DomainError("index n must be >= 1")
         self._ensure(n)
@@ -121,16 +121,17 @@ class PointSequence:
             n *= 2
         return int(np.searchsorted(pts, R, side="right"))
 
-    def growth_residual(self, n, eps=0.5):
-        """(p_n - pi^2 n^2) / (n^{3/2} (log n)^{1+eps}), defined for n >= 3.
+    def growth_residual(self, n):
+        """(p_n - pi^2 n^2) / (n^{3/2} (log n)^{1+eps}) with eps = GROWTH_EPS,
+        defined for n >= 3.
 
         n may be an integer array; the result then has its shape.
         """
-        idx = np.asarray(n, dtype=int)
+        idx = _as_index(n)
         if np.min(idx) < 3:
             raise DomainError("growth residual needs n >= 3")
         pts = self.prefix(np.max(idx))
-        r = _growth_residual(pts[idx - 1], idx.astype(float), eps)
+        r = _growth_residual(pts[idx - 1], idx.astype(float))
         return float(r) if r.ndim == 0 else r
 
     # -- tail sums ---------------------------------------------------------
@@ -189,12 +190,21 @@ class PointSequence:
         return f"PointSequence({self.kind!r}, {self.size} points)"
 
 
-def _growth_residual(p, n, eps):
-    """(p - pi^2 n^2) / (n^{3/2} (log n)^{1+eps}) elementwise, broadcasting
-    the points p against their float indices n >= 3."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    return (p - PI2 * n * n) / (n**1.5 * np.log(n) ** (1.0 + eps))
+def _as_index(n):
+    """n as an int array; DomainError unless every entry is an integer
+    value below 2^63 in size (integer-valued floats such as 10.0 pass)."""
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu":
+        f = n.astype(float)
+        if not (np.all(np.abs(f) < 2.0**63) and np.all(f == np.floor(f))):
+            raise DomainError("sequence indices must be finite integers")
+    return n.astype(int)
+
+
+def _growth_residual(p, n):
+    """(p - pi^2 n^2) / (n^{3/2} (log n)^{1+GROWTH_EPS}) elementwise,
+    broadcasting the points p against their float indices n >= 3."""
+    return (p - PI2 * n * n) / (n**1.5 * np.log(n) ** (1.0 + GROWTH_EPS))
 
 
 def make_quadratic():
@@ -207,9 +217,9 @@ def make_bessel_zero_squared(nu):
     return PointSequence("bessel", nu=nu)
 
 
-def make_sampled(points, nu=None):
+def make_sampled(points):
     """A finite realization, e.g. drawn from the point process."""
-    return PointSequence("sampled", nu=nu, points=points)
+    return PointSequence("sampled", points=points)
 
 
 def make_user(points):
@@ -229,7 +239,6 @@ def save_points(seq, path, n=None):
             fh.write(f"{p:.17g}\n")
 
 
-def load_points(path, kind="user", nu=None):
-    """Read a newline-delimited point file back into a finite sequence."""
-    pts = np.loadtxt(path, dtype=float, ndmin=1)
-    return PointSequence(kind, nu=nu, points=pts)
+def load_points(path):
+    """Read a newline-delimited point file back into a finite user sequence."""
+    return make_user(np.loadtxt(path, dtype=float, ndmin=1))

@@ -19,6 +19,20 @@ with the external field V(t) = 2 (1 + sqrt t) log(1 + sqrt t)
 + 2 (1 - sqrt t) log(1 - sqrt t).  For gamma > 1 and R large enough the
 conditional weight is sandwiched between the two; ``check_sandwich``
 measures the log-scale margins on a grid and reports violations as data.
+
+Every weight class here has the form t^nu h(t) on [0, support]: its
+``log_smooth`` is log h and its ``log_density`` is nu log t + log h(t),
+with the head left out at nu = 0.  The supports are attributes:
+
+    ConditionalWeight, PowerWeight      support = quad_support = 1,
+    ApproxWeight                        support = 1, quad_support = 1 (plus)
+                                        or gamma^-2 (minus, zero beyond),
+    ScaledWeight(base, c, d)            base's supports divided by c.
+
+Both methods raise DomainError, naming "finite" or "support", for any
+point that is not finite or lies outside [0, support (1 + 1e-12)]; the
+relative slack admits endpoints rounded up by a rescaling.  The fields V,
+V~ and V_gamma raise the same errors outside their closed intervals.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PrecisionFailure
-from .specfun import _maybe_scalar
+from .specfun import BesselOrder, _maybe_scalar
 
 __all__ = [
     "field_V",
@@ -46,15 +60,32 @@ __all__ = [
 _MAX_SERIES_DEPTH = 16
 
 
+def _check_points(t, lo, hi):
+    """t as a float array; DomainError unless every entry is finite and in [lo, hi]."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("evaluation points must be finite")
+    if np.any(t < lo) or np.any(t > hi):
+        raise DomainError(f"evaluation points must lie in the support [{lo:g}, {hi:g}]")
+    return t
+
+
+def _log_weight(nu, t, log_h):
+    """nu log t + log h(t), the log of the weight t^nu h(t) at the checked
+    points t; at nu = 0 the head is left out, so t = 0 gives log h(0)."""
+    if nu == 0.0:
+        return _maybe_scalar(log_h)
+    with np.errstate(divide="ignore"):
+        return _maybe_scalar(nu * np.log(t) + log_h)
+
+
 # ---------------------------------------------------------------------------
 # external fields
 
 
 def field_V_tilde(t):
     """(1+t) log(1+t) + (1-t) log(1-t) on [-1, 1], with 0 log 0 = 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise DomainError("field_V_tilde is defined on [-1, 1]")
+    t = _check_points(t, -1.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # each factor hits 0 log 0 at its own endpoint (up at t=-1, dn at t=+1)
         up = np.where(t > -1.0, (1.0 + t) * np.log1p(t), 0.0)
@@ -68,9 +99,7 @@ def field_V(t):
     The factor 1 - sqrt(t) is computed as (1-t)/(1+sqrt t) to stay accurate
     near t = 1.  V(0) = 0 and V(1) = 4 log 2.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > 1.0):
-        raise DomainError("field_V is defined on [0, 1]")
+    t = _check_points(t, 0.0, 1.0)
     s = np.sqrt(t)
     q = (1.0 - t) / (1.0 + s)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -81,12 +110,9 @@ def field_V(t):
 def field_V_gamma(gamma, t):
     """V(t / gamma) on [0, gamma]."""
     gamma = float(gamma)
-    if gamma < 1.0:
-        raise DomainError("gamma must be >= 1")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > gamma):
-        raise DomainError("field_V_gamma is defined on [0, gamma]")
-    return field_V(t / gamma)
+    if not 1.0 <= gamma < math.inf:
+        raise DomainError("gamma must be finite and >= 1")
+    return field_V(_check_points(t, 0.0, gamma) / gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +137,11 @@ class ConditionalWeight:
         certificate meets it.
     """
 
-    def __init__(self, seq, nu, R, tail_tolerance=1e-10):
-        from . import specfun  # validation of nu only
+    support = quad_support = 1.0
 
+    def __init__(self, seq, nu, R, tail_tolerance=1e-10):
         self.seq = seq
-        self.nu = specfun.BesselOrder(nu).nu
+        self.nu = BesselOrder(nu).nu
         self.R = float(R)
         if not (self.R > 0) or not math.isfinite(self.R):
             raise DomainError("R must be positive and finite")
@@ -190,43 +216,19 @@ class ConditionalWeight:
                     * t_bar.reshape(-1, 1) ** k[None, :]).sum(axis=1).reshape(t_bar.shape)
         return out
 
-    def _with_exponent(self, t, smooth):
-        if self.nu == 0.0:
-            return smooth
-        with np.errstate(divide="ignore"):
-            head = self.nu * np.log(t)
-        return head + smooth
-
     def log_bar(self, t):
         """log of t^nu prod (1 - t/p_n)^2 on the original scale t in [0, R]."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.R * (1 + 1e-12)):
-            raise DomainError("log_bar is defined on [0, R]")
-        return _maybe_scalar(self._with_exponent(t, self._log_product(t)))
-
-    def log_unit(self, t):
-        """log of the rescaled weight on [0, 1]; equals -nu log R + log_bar(R t)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > 1.0 + 1e-12):
-            raise DomainError("log_unit is defined on [0, 1]")
-        return _maybe_scalar(self._with_exponent(t, self.log_smooth(t)))
+        t = _check_points(t, 0.0, self.R * (1 + 1e-12))
+        return _log_weight(self.nu, t, self._log_product(t))
 
     def log_smooth(self, t):
         """log of the analytic factor prod (1 - R t / p_n)^2, t in [0, 1]."""
-        t = np.asarray(t, dtype=float)
+        t = _check_points(t, 0.0, self.support * (1 + 1e-12))
         return _maybe_scalar(self._log_product(np.minimum(t * self.R, self.R)))
 
-    # quadrature support for orthogonal-polynomial construction
-    @property
-    def support(self):
-        return 1.0
-
-    @property
-    def quad_support(self):
-        return 1.0
-
     def log_density(self, t):
-        return self.log_unit(t)
+        """log of the rescaled weight on [0, 1]; equals -nu log R + log_bar(R t)."""
+        return _log_weight(self.nu, t, self.log_smooth(t))
 
     def __repr__(self):
         return (f"ConditionalWeight({self.seq!r}, nu={self.nu}, R={self.R}, "
@@ -240,9 +242,9 @@ class ConditionalWeight:
 class ApproxWeight:
     """t^nu exp(-n V(t/gamma)) (plus) or t^nu 1_[0,1/gamma^2] exp(-n V(gamma t)) (minus)."""
 
-    def __init__(self, kind, gamma, n, nu):
-        from . import specfun
+    support = 1.0
 
+    def __init__(self, kind, gamma, n, nu):
         if kind not in ("plus", "minus"):
             raise DomainError("kind must be 'plus' or 'minus'")
         self.kind = kind
@@ -252,36 +254,20 @@ class ApproxWeight:
         self.n = int(n)
         if self.n < 1:
             raise DomainError("n must be >= 1")
-        self.nu = specfun.BesselOrder(nu).nu
-        self.cutoff = 1.0 if kind == "plus" else self.gamma ** -2
+        self.nu = BesselOrder(nu).nu
+        # the minus weight vanishes beyond gamma^-2, so quadrature stops there
+        self.quad_support = 1.0 if kind == "plus" else self.gamma ** -2
 
     def log_smooth(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > 1.0 + 1e-12):
-            raise DomainError("approximating weights live on [0, 1]")
+        t = _check_points(t, 0.0, self.support * (1 + 1e-12))
         if self.kind == "plus":
             return _maybe_scalar(-self.n * field_V(t / self.gamma))
-        inside = t <= self.cutoff * (1.0 + 1e-12)
+        inside = t <= self.quad_support * (1.0 + 1e-12)
         body = -self.n * field_V(np.minimum(t * self.gamma, 1.0))
         return _maybe_scalar(np.where(inside, body, -np.inf))
 
     def log_density(self, t):
-        t = np.asarray(t, dtype=float)
-        smooth = self.log_smooth(t)
-        if self.nu == 0.0:
-            return _maybe_scalar(smooth)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            head = self.nu * np.log(t)
-        return _maybe_scalar(head + smooth)
-
-    @property
-    def support(self):
-        return 1.0
-
-    @property
-    def quad_support(self):
-        # the minus weight vanishes beyond its cutoff, so quadrature stops there
-        return self.cutoff
+        return _log_weight(self.nu, t, self.log_smooth(t))
 
     def __repr__(self):
         return f"ApproxWeight({self.kind!r}, gamma={self.gamma}, n={self.n}, nu={self.nu})"
@@ -290,29 +276,17 @@ class ApproxWeight:
 class PowerWeight:
     """The bare weight t^nu on [0, 1]; smooth factor identically 1."""
 
-    def __init__(self, nu):
-        from . import specfun
+    support = quad_support = 1.0
 
-        self.nu = specfun.BesselOrder(nu).nu
+    def __init__(self, nu):
+        self.nu = BesselOrder(nu).nu
 
     def log_smooth(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _check_points(t, 0.0, self.support * (1 + 1e-12))
         return _maybe_scalar(np.zeros_like(t))
 
     def log_density(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.nu == 0.0:
-            return _maybe_scalar(np.zeros_like(t))
-        with np.errstate(divide="ignore"):
-            return _maybe_scalar(self.nu * np.log(t))
-
-    @property
-    def support(self):
-        return 1.0
-
-    @property
-    def quad_support(self):
-        return 1.0
+        return _log_weight(self.nu, t, self.log_smooth(t))
 
 
 class ScaledWeight:
@@ -329,27 +303,16 @@ class ScaledWeight:
         if self.c <= 0 or self.d <= 0:
             raise DomainError("scale factors must be positive")
         self.nu = base.nu
+        self.support = base.support / self.c
+        self.quad_support = base.quad_support / self.c
 
     def log_smooth(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _check_points(t, 0.0, self.support * (1 + 1e-12))
         return _maybe_scalar(math.log(self.d) + self.nu * math.log(self.c)
                              + self.base.log_smooth(t * self.c))
 
     def log_density(self, t):
-        t = np.asarray(t, dtype=float)
-        smooth = self.log_smooth(t)
-        if self.nu == 0.0:
-            return _maybe_scalar(smooth)
-        with np.errstate(divide="ignore"):
-            return _maybe_scalar(self.nu * np.log(t) + smooth)
-
-    @property
-    def support(self):
-        return self.base.support / self.c
-
-    @property
-    def quad_support(self):
-        return self.base.quad_support / self.c
+        return _log_weight(self.nu, t, self.log_smooth(t))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +370,7 @@ def check_sandwich(w, gamma):
     plus = ApproxWeight("plus", gamma, n, w.nu)
     minus = ApproxWeight("minus", gamma, n, w.nu)
     grid = np.linspace(0.0, 1.0, 1002)[1:-1]
-    logw = w.log_unit(grid)
+    logw = w.log_density(grid)
     lo = logw - minus.log_density(grid)
     hi = plus.log_density(grid) - logw
     return SandwichReport(gamma=float(gamma), R=w.R, n_cond=n, grid=grid,

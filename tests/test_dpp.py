@@ -303,9 +303,9 @@ class TestCountStats:
         for s in batch:
             if s.points.size >= 3:
                 n = np.arange(3, s.points.size + 1)
-                r = make_sampled(s.points).growth_residual(n, eps=0.25)
+                r = make_sampled(s.points).growth_residual(n)
                 worst = max(worst, float(np.max(np.abs(r))))
-        stats = count_stats(batch, thr, eps=0.25)
+        stats = count_stats(batch, thr)
         assert np.array_equal(stats.mean, counts.mean(axis=0))
         assert np.array_equal(stats.var, counts.var(axis=0, ddof=1))
         assert stats.max_growth_residual == worst > 0.0

@@ -49,8 +49,23 @@ class TestQuadratic:
         q = make_quadratic()
         with pytest.raises(DomainError):
             q.growth_residual(2)
-        with pytest.raises(DomainError):
-            q.growth_residual(10, eps=0.0)
+
+    @pytest.mark.parametrize("index", [2.9, 3.7, math.nan, math.inf, 1e300])
+    def test_indices_must_be_finite_integers(self, index):
+        # a fractional index used to be truncated without a word
+        b = make_bessel_zero_squared(0.0)
+        for call in (b.p, b.prefix, b.growth_residual):
+            with pytest.raises(DomainError, match="integer"):
+                call(index)
+        with pytest.raises(DomainError, match="integer"):
+            b.growth_residual(np.array([3.0, index]))
+
+    def test_integer_valued_float_indices_pass(self):
+        # e.g. a schedule of 10.0 read from a JSON config
+        b = make_bessel_zero_squared(0.0)
+        assert b.p(10.0) == b.p(10)
+        assert np.array_equal(b.prefix(4.0), b.prefix(4))
+        assert b.growth_residual(7.0) == b.growth_residual(7)
 
     def test_index_starts_at_one(self):
         with pytest.raises(DomainError):
@@ -156,16 +171,16 @@ class TestFiniteSequences:
 
     def test_growth_residual_on_samples(self):
         pts = make_bessel_zero_squared(0.0).prefix(8)
-        s = make_sampled(pts, nu=0.0)
+        s = make_sampled(pts)
         b = make_bessel_zero_squared(0.0)
         assert_allclose(s.growth_residual(5), b.growth_residual(5), rtol=1e-12)
 
     def test_growth_residual_index_array(self):
-        s = make_sampled(make_bessel_zero_squared(0.0).prefix(40), nu=0.0)
+        s = make_sampled(make_bessel_zero_squared(0.0).prefix(40))
         n = np.arange(3, 41)
-        r = s.growth_residual(n, eps=0.25)
+        r = s.growth_residual(n)
         assert r.shape == n.shape
-        assert_allclose(r, [s.growth_residual(int(k), eps=0.25) for k in n], rtol=1e-15)
+        assert_allclose(r, [s.growth_residual(int(k)) for k in n], rtol=1e-15)
         with pytest.raises(DomainError):
             s.growth_residual(np.array([2, 5]))
         with pytest.raises(SequenceExhausted):

@@ -30,7 +30,7 @@ from bessellab.specfun import (
     bessel_zero,
     bessel_zeros,
 )
-from bessellab.weights import ApproxWeight, PowerWeight
+from bessellab.weights import ApproxWeight, PowerWeight, field_V, field_V_gamma
 
 # mpmath, 30 digits
 J0_ZERO_1 = 2.40482555769577276862163187933
@@ -291,6 +291,8 @@ _FLOAT_ENTRY_POINTS = {
     "bessel_kernel_diag": lambda v: bessel_kernel_diag(0.0, v),
     "weight_quadrature": lambda v: weight_quadrature(v).weights,
     "ApproxWeight": lambda v: ApproxWeight("plus", v, 5, 0.0).log_density(0.5),
+    "field_V": lambda v: field_V(v),
+    "field_V_gamma": lambda v: field_V_gamma(v, 0.5),
 }
 _LIBRARY_ERRORS = (errors.DomainError, errors.ConvergenceFailure, errors.SequenceExhausted,
                    errors.PrecisionFailure, errors.DiscretizationFailure)

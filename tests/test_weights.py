@@ -70,6 +70,11 @@ class TestField:
             field_V_gamma(0.9, 0.5)
         with pytest.raises(DomainError):
             field_V_gamma(2.0, 2.5)
+        for call in (lambda: field_V(math.nan), lambda: field_V_tilde(math.nan),
+                     lambda: field_V_gamma(math.nan, 0.5), lambda: field_V_gamma(math.inf, 0.5),
+                     lambda: field_V_gamma(2.0, math.nan)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestConditionalWeight:
@@ -97,7 +102,7 @@ class TestConditionalWeight:
         nu, R = 0.7, 300.0
         w = ConditionalWeight(seq, nu, R)
         t = np.linspace(0.01, 0.99, 17)
-        assert_allclose(w.log_unit(t), -nu * math.log(R) + w.log_bar(R * t), rtol=0, atol=1e-12)
+        assert_allclose(w.log_density(t), -nu * math.log(R) + w.log_bar(R * t), rtol=0, atol=1e-12)
 
     def test_tail_tolerance_controls_truncation(self):
         seq = make_bessel_zero_squared(0.0)
@@ -128,7 +133,7 @@ class TestConditionalWeight:
     @pytest.mark.parametrize("nu,expected", [(0.0, 0.0), (0.5, -np.inf), (-0.5, np.inf)])
     def test_origin_conventions(self, nu, expected):
         w = ConditionalWeight(make_quadratic(), nu, 100.0)
-        assert w.log_unit(0.0) == expected
+        assert w.log_density(0.0) == expected
 
     def test_invalid_parameters(self):
         seq = make_quadratic()
@@ -199,6 +204,36 @@ class TestSimpleWeights:
         w = ScaledWeight(base, 4.0, 3.0)
         assert w.support == pytest.approx(0.25)
         assert_allclose(w.log_density(0.1), math.log(3.0), rtol=1e-15)
+
+
+_WEIGHTS = {
+    "ConditionalWeight": lambda: ConditionalWeight(make_quadratic(), 0.5, 1e3),
+    "ApproxWeight": lambda: ApproxWeight("minus", 1.4, 5, 0.5),
+    "PowerWeight": lambda: PowerWeight(0.5),
+    "ScaledWeight": lambda: ScaledWeight(PowerWeight(0.5), 4.0, 3.0),
+}
+
+
+class TestDomain:
+    # every weight is t^nu h(t) on [0, support]: a point that is not finite
+    # or lies off the support raises, with no warning, NaN or clipped value
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf", "-0.5", "1.5 support"])
+    @pytest.mark.parametrize("method", ["log_density", "log_smooth"])
+    @pytest.mark.parametrize("kind", sorted(_WEIGHTS))
+    def test_points_off_the_support_raise(self, kind, method, point):
+        w = _WEIGHTS[kind]()
+        t = 1.5 * w.support if point == "1.5 support" else float(point)
+        with pytest.raises(DomainError, match="finite|support"):
+            getattr(w, method)(t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", sorted(_WEIGHTS))
+    def test_support_and_its_rounding_slack_are_inside(self, kind):
+        w = _WEIGHTS[kind]()
+        t = np.array([0.0, 0.5 * w.support, w.support, w.support * (1 + 1e-13)])
+        assert not np.any(np.isnan(w.log_smooth(t)))
+        assert w.log_density(t)[0] == -np.inf  # the head 0.5 log t at t = 0
 
 
 class TestSandwich:
