@@ -15,11 +15,9 @@ from .dpp import (
     SampleConfig,
     count_stats,
     exact_count_law,
-    load_sample,
     nystrom,
     sample,
     sample_many,
-    save_sample,
 )
 from .lab import ExperimentConfig, default_config, run_experiment
 from .orthopoly import (
@@ -32,12 +30,10 @@ from .orthopoly import (
 )
 from .sequences import (
     PointSequence,
-    load_points,
     make_bessel_zero_squared,
     make_quadratic,
     make_sampled,
     make_user,
-    save_points,
 )
 from .specfun import (
     BesselOrder,
@@ -73,11 +69,9 @@ __all__ = [
     "SampleConfig",
     "count_stats",
     "exact_count_law",
-    "load_sample",
     "nystrom",
     "sample",
     "sample_many",
-    "save_sample",
     "ExperimentConfig",
     "default_config",
     "run_experiment",
@@ -88,12 +82,10 @@ __all__ = [
     "save_recurrence_csv",
     "weight_quadrature",
     "PointSequence",
-    "load_points",
     "make_bessel_zero_squared",
     "make_quadratic",
     "make_sampled",
     "make_user",
-    "save_points",
     "BesselOrder",
     "bessel_j",
     "bessel_j_deriv",

@@ -24,7 +24,6 @@ Points are reported at quadrature nodes.  That grid-level resolution is all
 the downstream consumers (counting statistics, growth residuals) need.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DiscretizationFailure, DomainError, PrecisionFailure
-from .sequences import _growth_residual, make_sampled, save_points
+from .sequences import _growth_residual
 from .specfun import _gauss_legendre, bessel_kernel
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "sample_many",
     "count_stats",
     "exact_count_law",
-    "save_sample",
-    "load_sample",
 ]
 
 # Operator window: eigenvalues must sit in [-EIG_TOL, 1 + EIG_TOL]; anything
@@ -334,32 +331,3 @@ def exact_count_law(kern, thresholds):
         mean[j] = lam.sum()
         var[j] = np.sum(lam * (1.0 - lam))
     return mean, var, _log_slope(thr, var)
-
-
-def save_sample(cfg, path):
-    """Points as decimal text plus a JSON sidecar with the provenance."""
-    seq = make_sampled(cfg.points) if cfg.points.size else None
-    path = str(path)
-    if seq is not None:
-        save_points(seq, path)
-    else:
-        with open(path, "w") as fh:
-            fh.write("")
-    side = {"seed": int(cfg.seed), "T": cfg.T, "nu": cfg.nu, "m": cfg.m}
-    with open(path + ".json", "w") as fh:
-        json.dump(side, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_sample(path):
-    path = str(path)
-    with open(path + ".json") as fh:
-        side = json.load(fh)
-    with open(path) as fh:
-        body = fh.read().split()
-    pts = np.array([float(v) for v in body], dtype=float)
-    return SampleConfig(
-        points=pts,
-        seed=int(side["seed"]), T=float(side["T"]),
-        nu=float(side["nu"]), m=int(side["m"]),
-    )

@@ -221,10 +221,13 @@ class RecurrenceTable:
         # the weight raises DomainError for points not finite or off its support
         lwx = np.asarray(self.weight.log_density(x), dtype=float)
         lwy = np.asarray(self.weight.log_density(y), dtype=float)
-        if not (np.all(np.isfinite(lwx)) and np.all(np.isfinite(lwy))):
-            raise DomainError(
-                "log-weight is infinite at an endpoint; evaluate the normalized "
-                "kernel at interior points")
+        for t, lw in ((x, lwx), (y, lwy)):
+            bad = ~np.isfinite(lw)
+            if np.any(bad):
+                what = "vanishes" if lw[bad][0] < 0 else "is infinite"
+                raise DomainError(
+                    f"the weight {what} at t={np.asarray(t, dtype=float)[bad][0]:g}; "
+                    "the normalized kernel needs points where it is positive and finite")
         return np.exp(0.5 * (lwx + lwy))
 
     def kernel_norm(self, n, x, y):

@@ -27,8 +27,6 @@ __all__ = [
     "make_bessel_zero_squared",
     "make_sampled",
     "make_user",
-    "save_points",
-    "load_points",
 ]
 
 PI2 = math.pi * math.pi
@@ -225,20 +223,3 @@ def make_sampled(points):
 def make_user(points):
     """A finite user-supplied list (validated strictly increasing)."""
     return PointSequence("user", points=points)
-
-
-def save_points(seq, path, n=None):
-    """Write points as newline-delimited decimals with 17 significant digits."""
-    if n is None:
-        if seq.size is None:
-            raise DomainError("n is required for lazy sequences")
-        n = seq.size
-    pts = seq.prefix(n)
-    with open(path, "w") as fh:
-        for p in pts:
-            fh.write(f"{p:.17g}\n")
-
-
-def load_points(path):
-    """Read a newline-delimited point file back into a finite user sequence."""
-    return make_user(np.loadtxt(path, dtype=float, ndmin=1))

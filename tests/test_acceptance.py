@@ -28,12 +28,8 @@ def _line(num, name, ok, detail):
 
 def test_criterion_1_equilibrium_measure():
     # for gamma in {1.1, 2, 5}: unit mass to 1e-10, flat variational
-    # residual to 1e-6 on a 50-point grid, and |ell - ell(gamma)| <= 1e-8.
-    # With V(0) = 0, mu_gamma is the balayage onto [0, 1] of m_gamma
-    # (density 1/(2 sqrt(gamma s)) on [0, gamma], 2 U^m = V_gamma +
-    # 2 log gamma - 4); balayage lowers the potential on [0, 1] by the
-    # integral of the Green function 2 arccosh sqrt(t) against m_gamma on
-    # [1, gamma], which is 2 arccosh sqrt(gamma) - 2 sqrt(1 - 1/gamma)
+    # residual to 1e-6 on a 50-point grid, and |ell - ell(gamma)| <= 1e-8,
+    # ell(gamma) the closed form of eq.lagrange_constant
     worst_mass = 0.0
     worst_dev = 0.0
     worst_ell = 0.0
@@ -41,9 +37,7 @@ def test_criterion_1_equilibrium_measure():
         worst_mass = max(worst_mass, abs(eq.mass_error(g)))
         ell, dev = eq.variational_check(g)
         worst_dev = max(worst_dev, dev)
-        ell_exact = (2.0 * math.log(g) - 4.0 - 4.0 * math.acosh(math.sqrt(g))
-                     + 4.0 * math.sqrt(1.0 - 1.0 / g))
-        worst_ell = max(worst_ell, abs(ell - ell_exact))
+        worst_ell = max(worst_ell, abs(ell - eq.lagrange_constant(g)))
     ok = worst_mass <= 1e-10 and worst_dev <= 1e-6 and worst_ell <= 1e-8
     _line(1, "equilibrium_measure", ok,
           "mass %.2e (tol 1e-10), deviation %.2e (tol 1e-6), |ell - ell(gamma)| %.2e (tol 1e-8)"

@@ -22,11 +22,9 @@ from bessellab.dpp import (
     _rng,
     count_stats,
     exact_count_law,
-    load_sample,
     nystrom,
     sample,
     sample_many,
-    save_sample,
 )
 from bessellab.errors import DiscretizationFailure, DomainError, PrecisionFailure
 from bessellab.sequences import make_sampled
@@ -313,15 +311,6 @@ class TestCountStats:
 
 
 class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        kern = nystrom(0.5, 100.0, m=128)
-        cfg = sample(kern, 11)
-        path = tmp_path / "sample.txt"
-        save_sample(cfg, path)
-        back = load_sample(path)
-        assert_allclose(back.points, cfg.points, rtol=0, atol=0)
-        assert back.seed == 11 and back.T == 100.0 and back.nu == 0.5 and back.m == 128
-
     def test_config_validates_ordering(self):
         with pytest.raises(ValueError):
             SampleConfig(points=np.array([2.0, 1.0]), seed=0, T=10.0, nu=0.0, m=64)

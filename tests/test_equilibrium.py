@@ -25,21 +25,6 @@ C_20 = 1.54810203792998690685965649436
 C_50 = 2.03260309374070045920245567009
 
 
-def _ell_exact(gamma):
-    # Lagrange constant of mu_gamma with V(0) = 0, in closed form: mu_gamma
-    # is the balayage onto [0, 1] of m_gamma (density 1/(2 sqrt(gamma s)) on
-    # [0, gamma]), whose potential satisfies 2 U^m = V_gamma + 2 log gamma - 4
-    # (test_reference_measure_identity); balayage lowers the potential on
-    # [0, 1] by the integral over [1, gamma] of the Green function
-    # 2 arccosh sqrt(t) of C minus [0, 1] against m_gamma, which equals
-    # 2 arccosh sqrt(gamma) - 2 sqrt(1 - 1/gamma).  At gamma = 1 it is -4.
-    return (2.0 * math.log(gamma) - 4.0 - 4.0 * math.acosh(math.sqrt(gamma))
-            + 4.0 * math.sqrt(1.0 - 1.0 / gamma))
-
-
-ELL = {g: _ell_exact(g) for g in (1.001, 1.1, 1.5, 2.0, 5.0)}
-
-
 class TestClosedForms:
     def test_c_gamma_reference_values(self):
         assert_allclose(eq.c_gamma(1.1), C_11, rtol=1e-14)
@@ -110,19 +95,12 @@ class TestMassAndVariational:
     def test_variational_residual_is_flat(self, g):
         ell, dev = eq.variational_check(g)
         assert dev < 1e-6
-        assert_allclose(ell, ELL[g], atol=1e-9)
+        assert_allclose(ell, eq.lagrange_constant(g), atol=1e-9)
 
     def test_lagrange_constant_tends_to_minus_four(self):
         ell, _ = eq.variational_check(1.001)
-        assert_allclose(ell, ELL[1.001], atol=1e-9)
+        assert_allclose(ell, eq.lagrange_constant(1.001), atol=1e-9)
         assert abs(ell + 4.0) < 2e-3
-
-    def test_reference_measure_identity(self):
-        # 2 int log|x-s| dm_gamma = V_gamma(x) + 2 log gamma - 4 on (0, gamma)
-        for g, x in [(1.5, 0.5), (2.0, 0.5), (2.0, 1.3)]:
-            lhs = 2.0 * eq.reference_potential(g, x)
-            rhs = float(field_V_gamma(g, x)) + 2.0 * math.log(g) - 4.0
-            assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def _log_potential_mp(mpmath, gamma, x):
@@ -158,8 +136,6 @@ class TestPotentialRule:
         xs = np.linspace(0.05, 0.95, 7)
         pointwise = [eq.log_potential(2.0, x) for x in xs]
         assert_allclose(eq.log_potential(2.0, xs), pointwise, rtol=0, atol=1e-15)
-        pointwise = [eq.reference_potential(2.0, x) for x in xs]
-        assert_allclose(eq.reference_potential(2.0, xs), pointwise, rtol=0, atol=1e-15)
         with pytest.raises(DomainError):
             eq.log_potential(2.0, np.array([0.5, 1.0]))
 
@@ -179,7 +155,7 @@ class TestPotentialRule:
         with pytest.raises(ValueError):
             weights[0, 0] = 0.5
 
-    def test_only_g_map_uses_adaptive_quadrature(self, monkeypatch):
+    def test_nothing_calls_quad(self, monkeypatch):
         from scipy import integrate
 
         def refuse(*args, **kwargs):
@@ -188,13 +164,45 @@ class TestPotentialRule:
         monkeypatch.setattr(integrate, "quad", refuse)
         for g in (1.1, 2.0, 5.0):
             assert eq.diagnostics(g)["variational_deviation"] < 1e-6
-        assert np.isfinite(eq.reference_potential(2.0, 1.3))
-        assert np.isfinite(eq.g_boundary(2.0, -0.5, "+").real)
-        with pytest.raises(AssertionError):
-            eq.g_map(2.0, 0.5 + 0.1j)
+        assert np.isfinite(eq.g_map(2.0, 0.5 + 0.1j))
+        for x in (-0.5, 0.5):
+            assert np.isfinite(eq.g_boundary(2.0, x, "+"))
+
+
+def _g_mp(mpmath, gamma, z):
+    """30-digit integral of log(z - s) rho_gamma(s) ds, split at 0, Re z and 1."""
+    with mpmath.workdps(30):
+        g, z = mpmath.mpf(gamma), mpmath.mpc(z)
+
+        def rho(s):
+            q = mpmath.sqrt((g - 1) / (1 - s))
+            return (mpmath.mpf(1) / 2 + (q - mpmath.atan(q)) / mpmath.pi) / mpmath.sqrt(g * s)
+
+        pts = [0, z.real, 1] if 0 < z.real < 1 else [0, 1]
+        return complex(mpmath.quad(lambda s: mpmath.log(z - s) * rho(s), pts))
 
 
 class TestGMap:
+    @pytest.mark.parametrize("g, z", [
+        # 1e-6 from the cut, where adaptive quadrature was off by up to 1.1e-6
+        (1.0001, 0.5 + 1e-6j), (2.0, 0.2 + 1e-6j), (1.1, 0.8 - 1e-6j),
+        # near z = gamma, where the logs of V/2 and phi are singular
+        (2.0, 2.0 + 1e-7j), (5.0, 5.0 - 1e-7j),
+        # the real axis right of the support, inside and beyond gamma
+        (2.0, 1.5), (1.1, 1.05), (2.0, 3.0), (5.0, 40.0), (1.0, 4.0)])
+    def test_matches_mpmath(self, g, z):
+        mpmath = pytest.importorskip("mpmath")
+        assert abs(eq.g_map(g, z) - _g_mp(mpmath, g, z)) <= 1e-13
+        if isinstance(z, float):
+            assert eq.g_map(g, z).imag == 0.0
+
+    def test_non_finite_points_raise(self):
+        for z in (complex(math.nan, 1.0), complex(0.5, math.inf)):
+            with pytest.raises(DomainError):
+                eq.g_map(2.0, z)
+        with pytest.raises(DomainError):
+            eq.g_boundary(2.0, -math.inf, "+")
+
     def test_behaves_like_log_at_infinity(self):
         z = 1e6 * cmath.exp(0.7j)
         assert abs(eq.g_map(2.0, z) - cmath.log(z)) < 5e-7
@@ -202,7 +210,7 @@ class TestGMap:
     def test_plus_minus_sum_on_support(self):
         # g+ + g- - V_gamma = ell, constant on (0, 1)
         g = 2.0
-        ell = ELL[2.0]
+        ell = eq.lagrange_constant(g)
         for x in (0.2, 0.5, 0.9):
             total = eq.g_boundary(g, x, "+") + eq.g_boundary(g, x, "-")
             resid = total.real - float(field_V_gamma(g, x))

@@ -7,11 +7,15 @@ written artifacts, and exit codes.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bessellab
 from bessellab.cli import main
 from bessellab.lab import (
     EXPERIMENTS,
@@ -158,3 +162,16 @@ class TestCli:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def test_import_loads_no_quadrature_or_root_finder():
+    # a fresh interpreter: scipy.integrate and scipy.optimize (and the
+    # scipy.sparse they pull in) stay off the import path of the package
+    src = os.path.dirname(os.path.dirname(bessellab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, bessellab; print(sorted(m for m in sys.modules if m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

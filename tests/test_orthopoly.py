@@ -268,8 +268,14 @@ class TestKernels:
         x, y = 0.2, 0.6
         fac = math.exp(0.5 * (w.log_density(x) + w.log_density(y)))
         assert_allclose(tab.kernel_norm(6, x, y), fac * tab.kernel_hat(6, x, y), rtol=1e-13)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="vanishes at t=0;"):
             tab.kernel_norm(6, 0.0, 0.5)
+        with pytest.raises(DomainError, match="infinite at t=0;"):
+            build_recurrence(PowerWeight(-0.5), 4).kernel_norm_grid(3, [0.5], [0.2, 0.0])
+        # past the minus weight's quad_support, inside its support [0, 1]
+        minus = build_recurrence(ApproxWeight("minus", 1.4, 5, 0.0), 6)
+        with pytest.raises(DomainError, match="vanishes at t=0.9;"):
+            minus.kernel_norm(3, 0.9, 0.1)
 
     def test_grid_matches_pointwise(self):
         tab = build_recurrence(PowerWeight(0.0), 10)

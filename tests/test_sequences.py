@@ -15,12 +15,10 @@ from numpy.testing import assert_allclose
 
 from bessellab.errors import DomainError, SequenceExhausted
 from bessellab.sequences import (
-    load_points,
     make_bessel_zero_squared,
     make_quadratic,
     make_sampled,
     make_user,
-    save_points,
 )
 
 PI2 = math.pi**2
@@ -188,13 +186,6 @@ class TestFiniteSequences:
 
 
 class TestSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "points.txt"
-        b = make_bessel_zero_squared(1.5)
-        save_points(b, path, n=20)
-        loaded = load_points(path)
-        assert_allclose(loaded.prefix(20), b.prefix(20), rtol=0, atol=0)
-
     def test_repr_smoke(self):
         assert "quadratic" in repr(make_quadratic())
         assert "2 points" in repr(make_user([1.0, 2.0]))

@@ -128,6 +128,20 @@ class TestBesselJDeriv:
         assert_allclose(bessel_j_deriv(0.5, u), expected, rtol=1e-12, atol=1e-14)
 
 
+def _brentq_zeros(nu, count):
+    # reference: the same pi/4 sign-change scan, each bracket solved by brentq
+    from scipy import optimize
+
+    zeros = []
+    u = 1e-8 if nu < 0.5 else max(1e-8, 0.7 * math.sqrt(nu * (nu + 2.0)))
+    while len(zeros) < count:
+        a, b = u, u + math.pi / 4
+        if special.jv(nu, a) * special.jv(nu, b) < 0.0:
+            zeros.append(optimize.brentq(lambda t: special.jv(nu, t), a, b, xtol=1e-14))
+        u = b
+    return np.array(zeros)
+
+
 class TestBesselZeros:
     def test_first_zero_of_j0(self):
         assert_allclose(bessel_zero(0.0, 1), J0_ZERO_1, rtol=1e-14)
@@ -148,6 +162,31 @@ class TestBesselZeros:
         # |J_nu| at a reported zero, relative to the local derivative scale
         resid = np.abs(bessel_j(nu, z)) / np.abs(bessel_j_deriv(nu, z))
         assert_array_less(resid, 1e-10)
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.5, 2.5, 10.0, 37.3])
+    def test_first_60_match_mpmath_as_closely_as_brentq(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        z = bessel_zeros(nu, 60)
+        # every bracket of the scan, polished without brentq and with it
+        scanned, zb = specfun._scan_zeros(nu, 60), _brentq_zeros(nu, 60)
+        with mpmath.workdps(30):
+            v = mpmath.mpf(nu)
+            ref = []
+            for x in z:
+                t = mpmath.mpf(float(x))
+                for _ in range(2):
+                    t -= mpmath.besselj(v, t) / mpmath.besselj(v, t, 1)
+                ref.append(t)
+
+            def err(zeros):
+                return np.array([float(abs(x - t) / t) for x, t in zip(zeros, ref)])
+
+            err_z, err_scanned, err_brentq = err(z), err(scanned), err(zb)
+        assert np.all(err_z <= 3e-15)
+        # no zero is less accurate than brentq's by more than the rounding
+        # of the last step: where brentq's is closer, the two are one ulp apart
+        assert np.all((err_scanned <= err_brentq)
+                      | (np.abs(scanned - zb) <= np.spacing(scanned)))
 
     def test_mcmahon_regime(self):
         # large-index zeros approach (k + nu/2 - 1/4) pi
