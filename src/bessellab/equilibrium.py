@@ -279,6 +279,13 @@ def lagrange_constant(gamma):
 # complex maps
 
 
+def _check_z(z):
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"the complex maps are evaluated at finite z, got {z!r}")
+    return z
+
+
 def _g_upper(gamma, z):
     # g on the closed upper half-plane, principal branches; every log
     # argument stays in the closed first quadrant, so this is also the
@@ -307,10 +314,8 @@ def g_map(gamma, z):
     at 1e-6 from the cut, at 1e-7 from z = gamma and on (1, oo) up to 40;
     the absolute error grows like eps sqrt|z/gamma| (1.3e-13 at |z| = 1e6).
     """
+    z = _check_z(z)
     gamma = _check_gamma(gamma)
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError("g is evaluated at finite z")
     if z.imag == 0.0 and z.real <= 1.0:
         raise DomainError("z lies on the cut; use g_boundary")
     if z.imag < 0.0:
@@ -357,8 +362,8 @@ def phi_map(gamma, z, side=None):
     are purely imaginary, phi_+- = +- i pi cdf.  Near 0,
     phi(z) ~ +- (i pi / sqrt(c_gamma)) sqrt(z).
     """
+    z = _check_z(z)
     gamma = _check_gamma(gamma)
-    z = complex(z)
     if z.imag > 0.0:
         return _phi_upper(gamma, z)
     if z.imag < 0.0:
@@ -389,8 +394,8 @@ def phi_boundary(gamma, x, side):
 
 def f_map(gamma, z):
     """f = -phi^2 / 4, conformal on the unit disk; f'(0) = pi^2/(4 c_gamma)."""
+    z = _check_z(z)
     gamma = _check_gamma(gamma)
-    z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("f is defined on the open unit disk")
     if z.imag == 0.0 and z.real >= 0.0:
@@ -421,8 +426,8 @@ def _parametrix_from_parts(nu, a, sqrt_ratio):
 def global_parametrix(nu, z, side=None):
     """The 2x2 matrix N(z) solving the jump N_+ = N_- [[0, x^nu], [-x^-nu, 0]]
     on (0, 1), analytic elsewhere, N(oo) = I, det N = 1."""
+    z = _check_z(z)
     nu = BesselOrder(nu).nu
-    z = complex(z)
     on_cut = z.imag == 0.0 and 0.0 <= z.real <= 1.0
     if not on_cut:
         ratio = (z - 1.0) / z

@@ -50,6 +50,8 @@ __all__ = [
 
 PI2 = np.pi**2
 
+_TUPLE_FIELDS = ("gammas", "schedule", "thresholds")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -81,7 +83,7 @@ class ExperimentConfig:
 
     def canonical(self):
         d = asdict(self)
-        for k in ("gammas", "schedule", "thresholds"):
+        for k in _TUPLE_FIELDS:
             d[k] = list(d[k])
         return d
 
@@ -94,22 +96,23 @@ class ExperimentConfig:
         with open(path) as fh:
             d = json.load(fh)
         d.update(overrides)
-        for k in ("gammas", "schedule", "thresholds"):
+        for k in _TUPLE_FIELDS:
             if k in d:
                 d[k] = tuple(d[k])
         return cls(**d)
 
 
+# per-experiment departures from the ExperimentConfig defaults
+_DEFAULTS = {
+    "approx_limit": dict(gammas=(1.5,)),
+    "sandwich_chain": dict(schedule=(10000.0,)),
+    "equilibrium_report": dict(gammas=(1.1, 2.0, 5.0), nu=0.5),
+}
+
+
 def default_config(experiment, **overrides):
-    base = dict(experiment=experiment)
-    if experiment == "approx_limit":
-        base.update(gammas=(1.5,), schedule=(10, 20, 40))
-    elif experiment == "sandwich_chain":
-        base.update(gammas=(1.5, 1.2, 1.1), schedule=(10000.0,))
-    elif experiment == "equilibrium_report":
-        base.update(gammas=(1.1, 2.0, 5.0), nu=0.5)
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**{"experiment": experiment,
+                               **_DEFAULTS.get(experiment, {}), **overrides})
 
 
 def _sequence(cfg):
@@ -120,17 +123,23 @@ def _sequence(cfg):
     raise ValueError("unknown sequence kind %r" % (cfg.sequence,))
 
 
+def _bessel_grid(nu, xs):
+    return bessel_kernel(nu, xs[:, None], xs[None, :])
+
+
 _GRID_FIELDS = ("step", "x", "y", "computed", "target", "abs_error")
 
 
-def _grid_rows(label, xs, computed, target):
-    xs = np.asarray(xs, dtype=float)
-    xg, yg = np.meshgrid(xs, xs, indexing="ij")
-    cols = [np.asarray(a, dtype=float).ravel().tolist() for a in (xg, yg, computed, target)]
-    return [
-        {"step": label, "x": x, "y": y, "computed": c, "target": t, "abs_error": abs(c - t)}
-        for x, y, c, t in zip(*cols)
-    ]
+def _compare(rows, label, xs, computed, target):
+    """Append one row per grid point (x, y) to ``rows``; return the sup error."""
+    err = np.abs(computed - target)
+    xl = xs.tolist()
+    rows.extend([
+        {"step": label, "x": x, "y": y, "computed": c, "target": t, "abs_error": e}
+        for x, c_row, t_row, e_row in zip(xl, computed.tolist(), target.tolist(), err.tolist())
+        for y, c, t, e in zip(xl, c_row, t_row, e_row)
+    ])
+    return float(np.max(err))
 
 
 # ------------------------------------------------------------------
@@ -140,49 +149,41 @@ def _grid_rows(label, xs, computed, target):
 def hard_edge_limit(cfg):
     """Scaled conditional-weight kernels against the Bessel kernel.
 
-    For each target count N in the schedule, the window R is placed halfway
-    between p_N and p_{N+1}, the weight is rescaled to [0,1], and
+    For each target count N in the schedule, the window R is placed 0.9 of
+    the way from p_N to p_{N+1}, the weight is rescaled to [0,1], and
     (1/R) K_N(x/R, y/R) is tabulated against the kernel on the grid.
     The run at the largest R is repeated through the rescaling identity
     (building the recurrence directly on [0,R]) as a consistency check.
     """
     seq = _sequence(cfg)
     xs = cfg.grid()
-    target = bessel_kernel(cfg.nu, xs[:, None], xs[None, :])
-
-    def run_step(n_target):
+    target = _bessel_grid(cfg.nu, xs)
+    rows, sup_errors, radii, counts = [], [], [], []
+    symmetry_defect = 0.0
+    for n_target in cfg.schedule:
         # Window high in the gap (but strictly below p_{N+1}, so the count
         # is unambiguous): the largest R compatible with N(R) = N.
         R = seq.p(n_target) + 0.9 * (seq.p(n_target + 1) - seq.p(n_target))
         w = ConditionalWeight(seq, cfg.nu, R, tail_tolerance=cfg.tail_tolerance)
         n = w.n_cond
-        tab = build_recurrence(w, n)
-        K = tab.kernel_norm_grid(n, xs / R, xs / R) / R
-        return R, w, n, K
-
-    steps = [run_step(n) for n in cfg.schedule]
-    rows, sup_errors, radii = [], [], []
-    for (R, w, n, K) in steps:
-        rows.extend(_grid_rows("R=%.6g" % R, xs, K, target))
-        sup_errors.append(float(np.max(np.abs(K - target))))
+        K = build_recurrence(w, n).kernel_norm_grid(n, xs / R, xs / R) / R
+        sup_errors.append(_compare(rows, "R=%.6g" % R, xs, K, target))
         radii.append(R)
+        counts.append(int(n))
+        symmetry_defect = max(symmetry_defect, float(np.max(np.abs(K - K.T))))
 
     # Identity route at the largest window: same kernel from the unscaled
     # weight living on [0,R].  Agreement is algebra, not asymptotics.
-    R, w, n, K = steps[-1]
     bar = ScaledWeight(w, 1.0 / R, R**cfg.nu)
-    tab_bar = build_recurrence(bar, n)
-    K_bar = tab_bar.kernel_norm_grid(n, xs, xs)
+    K_bar = build_recurrence(bar, n).kernel_norm_grid(n, xs, xs)
     # sup-norm relative: pointwise ratios are meaningless at the kernel's zeros
     identity_residual = float(np.max(np.abs(K_bar - K)) / np.max(np.abs(K)))
-    symmetry_defect = float(max(np.max(np.abs(K - K.T)) for (_, _, _, K) in steps))
 
-    sup = np.asarray(sup_errors)
     summary = {
         "radii": radii,
-        "counts": [int(n) for (_, _, n, _) in steps],
+        "counts": counts,
         "sup_errors": sup_errors,
-        "strictly_decreasing": bool(np.all(np.diff(sup) < 0)),
+        "strictly_decreasing": bool(np.all(np.diff(sup_errors) < 0)),
         "identity_residual": identity_residual,
         "symmetry_defect": symmetry_defect,
     }
@@ -205,99 +206,69 @@ def approx_limit(cfg):
     nu = cfg.nu
     cg = equilibrium.c_gamma(gamma)
     xs = cfg.grid()
-    J = bessel_kernel(nu, xs[:, None], xs[None, :])
+    J = _bessel_grid(nu, xs)
     XY = np.sqrt(np.outer(xs, xs))
-    hat_plus_target = XY ** (-nu) / cg * bessel_kernel(
-        nu, xs[:, None] / cg, xs[None, :] / cg
-    )
+    hat_plus_target = XY ** (-nu) / cg * _bessel_grid(nu, xs / cg)
     # The minus-sign scalings below are the ones forced by the exact weight
     # transform plus the plus-sign limit: rescaling by gamma^2 turns the
     # minus weight into the plus weight, so its kernel limit carries
     # c_gamma/gamma^2 where the plus limit carries c_gamma.  (A naive swap
     # c_gamma -> 1/c_gamma leaves a finite mismatch; the run records its
     # size under 'as_published'.)
-    hat_minus_target = XY ** (-nu) * (gamma**2 / cg) * bessel_kernel(
-        nu, (gamma**2 / cg) * xs[:, None], (gamma**2 / cg) * xs[None, :]
+    hat_minus_target = XY ** (-nu) * (gamma**2 / cg) * _bessel_grid(
+        nu, (gamma**2 / cg) * xs
     )
     lam = gamma**2 / cg**2
-    minus_literal_target = lam * bessel_kernel(
-        nu, lam * xs[:, None], lam * xs[None, :]
-    )
+    minus_literal_target = lam * _bessel_grid(nu, lam * xs)
 
-    def run_step(n):
+    rows, weight_rows, transform, literal_sup, literal_vs_model = [], [], [], [], []
+    sup = {k: [] for k in ("plus_norm", "minus_norm", "plus_hat", "minus_hat")}
+    for n in cfg.schedule:
         plus = ApproxWeight("plus", gamma, n, nu)
         minus = ApproxWeight("minus", gamma, n, nu)
         tp = build_recurrence(plus, n)
         tm = build_recurrence(minus, n)
-        out = {}
+        step = "n=%d" % n
         s = cg / (PI2 * n**2)
-        out["plus_norm"] = tp.kernel_norm_grid(n, s * xs, s * xs) * s
+        K = tp.kernel_norm_grid(n, s * xs, s * xs) * s
+        sup["plus_norm"].append(_compare(rows, step + ":plus_norm", xs, K, J))
         s = cg / (gamma**2 * PI2 * n**2)
-        out["minus_norm"] = tm.kernel_norm_grid(n, s * xs, s * xs) * s
+        K = tm.kernel_norm_grid(n, s * xs, s * xs) * s
+        sup["minus_norm"].append(_compare(rows, step + ":minus_norm", xs, K, J))
         # naive-swap scaling, kept as a measured record
         s = 1.0 / (cg * PI2 * n**2)
         K_lit = tm.kernel_norm_grid(n, s * xs, s * xs) * s
-        out["minus_literal_sup"] = float(np.max(np.abs(K_lit - J)))
-        out["minus_literal_vs_model"] = float(
-            np.max(np.abs(K_lit - minus_literal_target))
-        )
+        literal_sup.append(float(np.max(np.abs(K_lit - J))))
+        literal_vs_model.append(float(np.max(np.abs(K_lit - minus_literal_target))))
         s = 1.0 / (PI2 * n**2)
         f = (np.pi * n) ** (-2.0 - 2.0 * nu)
-        out["plus_hat"] = tp.kernel_hat_grid(n, s * xs, s * xs) * f
-        out["minus_hat"] = tm.kernel_hat_grid(n, s * xs, s * xs) * f
+        K = tp.kernel_hat_grid(n, s * xs, s * xs) * f
+        sup["plus_hat"].append(_compare(rows, step + ":plus_hat", xs, K, hat_plus_target))
+        K = tm.kernel_hat_grid(n, s * xs, s * xs) * f
+        sup["minus_hat"].append(_compare(rows, step + ":minus_hat", xs, K, hat_minus_target))
         # exact transform tie between the signs, at points inside (0, 1/gamma^2)
         ts = s * xs
         lhs = tm.kernel_hat_grid(n, ts, ts)
         rhs = gamma ** (2.0 + 2.0 * nu) * tp.kernel_hat_grid(
             n, gamma**2 * ts, gamma**2 * ts
         )
-        out["transform_residual"] = float(
-            np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0))
-        )
+        transform.append(float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0))))
         # pointwise weight limit n^{2 nu} w(x/n^2) -> x^nu
-        wx = xs[: min(len(xs), 7)]
+        wx = xs[:7]
         wp = n ** (2.0 * nu) * np.exp(plus.log_density(wx / n**2))
         wm = n ** (2.0 * nu) * np.exp(minus.log_density(wx / n**2))
-        out["weight_rows"] = [
-            {
-                "step": "n=%d" % n,
-                "x": float(x),
-                "weight_plus": float(a),
-                "weight_minus": float(b),
-                "target": float(x**nu),
-            }
+        weight_rows.extend(
+            {"step": step, "x": float(x), "weight_plus": float(a),
+             "weight_minus": float(b), "target": float(x**nu)}
             for x, a, b in zip(wx, wp, wm)
-        ]
-        return n, out
-
-    steps = [run_step(n) for n in cfg.schedule]
-    rows, weight_rows = [], []
-    sup = {k: [] for k in ("plus_norm", "minus_norm", "plus_hat", "minus_hat")}
-    transform = []
-    targets = {
-        "plus_norm": J,
-        "minus_norm": J,
-        "plus_hat": hat_plus_target,
-        "minus_hat": hat_minus_target,
-    }
-    literal_sup, literal_vs_model = [], []
-    for n, out in steps:
-        for key, tgt in targets.items():
-            rows.extend(_grid_rows("n=%d:%s" % (n, key), xs, out[key], tgt))
-            sup[key].append(float(np.max(np.abs(out[key] - tgt))))
-        transform.append(out["transform_residual"])
-        literal_sup.append(out["minus_literal_sup"])
-        literal_vs_model.append(out["minus_literal_vs_model"])
-        weight_rows.extend(out["weight_rows"])
+        )
 
     summary = {
         "gamma": gamma,
         "c_gamma": cg,
-        "degrees": [int(n) for n, _ in steps],
+        "degrees": [int(n) for n in cfg.schedule],
         "sup_errors": sup,
-        "strictly_decreasing": {
-            k: bool(np.all(np.diff(np.asarray(v)) < 0)) for k, v in sup.items()
-        },
+        "strictly_decreasing": {k: bool(np.all(np.diff(v) < 0)) for k, v in sup.items()},
         "transform_residuals": transform,
         "as_published": {
             "minus_norm_sup": literal_sup,
@@ -332,26 +303,18 @@ def sandwich_chain(cfg):
     kw_diag = tab_w.kernel_hat(n, diag_pts, diag_pts)
 
     # final scaled-kernel table (gamma-independent)
-    J = bessel_kernel(nu, xs[:, None], xs[None, :])
     K_final = tab_w.kernel_norm_grid(n, scale * xs, scale * xs) * scale
-    final_sup = float(np.max(np.abs(K_final - J)))
-    rows = _grid_rows("final", xs, K_final, J)
+    rows = []
+    final_sup = _compare(rows, "final", xs, K_final, _bessel_grid(nu, xs))
 
     lub_grid = np.linspace(0.5, 20.0, 10) * scale
-
-    def run_gamma(gamma):
+    per_gamma = []
+    for gamma in cfg.gammas:
         rep = check_sandwich(w, gamma)
-        plus = ApproxWeight("plus", gamma, n, nu)
-        minus = ApproxWeight("minus", gamma, n, nu)
-        tp = build_recurrence(plus, n)
-        tm = build_recurrence(minus, n)
+        tp = build_recurrence(ApproxWeight("plus", gamma, n, nu), n)
+        tm = build_recurrence(ApproxWeight("minus", gamma, n, nu), n)
         kp = tp.kernel_hat(n, diag_pts, diag_pts)
         km = tm.kernel_hat(n, diag_pts, diag_pts)
-        # ordering: smaller weight, larger kernel
-        viol_plus = int(np.sum(kp > kw_diag))
-        viol_minus = int(np.sum(kw_diag > km))
-        margin_plus = float(np.min((kw_diag - kp) / kw_diag))
-        margin_minus = float(np.min((km - kw_diag) / kw_diag))
         # Lubinsky gap on both adjacent pairs of the sandwich
         slack = np.inf
         for small_tab, big_tab in ((tab_w, tp), (tm, tab_w)):
@@ -362,17 +325,17 @@ def sandwich_chain(cfg):
         t5 = 5.0 * scale
         b_lo = tp.kernel_norm(n, t5, t5) * scale
         b_hi = tm.kernel_norm(n, t5, t5) * scale
-        return {
+        per_gamma.append({
             "gamma": gamma,
             "sandwich": rep.summary(),
-            "ordering_violations": viol_plus + viol_minus,
-            "ordering_margin_plus": margin_plus,
-            "ordering_margin_minus": margin_minus,
+            # ordering: smaller weight, larger kernel
+            "ordering_violations": int(np.sum(kp > kw_diag)) + int(np.sum(kw_diag > km)),
+            "ordering_margin_plus": float(np.min((kw_diag - kp) / kw_diag)),
+            "ordering_margin_minus": float(np.min((km - kw_diag) / kw_diag)),
             "lubinsky_min_slack": float(slack),
             "bracket_width": float(b_hi - b_lo),
-        }
+        })
 
-    per_gamma = [run_gamma(g) for g in cfg.gammas]
     widths = [g["bracket_width"] for g in per_gamma]
     order = np.argsort(cfg.gammas)[::-1]  # widths along decreasing gamma
     squeeze = bool(np.all(np.diff(np.asarray(widths)[order]) < 0))
@@ -439,26 +402,22 @@ def dpp_stats(cfg):
     samples = sample_many(kern, cfg.n_samples, cfg.seed)
     st = count_stats(samples, cfg.thresholds)
     exact_mean, exact_var, exact_var_slope = exact_count_law(kern, cfg.thresholds)
-    rows = st.rows()
-    mean_offsets = [
-        float(st.mean[i] - st.target_mean[i]) for i in range(len(st.thresholds))
-    ]
     summary = {
         "trace": kern.trace,
         "eig_min": float(kern.eigenvalues.min()),
         "eig_max": float(kern.eigenvalues.max()),
-        "mean_offsets": mean_offsets,
-        "var": [float(v) for v in st.var],
+        "mean_offsets": (st.mean - st.target_mean).tolist(),
+        "var": st.var.tolist(),
         "var_slope": st.var_slope,
         "var_slope_target": st.var_slope_target,
-        "exact_mean": [float(v) for v in exact_mean],
-        "exact_var": [float(v) for v in exact_var],
+        "exact_mean": exact_mean.tolist(),
+        "exact_var": exact_var.tolist(),
         "exact_var_slope": exact_var_slope,
         "max_growth_residual": st.max_growth_residual,
         "n_samples": st.n_samples,
     }
     fields = ["threshold", "mean", "target_mean", "se_mean", "var", "se_var"]
-    return rows, fields, summary
+    return st.rows(), fields, summary
 
 
 # ------------------------------------------------------------------

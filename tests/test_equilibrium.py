@@ -196,10 +196,17 @@ class TestGMap:
         if isinstance(z, float):
             assert eq.g_map(g, z).imag == 0.0
 
-    def test_non_finite_points_raise(self):
-        for z in (complex(math.nan, 1.0), complex(0.5, math.inf)):
-            with pytest.raises(DomainError):
-                eq.g_map(2.0, z)
+    @pytest.mark.parametrize("fn, arg", [
+        (eq.g_map, 2.0), (eq.phi_map, 2.0), (eq.f_map, 2.0), (eq.global_parametrix, 0.5)],
+        ids=["g_map", "phi_map", "f_map", "global_parametrix"])
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 1.0), complex(0.5, math.inf), complex(0.5, math.nan),
+        complex(math.inf, 0.0)], ids=["nan+1j", "0.5+infj", "0.5+nanj", "inf+0j"])
+    def test_non_finite_points_raise(self, fn, arg, z):
+        with pytest.raises(DomainError, match="finite"):
+            fn(arg, z)
+
+    def test_non_finite_boundary_point_raises(self):
         with pytest.raises(DomainError):
             eq.g_boundary(2.0, -math.inf, "+")
 

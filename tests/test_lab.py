@@ -24,6 +24,19 @@ from bessellab.lab import (
     run_experiment,
 )
 
+# every experiment in a configuration small enough for the unit suite
+TRIMMED = {
+    "hard_edge_limit": dict(schedule=(8, 16), grid_points=8),
+    "approx_limit": dict(schedule=(8, 16), grid_points=8),
+    "sandwich_chain": dict(schedule=(1000.0,), gammas=(1.2,)),
+    "equilibrium_report": dict(gammas=(2.0,), grid_points=6),
+    "dpp_stats": dict(thresholds=(50.0, 100.0), m=128, n_samples=40, seed=5),
+}
+
+
+def _trimmed(experiment):
+    return default_config(experiment, **TRIMMED[experiment])
+
 
 class TestConfig:
     def test_digest_stable_across_instances(self):
@@ -32,6 +45,20 @@ class TestConfig:
         assert a.digest() == b.digest()
         c = default_config("equilibrium_report", nu=0.25)
         assert c.digest() != a.digest()
+
+    @pytest.mark.parametrize("experiment, overrides, digest", [
+        ("hard_edge_limit", {}, "6ac6caef5172ac6e"),
+        ("approx_limit", {}, "37fa314bb354d100"),
+        ("sandwich_chain", {}, "5adccf717e5fa8d3"),
+        ("equilibrium_report", {}, "33903b3052277e5b"),
+        ("dpp_stats", {}, "8a6e2a325fe0af09"),
+        ("hard_edge_limit", {"sequence": "bessel"}, "1bd224b64dc05ccf"),
+    ], ids=["hard_edge_limit", "approx_limit", "sandwich_chain",
+            "equilibrium_report", "dpp_stats", "hard_edge_limit-bessel"])
+    def test_default_digest_is_pinned(self, experiment, overrides, digest):
+        # the digest names the artifact files; JSON plus SHA-256 keeps it
+        # the same on every platform
+        assert default_config(experiment, **overrides).digest() == digest
 
     def test_grid_spans_requested_range(self):
         cfg = default_config("approx_limit", grid_lo=1.0, grid_hi=10.0, grid_points=5)
@@ -69,16 +96,14 @@ class TestConfig:
 
 class TestExperimentsTrimmed:
     def test_hard_edge_limit(self):
-        cfg = default_config("hard_edge_limit", schedule=(8, 16), grid_points=8)
-        rows, fields, summary = run_experiment(cfg)
+        rows, fields, summary = run_experiment(_trimmed("hard_edge_limit"))
         assert summary["sup_errors"][-1] < summary["sup_errors"][0]
         assert summary["identity_residual"] < 1e-10
         assert not summary["hard_fail"]
         assert len(rows) > 0 and set(rows[0]) == set(fields)
 
     def test_approx_limit(self):
-        cfg = default_config("approx_limit", schedule=(8, 16), grid_points=8)
-        _, _, summary = run_experiment(cfg)
+        _, _, summary = run_experiment(_trimmed("approx_limit"))
         for key in ("plus_norm", "minus_norm", "plus_hat", "minus_hat"):
             errs = summary["sup_errors"][key]
             assert errs[-1] < errs[0]
@@ -89,8 +114,7 @@ class TestExperimentsTrimmed:
         assert plateau["residual_vs_mismatch_model"][-1] < 0.1 * plateau["mismatch_model_sup"]
 
     def test_sandwich_chain(self):
-        cfg = default_config("sandwich_chain", schedule=(1000.0,), gammas=(1.2,))
-        _, _, summary = run_experiment(cfg)
+        _, _, summary = run_experiment(_trimmed("sandwich_chain"))
         per = summary["per_gamma"][0]
         assert per["gamma"] == 1.2
         assert per["sandwich"]["lower_violations"] == 0
@@ -100,8 +124,7 @@ class TestExperimentsTrimmed:
         assert not summary["hard_fail"]
 
     def test_equilibrium_report(self):
-        cfg = default_config("equilibrium_report", gammas=(2.0,), grid_points=6)
-        rows, _, summary = run_experiment(cfg)
+        rows, _, summary = run_experiment(_trimmed("equilibrium_report"))
         per = summary["per_gamma"][0]
         assert per["gamma"] == 2.0
         assert per["mass_error"] < 1e-10
@@ -110,9 +133,7 @@ class TestExperimentsTrimmed:
         assert {r["gamma"] for r in rows} == {2.0}
 
     def test_dpp_stats(self):
-        cfg = default_config("dpp_stats", thresholds=(50.0, 100.0), m=128,
-                             n_samples=40, seed=5)
-        rows, _, summary = run_experiment(cfg)
+        rows, _, summary = run_experiment(_trimmed("dpp_stats"))
         assert len(rows) == 2
         assert summary["n_samples"] == 40
         assert summary["eig_max"] <= 1.0 + 1e-8
@@ -121,15 +142,34 @@ class TestExperimentsTrimmed:
 
 
 class TestArtifacts:
-    def test_rerun_writes_identical_csv(self, tmp_path):
-        cfg = default_config("equilibrium_report", gammas=(1.5,), grid_points=5)
-        _, _, s1 = run_experiment(cfg, out_dir=tmp_path / "a")
-        _, _, s2 = run_experiment(cfg, out_dir=tmp_path / "b")
-        b1 = open(s1["csv"], "rb").read()
-        b2 = open(s2["csv"], "rb").read()
-        assert b1 == b2
-        side = json.loads((tmp_path / "a" / f"equilibrium_report-{cfg.digest()}.json").read_text())
-        assert side["per_gamma"][0]["mass_error"] < 1e-10
+    @pytest.mark.parametrize("experiment", sorted(TRIMMED))
+    def test_rerun_writes_identical_artifacts(self, tmp_path, experiment):
+        cfg = _trimmed(experiment)
+        stem = f"{experiment}-{cfg.digest()}"
+        run_experiment(cfg, out_dir=tmp_path / "a")
+        run_experiment(cfg, out_dir=tmp_path / "b")
+        for suffix in (".csv", ".json"):
+            first = (tmp_path / "a" / (stem + suffix)).read_bytes()
+            assert first == (tmp_path / "b" / (stem + suffix)).read_bytes()
+        assert json.loads(first)["config_hash"] == cfg.digest()
+
+    @pytest.mark.parametrize("experiment", ["hard_edge_limit", "approx_limit",
+                                            "sandwich_chain"])
+    def test_summary_sup_errors_are_row_maxima(self, experiment):
+        rows, _, summary = run_experiment(_trimmed(experiment))
+        by_step = {}
+        for r in rows:
+            assert r["abs_error"] == abs(r["computed"] - r["target"])
+            by_step.setdefault(r["step"], []).append(r["abs_error"])
+        if experiment == "hard_edge_limit":
+            sups = {"R=%.6g" % R: e for R, e in zip(summary["radii"], summary["sup_errors"])}
+        elif experiment == "approx_limit":
+            sups = {"n=%d:%s" % (n, key): errs[i]
+                    for key, errs in summary["sup_errors"].items()
+                    for i, n in enumerate(summary["degrees"])}
+        else:
+            sups = {"final": summary["final_sup_error"]}
+        assert {step: max(errs) for step, errs in by_step.items()} == sups
 
     def test_csv_float_format_full_precision(self, tmp_path):
         cfg = default_config("equilibrium_report", gammas=(1.5,), grid_points=5)
