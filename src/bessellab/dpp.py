@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DiscretizationFailure, DomainError, PrecisionFailure
+from .errors import (_POSITIVE, DiscretizationFailure, PrecisionFailure, _as_index,
+                     _check_number, _check_points)
 from .sequences import _growth_residual
 from .specfun import _gauss_legendre, bessel_kernel
 
@@ -92,6 +93,7 @@ class SampleConfig:
             raise ValueError("sample points must be strictly increasing")
 
     def count_upto(self, threshold):
+        threshold = _check_number(threshold, _POSITIVE, self.T, "threshold")
         return int(np.searchsorted(self.points, threshold, side="right"))
 
 
@@ -115,11 +117,9 @@ def nystrom(nu, T, m=512):
     PrecisionFailure when T is so close to the float maximum that the
     matrix overflows.
     """
-    if m < 64:
-        raise DomainError("need at least 64 nodes")
-    if not (T > 0) or not math.isfinite(T):
-        raise DomainError("T must be positive and finite")
-    u, wu = _gauss_legendre(int(m))
+    m = int(_as_index(m, 64, math.inf, "m"))
+    T = _check_number(T, _POSITIVE, math.inf, "T")
+    u, wu = _gauss_legendre(m)
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
     x = T * u**2
@@ -134,7 +134,7 @@ def nystrom(nu, T, m=512):
     lam, vec = sla.eigh(A)
     lam = _clip_to_window(lam, m)
     return DiscretizedKernel(
-        nu=float(nu), T=float(T), m=int(m), nodes=x, weights=w,
+        nu=float(nu), T=T, m=m, nodes=x, weights=w,
         matrix=A, eigenvalues=lam, eigenvectors=vec,
     )
 
@@ -203,10 +203,9 @@ def sample(kern, seed):
 
 def sample_many(kern, n_samples, master_seed):
     """n_samples independent configurations from deterministically derived seeds."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    n_samples = int(_as_index(n_samples, 1, math.inf, "n_samples"))
     seeds = np.random.SeedSequence(int(master_seed)).generate_state(
-        int(n_samples), dtype=np.uint64
+        n_samples, dtype=np.uint64
     )
     return [sample(kern, int(s)) for s in seeds]
 
@@ -255,15 +254,6 @@ def _max_growth_residual(samples):
     return float(np.max(np.abs(r), where=filled[:, 2:], initial=0.0))
 
 
-def _check_thresholds(thresholds, T):
-    thr = np.asarray(thresholds, dtype=float)
-    if not np.all(np.isfinite(thr)) or np.any(thr <= 0):
-        raise DomainError("thresholds must be positive and finite")
-    if np.any(thr > T):
-        raise ValueError("threshold exceeds the sampling window T")
-    return thr
-
-
 def _log_slope(thresholds, var):
     # least-squares slope of var against log T', or NaN when undefined
     if thresholds.size < 2 or not np.all(var > 0):
@@ -283,7 +273,7 @@ def count_stats(samples, thresholds):
     for s in samples:
         if s.T != T or s.nu != nu0:
             raise ValueError("samples must share T and nu")
-    thr = _check_thresholds(thresholds, T)
+    thr = _check_points(thresholds, _POSITIVE, T, "thresholds")
     ns = len(samples)
     counts = np.array([np.searchsorted(s.points, thr, side="right") for s in samples],
                       dtype=float)
@@ -316,7 +306,7 @@ def exact_count_law(kern, thresholds):
     Cauchy interlacing only a hand-built matrix can fail.  var_slope is
     fitted against log T' like ``CountStats.var_slope``.
     """
-    thr = _check_thresholds(thresholds, kern.T)
+    thr = _check_points(thresholds, _POSITIVE, kern.T, "thresholds")
     mean = np.empty(thr.size)
     var = np.empty(thr.size)
     for j, t in enumerate(thr):

@@ -35,7 +35,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (_BELOW_ONE, _POSITIVE, DomainError, _check_complex, _check_number,
+                     _check_points)
 from .specfun import BesselOrder, _maybe_scalar
 from .weights import field_V
 
@@ -64,16 +65,9 @@ _DE_STEP = 1.0 / 32.0
 _DE_TMAX = 3.2
 
 
-def _check_gamma(gamma):
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 1.0:
-        raise DomainError("gamma must be >= 1")
-    return gamma
-
-
 def c_gamma(gamma):
     """Scaling constant of the hard-edge limit; c_1 = 1."""
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     r = math.sqrt(gamma - 1.0)
     return math.pi**2 * gamma / (math.pi + 2.0 * (r - math.atan(r))) ** 2
 
@@ -101,19 +95,15 @@ def _edge1(gamma, om):
 
 def density(gamma, s):
     """Equilibrium density on the open interval (0, 1)."""
-    gamma = _check_gamma(gamma)
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0) or np.any(s >= 1):
-        raise DomainError("density is evaluated on the open interval (0, 1)")
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
+    s = _check_points(s, _POSITIVE, _BELOW_ONE, "s")
     return _maybe_scalar(_edge0(gamma, 1.0 - s) / np.sqrt(s))
 
 
 def cdf(gamma, x):
     """mu_gamma([0, x]) in closed form, x in [0, 1]."""
-    gamma = _check_gamma(gamma)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise DomainError("cdf is defined on [0, 1]")
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
+    x = _check_points(x, 0.0, 1.0, "x")
     r = math.sqrt((gamma - 1.0) / gamma)
     sx = np.sqrt(x / gamma)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -127,13 +117,13 @@ def cdf(gamma, x):
 
 def edge_coeff_zero(gamma):
     """lim_{s->0} density * sqrt(s); equals 1 / (2 sqrt(c_gamma))."""
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     return float(_edge0(gamma, 1.0))
 
 
 def edge_coeff_one(gamma):
     """lim_{s->1} density * sqrt(1-s) = sqrt((gamma-1)/gamma) / pi."""
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     return math.sqrt((gamma - 1.0) / gamma) / math.pi
 
 
@@ -188,15 +178,13 @@ def _mu_integral(gamma, h):
 def mass_error(gamma):
     """|integral of the density - 1|, by the tanh-sinh rule after the
     substitutions of ``_mu_integral``."""
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     return abs(float(_mu_integral(gamma, lambda s: 1.0)[0]) - 1.0)
 
 
 def _log_potential_sums(gamma, x):
     # both rule sums of log_potential at the points x, shape x.shape + (2,)
-    x = np.asarray(x, dtype=float)
-    if not np.all((x > 0.0) & (x < 1.0)):
-        raise DomainError("log_potential is evaluated on the open interval (0, 1)")
+    x = _check_points(x, _POSITIVE, _BELOW_ONE, "x")
     x = x[..., None]
     omx = 1.0 - x
     a = np.sqrt(omx)
@@ -230,7 +218,7 @@ def log_potential(gamma, x):
     1e-14; ``diagnostics`` reports the rule's own error estimate as
     ``quadrature_error``.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     return _maybe_scalar(_log_potential_sums(gamma, x)[..., 0])
 
 
@@ -253,7 +241,7 @@ def variational_check(gamma):
     departure from the mean as the deviation.  The estimate converges to
     ``lagrange_constant(gamma)``.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     return _variational(gamma)[:2]
 
 
@@ -270,20 +258,13 @@ def lagrange_constant(gamma):
     [1, gamma].  arccosh sqrt(gamma) is taken as arcsinh sqrt(gamma - 1),
     which keeps full relative accuracy as gamma -> 1.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     return (2.0 * math.log(gamma) - 4.0 - 4.0 * math.asinh(math.sqrt(gamma - 1.0))
             + 4.0 * math.sqrt((gamma - 1.0) / gamma))
 
 
 # ---------------------------------------------------------------------------
 # complex maps
-
-
-def _check_z(z):
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"the complex maps are evaluated at finite z, got {z!r}")
-    return z
 
 
 def _g_upper(gamma, z):
@@ -314,8 +295,8 @@ def g_map(gamma, z):
     at 1e-6 from the cut, at 1e-7 from z = gamma and on (1, oo) up to 40;
     the absolute error grows like eps sqrt|z/gamma| (1.3e-13 at |z| = 1e6).
     """
-    z = _check_z(z)
-    gamma = _check_gamma(gamma)
+    z = _check_complex(z, "z")
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     if z.imag == 0.0 and z.real <= 1.0:
         raise DomainError("z lies on the cut; use g_boundary")
     if z.imag < 0.0:
@@ -324,16 +305,14 @@ def g_map(gamma, z):
 
 
 def g_boundary(gamma, x, side):
-    """Boundary value g_+-(x) on the cut: x in (0, 1) or x <= 0."""
-    gamma = _check_gamma(gamma)
-    x = float(x)
+    """Boundary value g_+-(x) on the cut: finite x <= 0 or x in (0, 1)."""
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
+    x = _check_number(x, -math.inf, _BELOW_ONE, "x")
     sgn = _side_sign(side)
-    if 0.0 < x < 1.0:
+    if x > 0.0:
         return log_potential(gamma, x) + sgn * 1j * math.pi * (1.0 - float(cdf(gamma, x)))
-    if -math.inf < x <= 0.0:
-        # all the mass lies above x: Im g_+- = +-pi
-        return _g_upper(gamma, complex(x, 0.0)).real + sgn * 1j * math.pi
-    raise DomainError("boundary values exist for finite x <= 0 or x in (0, 1)")
+    # all the mass lies above x: Im g_+- = +-pi
+    return _g_upper(gamma, complex(x, 0.0)).real + sgn * 1j * math.pi
 
 
 def _side_sign(side):
@@ -362,8 +341,8 @@ def phi_map(gamma, z, side=None):
     are purely imaginary, phi_+- = +- i pi cdf.  Near 0,
     phi(z) ~ +- (i pi / sqrt(c_gamma)) sqrt(z).
     """
-    z = _check_z(z)
-    gamma = _check_gamma(gamma)
+    z = _check_complex(z, "z")
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     if z.imag > 0.0:
         return _phi_upper(gamma, z)
     if z.imag < 0.0:
@@ -378,10 +357,8 @@ def phi_map(gamma, z, side=None):
 
 def phi_boundary(gamma, x, side):
     """Exact boundary values of phi on [0, 1); x may be an array."""
-    gamma = _check_gamma(gamma)
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x < 1.0)):
-        raise DomainError("phi boundary values are provided on [0, 1)")
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
+    x = _check_points(x, 0.0, _BELOW_ONE, "x")
     sgn = _side_sign(side)
     if gamma == 1.0:
         val = math.pi * np.sqrt(x)
@@ -394,8 +371,8 @@ def phi_boundary(gamma, x, side):
 
 def f_map(gamma, z):
     """f = -phi^2 / 4, conformal on the unit disk; f'(0) = pi^2/(4 c_gamma)."""
-    z = _check_z(z)
-    gamma = _check_gamma(gamma)
+    z = _check_complex(z, "z")
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     if abs(z) >= 1.0:
         raise DomainError("f is defined on the open unit disk")
     if z.imag == 0.0 and z.real >= 0.0:
@@ -426,7 +403,7 @@ def _parametrix_from_parts(nu, a, sqrt_ratio):
 def global_parametrix(nu, z, side=None):
     """The 2x2 matrix N(z) solving the jump N_+ = N_- [[0, x^nu], [-x^-nu, 0]]
     on (0, 1), analytic elsewhere, N(oo) = I, det N = 1."""
-    z = _check_z(z)
+    z = _check_complex(z, "z")
     nu = BesselOrder(nu).nu
     on_cut = z.imag == 0.0 and 0.0 <= z.real <= 1.0
     if not on_cut:
@@ -452,7 +429,7 @@ def lens_sign_check(gamma):
     (strictly negative when the lens opening is valid), the worst
     conjugate-symmetry defect, and the largest |Re phi| on the cut itself.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     re_grid = np.linspace(0.05, 0.95, 19)
     im_grid = np.concatenate([np.linspace(0.01, 0.2, 8), -np.linspace(0.01, 0.2, 8)])
     worst_re = -np.inf
@@ -483,7 +460,7 @@ def diagnostics(gamma):
     ``f_slope_residual`` the largest |f(z)/z - pi^2/(4 c_gamma)| on the
     circle |z| = 1e-4, and ``lens`` the report of ``lens_sign_check``.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     ell, dev, quad_err = _variational(gamma)
     xs = np.linspace(0.02, 0.98, 25)
     phi_res = np.max(np.abs(phi_boundary(gamma, xs, "+") - 1j * np.pi * cdf(gamma, xs)))

@@ -37,7 +37,8 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-from .errors import DomainError, PrecisionFailure
+from .errors import (_ABOVE_MINUS_ONE, _POSITIVE, DomainError, PrecisionFailure, _as_index,
+                     _check_number, _check_points)
 from .specfun import _gauss_legendre, _maybe_scalar
 
 __all__ = [
@@ -97,13 +98,9 @@ def weight_quadrature(nu, support=1.0, n_panel=120):
     per process for each (n_panel, nu) and n_panel; only their mapping onto
     the panels is done per call.
     """
-    nu = float(nu)
-    if not (nu > -1.0) or not math.isfinite(nu):
-        raise DomainError("endpoint exponent must be finite and > -1")
-    support = float(support)
-    if not (support > 0) or not math.isfinite(support):
-        raise DomainError("support must be positive and finite")
-    n_panel = int(n_panel)
+    nu = _check_number(nu, _ABOVE_MINUS_ONE, math.inf, "endpoint exponent nu")
+    support = _check_number(support, _POSITIVE, math.inf, "support")
+    n_panel = int(_as_index(n_panel, 1, math.inf, "n_panel"))
 
     nodes, masses = [], []
     # Gauss-Jacobi on [0, c]: t = c (1+x)/2 picks up (c/2)^(nu+1)
@@ -156,11 +153,8 @@ class RecurrenceTable:
         Raises DomainError for a non-finite t and PrecisionFailure when the
         recurrence overflows.
         """
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"degree n must be in [1, {self.n_max}]")
-        t = np.asarray(t, dtype=float).ravel()
-        if not np.all(np.isfinite(t)):
-            raise DomainError("evaluation points must be finite")
+        n = int(_as_index(n, 1, self.n_max, "degree n"))
+        t = _check_points(t, -math.inf, math.inf, "t").ravel()
         a, b = self.alpha, self.beta
         out = np.empty((n + 1, t.size))
         out[0] = 1.0
@@ -175,7 +169,7 @@ class RecurrenceTable:
 
     def phi(self, j, t):
         """Value of the orthonormal polynomial phi_j at t."""
-        j = int(j)
+        j = int(_as_index(j, 0, self.n_max, "degree j"))
         # the least table has rows 0 and 1, so phi_0 takes the same checks
         tab = self._phi_unnormalized(j or 1, t)
         out = tab[j] * math.exp(-0.5 * self.log_mu0)
@@ -277,11 +271,7 @@ def build_recurrence(weight, n_max):
     PrecisionFailure (naming the degree) if the discrete measure loses
     positive definiteness.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if n_max > DEGREE_CAP:
-        raise DomainError(f"n_max={n_max} exceeds the degree cap {DEGREE_CAP}")
+    n_max = int(_as_index(n_max, 1, DEGREE_CAP, "n_max"))
     quad, masses, shift = _discrete_measure(weight, max(120, n_max + 40))
 
     t = quad.nodes
@@ -324,9 +314,8 @@ def brute_force_christoffel(weight, n, x):
     small n; the moment matrix conditioning is checked and the computation
     refused beyond ~1e13.  The quadrature has 200 nodes per panel.
     """
-    n = int(n)
-    if not 1 <= n <= 8:
-        raise DomainError("brute-force route supports 1 <= n <= 8 only")
+    n = int(_as_index(n, 1, 8, "n"))
+    x = _check_number(x, -math.inf, math.inf, "x")
     quad, masses, shift = _discrete_measure(weight, 200)
 
     # The Christoffel value is invariant under any invertible change of
@@ -347,7 +336,7 @@ def brute_force_christoffel(weight, n, x):
         raise PrecisionFailure(
             f"moment matrix too ill-conditioned (cond ~ {cond:.2e}); "
             "use the recurrence route instead")
-    v = (float(x) / sigma) ** np.arange(n)
+    v = (x / sigma) ** np.arange(n)
     try:
         sol = sla.solve(M, v, assume_a="pos")
         # one refinement pass with an extended-precision residual; cheap and

@@ -19,7 +19,8 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .errors import DomainError, SequenceExhausted
+from .errors import (_POSITIVE, DomainError, SequenceExhausted, _as_index, _check_number,
+                     _check_points)
 
 __all__ = [
     "PointSequence",
@@ -48,11 +49,9 @@ class PointSequence:
             self._points = np.empty(0)
             self.size = None
         elif kind in _FINITE_KINDS:
-            pts = np.asarray(points, dtype=float)
-            if pts.ndim != 1 or pts.size == 0:
-                raise DomainError("finite sequences need a non-empty 1-d point list")
-            if np.any(pts <= 0) or np.any(np.diff(pts) <= 0):
-                raise DomainError("points must be positive and strictly increasing")
+            pts = _check_points(points, _POSITIVE, math.inf, "points")
+            if pts.ndim != 1 or pts.size == 0 or np.any(np.diff(pts) <= 0):
+                raise DomainError("points must be a non-empty, strictly increasing 1-d list")
             self._points = pts
             self.size = int(pts.size)
         else:
@@ -75,9 +74,7 @@ class PointSequence:
 
     def prefix(self, n):
         """First n points as an array (a read-only view of the cache)."""
-        n = int(_as_index(n))
-        if n < 0:
-            raise DomainError("prefix length must be >= 0")
+        n = int(_as_index(n, 0, math.inf, "prefix length"))
         self._ensure(n)
         out = self._points[:n]
         out.flags.writeable = False
@@ -85,9 +82,7 @@ class PointSequence:
 
     def p(self, n):
         """The n-th point, n >= 1."""
-        n = int(_as_index(n))
-        if n < 1:
-            raise DomainError("index n must be >= 1")
+        n = int(_as_index(n, 1, math.inf, "index n"))
         self._ensure(n)
         return float(self._points[n - 1])
 
@@ -100,9 +95,7 @@ class PointSequence:
         point is still <= R no witness exists and SequenceExhausted is
         raised.
         """
-        R = float(R)
-        if not math.isfinite(R) or R <= 0:
-            raise DomainError("threshold R must be positive and finite")
+        R = _check_number(R, _POSITIVE, math.inf, "threshold R")
         n = 64
         while True:
             try:
@@ -125,9 +118,7 @@ class PointSequence:
 
         n may be an integer array; the result then has its shape.
         """
-        idx = _as_index(n)
-        if np.min(idx) < 3:
-            raise DomainError("growth residual needs n >= 3")
+        idx = _as_index(n, 3, math.inf, "growth residual index n")
         pts = self.prefix(np.max(idx))
         r = _growth_residual(pts[idx - 1], idx.astype(float))
         return float(r) if r.ndim == 0 else r
@@ -143,10 +134,8 @@ class PointSequence:
             brute-force sums in the test suite.
         finite kinds: the remaining terms, with no infinite tail.
         """
-        k = int(k)
-        M = int(M)
-        if k < 1 or M < 0:
-            raise DomainError("need k >= 1, M >= 0")
+        k = int(_as_index(k, 1, math.inf, "k"))
+        M = int(_as_index(M, 0, math.inf, "M"))
 
         if self.kind == "quadratic":
             val = float(math.pi ** (-2 * k) * special.zeta(2 * k, M + 1))
@@ -155,7 +144,7 @@ class PointSequence:
         if self.kind == "bessel":
             if extra is None:
                 extra = max(2000, M)
-            extra = int(extra)
+            extra = int(_as_index(extra, 0, math.inf, "extra"))
             pts = self.prefix(M + extra)
             explicit = float(np.sum(pts[M:M + extra] ** (-k)))
             nu = self.nu
@@ -186,17 +175,6 @@ class PointSequence:
             extra = f"nu={self.nu}" if self.kind == "bessel" else "lazy"
             return f"PointSequence({self.kind!r}, {extra})"
         return f"PointSequence({self.kind!r}, {self.size} points)"
-
-
-def _as_index(n):
-    """n as an int array; DomainError unless every entry is an integer
-    value below 2^63 in size (integer-valued floats such as 10.0 pass)."""
-    n = np.asarray(n)
-    if n.dtype.kind not in "iu":
-        f = n.astype(float)
-        if not (np.all(np.abs(f) < 2.0**63) and np.all(f == np.floor(f))):
-            raise DomainError("sequence indices must be finite integers")
-    return n.astype(int)
 
 
 def _growth_residual(p, n):

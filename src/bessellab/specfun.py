@@ -23,7 +23,8 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import (_ABOVE_MINUS_ONE, _POSITIVE, ConvergenceFailure, _as_index,
+                     _check_number, _check_points)
 
 __all__ = [
     "BesselOrder",
@@ -52,9 +53,7 @@ class BesselOrder:
     nu: float
 
     def __post_init__(self):
-        nu = float(self.nu)
-        if not math.isfinite(nu) or nu <= -1.0:
-            raise DomainError(f"Bessel order must be finite and > -1, got {self.nu!r}")
+        nu = _check_number(self.nu, _ABOVE_MINUS_ONE, math.inf, "Bessel order nu")
         object.__setattr__(self, "nu", nu)
 
 
@@ -83,16 +82,14 @@ def _gauss_legendre(n):
 
 
 def bessel_j(nu, u):
-    """J_nu(u) for u >= 0.
+    """J_nu(u) for finite u >= 0.
 
     Relative accuracy is ~1e-13 for u up to 1e4 away from the zeros of
     J_nu (near a zero only absolute accuracy at the amplitude scale is
     meaningful).
     """
     nu = _order(nu)
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise DomainError("bessel_j requires u >= 0")
+    u = _check_points(u, 0.0, math.inf, "u")
     return _maybe_scalar(special.jv(nu, u))
 
 
@@ -108,15 +105,13 @@ def _deriv_at_zero(nu):
 
 
 def bessel_j_deriv(nu, u):
-    """d/du J_nu(u), computed as (J_{nu-1}(u) - J_{nu+1}(u)) / 2.
+    """d/du J_nu(u) for finite u >= 0, computed as (J_{nu-1}(u) - J_{nu+1}(u)) / 2.
 
     At u = 0 the one-sided limit is returned; for non-integer nu < 1 that
     limit is a signed infinity.
     """
     nu = _order(nu)
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise DomainError("bessel_j_deriv requires u >= 0")
+    u = _check_points(u, 0.0, math.inf, "u")
     zero = u == 0.0
     safe = np.where(zero, 1.0, u)
     out = special.jvp(nu, safe)
@@ -189,9 +184,7 @@ def bessel_zeros(nu, kmax):
     ConvergenceFailure.
     """
     nu = _order(nu)
-    kmax = int(kmax)
-    if kmax < 0:
-        raise DomainError("kmax must be >= 0")
+    kmax = int(_as_index(kmax, 0, math.inf, "kmax"))
     if kmax == 0:
         return np.empty(0)
 
@@ -229,17 +222,14 @@ def bessel_zeros(nu, kmax):
 
 def bessel_zero(nu, k):
     """k-th positive zero of J_nu (k = 1, 2, ...)."""
-    if int(k) < 1:
-        raise DomainError("zero index k must be >= 1")
-    return float(bessel_zeros(nu, int(k))[-1])
+    k = int(_as_index(k, 1, math.inf, "zero index k"))
+    return float(bessel_zeros(nu, k)[-1])
 
 
 def bessel_kernel_diag(nu, x):
     """Diagonal K(x, x) of the hard-edge kernel, x > 0."""
     nu = _order(nu)
-    x = np.asarray(x, dtype=float)
-    if not np.all((x > 0) & np.isfinite(x)):
-        raise DomainError("bessel_kernel_diag requires finite x > 0")
+    x = _check_points(x, _POSITIVE, math.inf, "x")
     u = np.sqrt(x)
     j = special.jv(nu, u)
     jp = special.jvp(nu, u)
@@ -260,10 +250,8 @@ def bessel_kernel(nu, x, y):
     second order in |x - y|.
     """
     nu = _order(nu)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.all((x > 0) & np.isfinite(x)) and np.all((y > 0) & np.isfinite(y))):
-        raise DomainError("bessel_kernel requires finite x, y > 0")
+    x = _check_points(x, _POSITIVE, math.inf, "x")
+    y = _check_points(y, _POSITIVE, math.inf, "y")
     sx = np.sqrt(x)
     sy = np.sqrt(y)
     jx = special.jv(nu, sx)

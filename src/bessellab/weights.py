@@ -42,7 +42,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PrecisionFailure
+from .errors import (_ABOVE_ONE, _POSITIVE, DomainError, PrecisionFailure, _as_index,
+                     _check_number, _check_points)
 from .specfun import BesselOrder, _maybe_scalar
 
 __all__ = [
@@ -60,16 +61,6 @@ __all__ = [
 _MAX_SERIES_DEPTH = 16
 
 
-def _check_points(t, lo, hi):
-    """t as a float array; DomainError unless every entry is finite and in [lo, hi]."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise DomainError("evaluation points must be finite")
-    if np.any(t < lo) or np.any(t > hi):
-        raise DomainError(f"evaluation points must lie in the support [{lo:g}, {hi:g}]")
-    return t
-
-
 def _log_weight(nu, t, log_h):
     """nu log t + log h(t), the log of the weight t^nu h(t) at the checked
     points t; at nu = 0 the head is left out, so t = 0 gives log h(0)."""
@@ -85,7 +76,7 @@ def _log_weight(nu, t, log_h):
 
 def field_V_tilde(t):
     """(1+t) log(1+t) + (1-t) log(1-t) on [-1, 1], with 0 log 0 = 0."""
-    t = _check_points(t, -1.0, 1.0)
+    t = _check_points(t, -1.0, 1.0, "t")
     with np.errstate(divide="ignore", invalid="ignore"):
         # each factor hits 0 log 0 at its own endpoint (up at t=-1, dn at t=+1)
         up = np.where(t > -1.0, (1.0 + t) * np.log1p(t), 0.0)
@@ -99,7 +90,7 @@ def field_V(t):
     The factor 1 - sqrt(t) is computed as (1-t)/(1+sqrt t) to stay accurate
     near t = 1.  V(0) = 0 and V(1) = 4 log 2.
     """
-    t = _check_points(t, 0.0, 1.0)
+    t = _check_points(t, 0.0, 1.0, "t")
     s = np.sqrt(t)
     q = (1.0 - t) / (1.0 + s)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -109,10 +100,8 @@ def field_V(t):
 
 def field_V_gamma(gamma, t):
     """V(t / gamma) on [0, gamma]."""
-    gamma = float(gamma)
-    if not 1.0 <= gamma < math.inf:
-        raise DomainError("gamma must be finite and >= 1")
-    return field_V(_check_points(t, 0.0, gamma) / gamma)
+    gamma = _check_number(gamma, 1.0, math.inf, "gamma")
+    return field_V(_check_points(t, 0.0, gamma, "t") / gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +131,8 @@ class ConditionalWeight:
     def __init__(self, seq, nu, R, tail_tolerance=1e-10):
         self.seq = seq
         self.nu = BesselOrder(nu).nu
-        self.R = float(R)
-        if not (self.R > 0) or not math.isfinite(self.R):
-            raise DomainError("R must be positive and finite")
-        if tail_tolerance <= 0:
-            raise DomainError("tail_tolerance must be positive")
-        self.tail_tolerance = float(tail_tolerance)
+        self.R = _check_number(R, _POSITIVE, math.inf, "R")
+        self.tail_tolerance = _check_number(tail_tolerance, _POSITIVE, math.inf, "tail_tolerance")
         self.n_cond = seq.count_upto(self.R)
 
         M = max(256, 4 * self.n_cond)
@@ -161,9 +146,6 @@ class ConditionalWeight:
             raise PrecisionFailure(
                 f"could not certify product tail below {self.tail_tolerance}")
         self.M, self.series_depth, self._tail_coeff, self.tail_error = payload
-
-        if self.seq.size is not None and self.seq.size < self.M:
-            self.M = self.seq.size
         self._factors = np.asarray(self.seq.prefix(self.M)[self.n_cond:])
 
     def _try_tail(self, M, extra):
@@ -218,12 +200,12 @@ class ConditionalWeight:
 
     def log_bar(self, t):
         """log of t^nu prod (1 - t/p_n)^2 on the original scale t in [0, R]."""
-        t = _check_points(t, 0.0, self.R * (1 + 1e-12))
+        t = _check_points(t, 0.0, self.R * (1 + 1e-12), "t")
         return _log_weight(self.nu, t, self._log_product(t))
 
     def log_smooth(self, t):
         """log of the analytic factor prod (1 - R t / p_n)^2, t in [0, 1]."""
-        t = _check_points(t, 0.0, self.support * (1 + 1e-12))
+        t = _check_points(t, 0.0, self.support * (1 + 1e-12), "t")
         return _maybe_scalar(self._log_product(np.minimum(t * self.R, self.R)))
 
     def log_density(self, t):
@@ -248,18 +230,14 @@ class ApproxWeight:
         if kind not in ("plus", "minus"):
             raise DomainError("kind must be 'plus' or 'minus'")
         self.kind = kind
-        self.gamma = float(gamma)
-        if not (self.gamma > 1.0) or not math.isfinite(self.gamma):
-            raise DomainError("approximating weights need a finite gamma > 1")
-        self.n = int(n)
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        self.gamma = _check_number(gamma, _ABOVE_ONE, math.inf, "gamma")
+        self.n = int(_as_index(n, 1, math.inf, "n"))
         self.nu = BesselOrder(nu).nu
         # the minus weight vanishes beyond gamma^-2, so quadrature stops there
         self.quad_support = 1.0 if kind == "plus" else self.gamma ** -2
 
     def log_smooth(self, t):
-        t = _check_points(t, 0.0, self.support * (1 + 1e-12))
+        t = _check_points(t, 0.0, self.support * (1 + 1e-12), "t")
         if self.kind == "plus":
             return _maybe_scalar(-self.n * field_V(t / self.gamma))
         inside = t <= self.quad_support * (1.0 + 1e-12)
@@ -282,7 +260,7 @@ class PowerWeight:
         self.nu = BesselOrder(nu).nu
 
     def log_smooth(self, t):
-        t = _check_points(t, 0.0, self.support * (1 + 1e-12))
+        t = _check_points(t, 0.0, self.support * (1 + 1e-12), "t")
         return _maybe_scalar(np.zeros_like(t))
 
     def log_density(self, t):
@@ -298,16 +276,14 @@ class ScaledWeight:
 
     def __init__(self, base, c, d):
         self.base = base
-        self.c = float(c)
-        self.d = float(d)
-        if self.c <= 0 or self.d <= 0:
-            raise DomainError("scale factors must be positive")
+        self.c = _check_number(c, _POSITIVE, math.inf, "c")
+        self.d = _check_number(d, _POSITIVE, math.inf, "d")
         self.nu = base.nu
-        self.support = base.support / self.c
+        self.support = _check_number(base.support / self.c, _POSITIVE, math.inf, "support / c")
         self.quad_support = base.quad_support / self.c
 
     def log_smooth(self, t):
-        t = _check_points(t, 0.0, self.support * (1 + 1e-12))
+        t = _check_points(t, 0.0, self.support * (1 + 1e-12), "t")
         return _maybe_scalar(math.log(self.d) + self.nu * math.log(self.c)
                              + self.base.log_smooth(t * self.c))
 

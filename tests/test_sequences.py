@@ -11,15 +11,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bessellab.dpp import nystrom, sample_many
 from bessellab.errors import DomainError, SequenceExhausted
+from bessellab.orthopoly import build_recurrence
 from bessellab.sequences import (
     make_bessel_zero_squared,
     make_quadratic,
     make_sampled,
     make_user,
 )
+from bessellab.specfun import bessel_zero, bessel_zeros
+from bessellab.weights import ApproxWeight, PowerWeight
 
 PI2 = math.pi**2
 
@@ -48,11 +54,20 @@ class TestQuadratic:
         with pytest.raises(DomainError):
             q.growth_residual(2)
 
-    @pytest.mark.parametrize("index", [2.9, 3.7, math.nan, math.inf, 1e300])
+    @pytest.mark.parametrize("index", [2.9, 3.7, math.nan, math.inf, 1e300, 2.5])
     def test_indices_must_be_finite_integers(self, index):
-        # a fractional index used to be truncated without a word
+        # a fractional index or count used to be truncated without a word,
+        # and NaN raised a plain ValueError
         b = make_bessel_zero_squared(0.0)
-        for call in (b.p, b.prefix, b.growth_residual):
+        kern = nystrom(0.0, 10.0, 64)
+        calls = (b.p, b.prefix, b.growth_residual,
+                 lambda v: nystrom(0.0, 10.0, v),
+                 lambda v: ApproxWeight("plus", 1.5, v, 0.0),
+                 lambda v: bessel_zeros(0.0, v),
+                 lambda v: bessel_zero(0.0, v),
+                 lambda v: build_recurrence(PowerWeight(0.0), v),
+                 lambda v: sample_many(kern, v, 0))
+        for call in calls:
             with pytest.raises(DomainError, match="integer"):
                 call(index)
         with pytest.raises(DomainError, match="integer"):
@@ -189,3 +204,39 @@ class TestSerialization:
     def test_repr_smoke(self):
         assert "quadratic" in repr(make_quadratic())
         assert "2 points" in repr(make_user([1.0, 2.0]))
+
+
+# Lazy sequences shared by the examples, so that each extends one cache.
+_WITNESSED = {"quadratic": make_quadratic(), "bessel": make_bessel_zero_squared(0.5)}
+
+
+def _assert_witnessed(seq, R):
+    # N = count_upto(R) is certified by p_N <= R < p_{N+1}, with p_0 = 0
+    n = seq.count_upto(R)
+    pts = seq.prefix(n + 1)
+    assert (n == 0 or pts[n - 1] <= R) and R < pts[n]
+
+
+# R stays below 1e8, about 3200 points, because a lazy sequence builds
+# every point up to its witness.
+@pytest.mark.parametrize("kind", sorted(_WITNESSED))
+@given(R=st.floats(min_value=0.0, max_value=1e8, exclude_min=True))
+@settings(max_examples=60, deadline=None)
+def test_count_upto_is_witnessed(kind, R):
+    _assert_witnessed(_WITNESSED[kind], R)
+
+
+@given(data=st.data(),
+       points=st.lists(st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+                       min_size=1, max_size=12, unique=True).map(sorted))
+@settings(max_examples=80, deadline=None)
+def test_user_count_upto_is_witnessed_or_exhausted(data, points):
+    # ties count as inside, so R = p_n is drawn as often as a free float
+    R = data.draw(st.one_of(st.sampled_from(points),
+                            st.floats(min_value=0.0, max_value=1e300, exclude_min=True)))
+    seq = make_user(points)
+    if R >= points[-1]:  # every point is <= R: no witness
+        with pytest.raises(SequenceExhausted):
+            seq.count_upto(R)
+    else:
+        _assert_witnessed(seq, R)

@@ -19,6 +19,7 @@ from scipy import special
 
 from bessellab import errors, specfun
 from bessellab.dpp import nystrom
+from bessellab.equilibrium import cdf, density
 from bessellab.errors import DomainError
 from bessellab.orthopoly import build_recurrence, weight_quadrature
 from bessellab.specfun import (
@@ -30,7 +31,8 @@ from bessellab.specfun import (
     bessel_zero,
     bessel_zeros,
 )
-from bessellab.weights import ApproxWeight, PowerWeight, field_V, field_V_gamma
+from bessellab.sequences import make_user
+from bessellab.weights import ApproxWeight, PowerWeight, ScaledWeight, field_V, field_V_gamma
 
 # mpmath, 30 digits
 J0_ZERO_1 = 2.40482555769577276862163187933
@@ -332,19 +334,30 @@ _FLOAT_ENTRY_POINTS = {
     "ApproxWeight": lambda v: ApproxWeight("plus", v, 5, 0.0).log_density(0.5),
     "field_V": lambda v: field_V(v),
     "field_V_gamma": lambda v: field_V_gamma(v, 0.5),
+    "bessel_j": lambda v: bessel_j(0.0, v),
+    "bessel_j_deriv": lambda v: bessel_j_deriv(0.0, v),
+    "density": lambda v: density(2.0, v),
+    "cdf": lambda v: cdf(2.0, v),
+    "make_user": lambda v: make_user([0.5, v]).prefix(2),
+    # c must leave the support base.support / c finite and positive
+    "ScaledWeight": lambda v: ScaledWeight(PowerWeight(0.5), v, 1.0).support,
 }
 _LIBRARY_ERRORS = (errors.DomainError, errors.ConvergenceFailure, errors.SequenceExhausted,
                    errors.PrecisionFailure, errors.DiscretizationFailure)
 
 
 # A RuntimeWarning escaping an entry point fails the test.  The examples
-# are a huge order (the Gauss-Jacobi rule overflows) and a window near the
-# float maximum (the Nystrom masses overflow).
+# are a huge order (the Gauss-Jacobi rule overflows), a window near the
+# float maximum (the Nystrom masses overflow), NaN and inf, and a scale
+# c = 1e-310 whose support 1 / c overflows.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", sorted(_FLOAT_ENTRY_POINTS))
 @given(v=st.floats(allow_nan=True, allow_infinity=True))
 @example(v=1034.0)
 @example(v=8.98846567431158e+307)
+@example(v=math.nan)
+@example(v=math.inf)
+@example(v=1e-310)
 @settings(max_examples=60, deadline=None)
 def test_any_float_gives_finite_values_or_library_error(entry, v):
     try:

@@ -143,6 +143,11 @@ class TestConditionalWeight:
             ConditionalWeight(seq, 0.0, -5.0)
         with pytest.raises(DomainError):
             ConditionalWeight(seq, 0.0, 100.0, tail_tolerance=0.0)
+        # a NaN tolerance used to run the tail search for seconds, then
+        # raise PrecisionFailure
+        bessel = make_bessel_zero_squared(0.0)
+        with pytest.raises(DomainError):
+            ConditionalWeight(bessel, 0.0, 100.0, tail_tolerance=math.nan)
 
 
 class TestApproxWeight:
