@@ -3,7 +3,7 @@
 Every failure mode that callers are expected to handle gets its own class;
 plain ValueError/RuntimeError are reserved for programming errors.
 
-An argument from outside the package is checked by one of three checks for
+An argument from outside the package is checked by one of four checks for
 real values, each returning the converted value:
 
 * ``_check_points(t, lo, hi, name)``: t as a float array whose every entry
@@ -13,6 +13,8 @@ real values, each returning the converted value:
   error names "integer";
 * ``_check_number(v, lo, hi, name)``: v as a finite float in [lo, hi],
   with ``math`` only, for scalar parameters on per-call paths;
+* ``_as_seed(seed, name)``: seed as a Python int >= 0, with no upper bound,
+  since derived seeds fill [0, 2^64) and ``_as_index`` stops at 2^63;
 
 and by ``_check_complex(z, name)`` for the finite complex points of the
 equilibrium maps.
@@ -25,6 +27,7 @@ nor an infinity passes any check, even against an infinite bound.
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -94,6 +97,18 @@ def _check_number(v, lo, hi, name):
     if lo <= v <= hi and math.isfinite(v):
         return v
     raise DomainError(f"{name} must be finite and in [{lo!r}, {hi!r}], got {v!r}")
+
+
+def _as_seed(seed, name):
+    """seed as an int; DomainError unless it is an integer value >= 0."""
+    try:
+        s = operator.index(seed)  # int and the numpy integers, exactly
+    except TypeError:
+        f = float(seed)
+        s = int(f) if f.is_integer() else -1  # NaN and inf are not integers
+    if s >= 0:
+        return s
+    raise DomainError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 def _check_complex(z, name):

@@ -19,8 +19,8 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .errors import (_POSITIVE, DomainError, SequenceExhausted, _as_index, _check_number,
-                     _check_points)
+from .errors import (_POSITIVE, DomainError, PrecisionFailure, SequenceExhausted, _as_index,
+                     _check_number, _check_points)
 
 __all__ = [
     "PointSequence",
@@ -93,9 +93,12 @@ class PointSequence:
 
         Ties (p_n == R) count as inside.  For finite sequences whose last
         point is still <= R no witness exists and SequenceExhausted is
-        raised.
+        raised.  The quadratic kind counts in closed form and builds no
+        point; the bessel kind builds its prefix up to the witness.
         """
         R = _check_number(R, _POSITIVE, math.inf, "threshold R")
+        if self.kind == "quadratic":
+            return _quadratic_count(R)
         n = 64
         while True:
             try:
@@ -175,6 +178,21 @@ class PointSequence:
             extra = f"nu={self.nu}" if self.kind == "bessel" else "lazy"
             return f"PointSequence({self.kind!r}, {extra})"
         return f"PointSequence({self.kind!r}, {self.size} points)"
+
+
+def _quadratic_count(R):
+    """N with PI2*N*N <= R < PI2*(N+1)*(N+1) in the float rule of the lazy
+    prefix, without building it: floor(sqrt(R)/pi), moved by the rounding
+    of either side.  Past 2^53 the float indices, and so the points, are
+    no longer distinct, and PrecisionFailure is raised."""
+    n = int(math.sqrt(R) / math.pi)
+    if n >= 2**53:
+        raise PrecisionFailure(f"count at R={R!r} passes 2^53 points")
+    while PI2 * (n + 1) * (n + 1) <= R:
+        n += 1
+    while n > 0 and PI2 * n * n > R:
+        n -= 1
+    return n
 
 
 def _growth_residual(p, n):

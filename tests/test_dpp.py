@@ -7,6 +7,7 @@ count law, and draw for draw against a QR-based reference sampler, using
 fixed seeds so every run sees the same draws.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy import integrate
 
 from bessellab import dpp
 from bessellab.dpp import (
+    _BLOCK,
     CountStats,
     DiscretizedKernel,
     SampleConfig,
@@ -49,6 +51,11 @@ def _qr_sample_points(kern, seed):
         if V.shape[1]:
             V, _ = np.linalg.qr(V)
     return np.sort(kern.nodes[chosen])
+
+
+def _derived_seeds(n, master_seed):
+    # the seeds sample_many derives, as Python ints
+    return np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64).tolist()
 
 
 def _kernel_from_columns(V):
@@ -200,6 +207,78 @@ class TestSampling:
                 drawn = batched.random(k)
                 assert np.array_equal(drawn, [scalar.random() for _ in range(k)])
                 assert batched.random() == scalar.random()
+
+    @pytest.mark.parametrize("bad", [2.5, -1, -1.0, math.nan, math.inf])
+    def test_seed_must_be_a_nonnegative_integer(self, bad):
+        # a fractional seed used to draw the configuration of its integer
+        # part, and NaN or a negative seed raised a plain ValueError
+        kern = nystrom(0.5, 100.0, 128)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            sample(kern, bad)
+        with pytest.raises(DomainError, match="master_seed must be an integer"):
+            sample_many(kern, 3, bad)
+
+    def test_derived_seed_above_2_63_is_accepted(self):
+        # about half the derived uint64 seeds are >= 2^63, past the range
+        # of _as_index; each must pass as a numpy or a Python integer
+        kern = nystrom(0.5, 100.0, 128)
+        seeds = _derived_seeds(8, 20260825)
+        j = int(np.argmax(np.array(seeds) >= 2**63))
+        assert seeds[j] >= 2**63
+        cfg = sample(kern, np.uint64(seeds[j]))
+        assert cfg.seed == seeds[j]
+        assert np.array_equal(cfg.points, sample(kern, seeds[j]).points)
+        assert np.array_equal(cfg.points, sample_many(kern, 8, 20260825)[j].points)
+        assert np.array_equal(sample(kern, 2.0).points, sample(kern, 2).points)
+
+    # the second window is small enough that most samples keep no
+    # eigenvector, so a block mixes samples of k = 0 with the others
+    @pytest.mark.parametrize("window", [(0.5, 100.0, 128), (0.5, 4.0, 64)])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_blocks_never_move_a_point(self, window, n):
+        # sample_many draws its derived seeds in lockstep blocks; each
+        # sample must still be the one that sample draws alone
+        kern = nystrom(*window)
+        seeds = _derived_seeds(n, 2027)
+        many = sample_many(kern, n, 2027)
+        assert [cfg.seed for cfg in many] == seeds
+        for cfg, seed in zip(many, seeds):
+            assert np.array_equal(cfg.points, sample(kern, seed).points)
+        sizes = {cfg.points.size for cfg in many}
+        if window[1] == 4.0 and n > 1:
+            assert 0 in sizes and len(sizes) > 1
+
+    def test_many_matches_qr_reference_sampler(self):
+        kern = nystrom(0.5, 100.0, 128)
+        seeds = _derived_seeds(_BLOCK + 1, 4)
+        for cfg, seed in zip(sample_many(kern, _BLOCK + 1, 4), seeds):
+            assert np.array_equal(cfg.points, _qr_sample_points(kern, seed))
+
+    def test_default_points_are_pinned(self):
+        # sha256 of the 500 samples of the dpp_stats default (size as
+        # little-endian int64, then the points as little-endian float64),
+        # recorded from the one-sample-at-a-time sampler that preceded the
+        # block sampler
+        runs = sample_many(nystrom(0.0, 1e4, 512), 500, 20260825)
+        h = hashlib.sha256()
+        for cfg in runs:
+            h.update(np.int64(cfg.points.size).astype("<i8").tobytes())
+            h.update(cfg.points.astype("<f8").tobytes())
+        assert h.hexdigest() == (
+            "11b29f83f21b7ea8652b1024029afd3dbfcc895e56b3d5837700243f7c967e11")
+
+    def test_failures_name_the_seed(self):
+        # every sample of this kernel keeps both columns on node 0, so each
+        # runs out of mass at its second draw; the block reports its first
+        V = np.zeros((3, 2))
+        V[0] = 1.0
+        seeds = _derived_seeds(3, 5)
+        with pytest.raises(PrecisionFailure, match=r"\(seed %d\)" % seeds[0]):
+            sample_many(_kernel_from_columns(V), 3, 5)
+        V = np.array([[20357.0, 14860.0], [4038.0, -13653.0],
+                      [-50.0, 7418.0], [-14558.0, 4465.0]])
+        with pytest.raises(PrecisionFailure, match=r"below .*\(seed 0\)"):
+            sample(_kernel_from_columns(V), 0)
 
     def test_count_upto(self):
         cfg = SampleConfig(points=np.array([1.0, 5.0, 20.0]), seed=0, T=50.0, nu=0.0, m=64)

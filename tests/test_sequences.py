@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bessellab.dpp import nystrom, sample_many
-from bessellab.errors import DomainError, SequenceExhausted
+from bessellab.errors import DomainError, PrecisionFailure, SequenceExhausted
 from bessellab.orthopoly import build_recurrence
 from bessellab.sequences import (
     make_bessel_zero_squared,
@@ -43,6 +43,25 @@ class TestQuadratic:
         assert q.count_upto(PI2 * 9 + 0.5) == 3
         with pytest.raises(DomainError):
             q.count_upto(0.0)
+
+    # R = 1e14 used to build 4.2 M points and R = 1e20 would have asked
+    # for 2^33; the last two sit on a point and just below it
+    @pytest.mark.parametrize("R", [1e14, 1e20, PI2 * 1e9 * 1e9,
+                                   math.nextafter(PI2 * 1e9 * 1e9, 0.0)])
+    def test_count_upto_builds_no_point(self, R):
+        # witnessed by the float rule PI2 * n * n of the prefix
+        q = make_quadratic()
+        n = q.count_upto(R)
+        assert PI2 * n * n <= R < PI2 * (n + 1) * (n + 1)
+        assert abs(n - math.sqrt(R) / math.pi) < 1.0
+        assert q.prefix(0).base.size == 0  # the cache behind prefix is still empty
+        if R == 1e14:  # the count the prefix gives, from 3.2 M points
+            assert n == np.searchsorted(q.prefix(n + 1), R, side="right")
+
+    def test_count_upto_stops_at_2_53_points(self):
+        # past 2^53 the float indices, and so the points, repeat
+        with pytest.raises(PrecisionFailure):
+            make_quadratic().count_upto(1e300)
 
     def test_growth_residual_vanishes(self):
         q = make_quadratic()
