@@ -9,6 +9,9 @@ Built-in kinds:
 Lazy kinds cache a strictly increasing prefix and extend it on demand.
 Counting points below a threshold R is only reported when a witness
 p_{N+1} > R is available, so the count is certified rather than guessed.
+Counting builds no prefix: the quadratic count is a closed form, and the
+bessel count is settled on a short window of exact zeros (each zero is
+computed on its own, so the window's points equal the prefix's).
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ GROWTH_EPS = 0.5
 
 _LAZY_KINDS = ("quadratic", "bessel")
 _FINITE_KINDS = ("sampled", "user")
+
+# the number of exact zeros that settle a bessel count
+_COUNT_WINDOW = 8
 
 
 class PointSequence:
@@ -93,27 +99,21 @@ class PointSequence:
 
         Ties (p_n == R) count as inside.  For finite sequences whose last
         point is still <= R no witness exists and SequenceExhausted is
-        raised.  The quadratic kind counts in closed form and builds no
-        point; the bessel kind builds its prefix up to the witness.
+        raised.  No lazy kind builds its prefix: the quadratic kind counts
+        in closed form, the bessel kind on a short window of exact zeros
+        around McMahon's estimate.  Past 2^53 points PrecisionFailure is
+        raised; the bessel kind raises ConvergenceFailure already where jv
+        can no longer place a zero (from about the 10^9-th, R ~ 1e19).
         """
         R = _check_number(R, _POSITIVE, math.inf, "threshold R")
         if self.kind == "quadratic":
             return _quadratic_count(R)
-        n = 64
-        while True:
-            try:
-                pts = self.prefix(n)
-            except SequenceExhausted:
-                pts = self.prefix(self.size)
-                if pts[-1] <= R:
-                    raise SequenceExhausted(
-                        f"all {self.size} points are <= R={R}; extend the "
-                        "sequence to certify the count") from None
-                break
-            if pts.size and pts[-1] > R:
-                break
-            n *= 2
-        return int(np.searchsorted(pts, R, side="right"))
+        if self.kind == "bessel":
+            return _bessel_count(self.nu, R)
+        if self._points[-1] <= R:
+            raise SequenceExhausted(
+                f"all {self.size} points are <= R={R}; extend the sequence to certify the count")
+        return int(np.searchsorted(self._points, R, side="right"))
 
     def growth_residual(self, n):
         """(p_n - pi^2 n^2) / (n^{3/2} (log n)^{1+eps}) with eps = GROWTH_EPS,
@@ -193,6 +193,32 @@ def _quadratic_count(R):
     while n > 0 and PI2 * n * n > R:
         n -= 1
     return n
+
+
+def _bessel_count(nu, R):
+    """N with j_{nu,N}^2 <= R < j_{nu,N+1}^2 in the float rule of the lazy
+    prefix (each zero squared), without building it.
+
+    The estimate n = floor(sqrt(R)/pi - nu/2 + 1/4) is McMahon's leading
+    term j_{nu,n} ~ (n + nu/2 - 1/4) pi solved for n.  The zeros lie below
+    that term for |nu| > 1/2 and at most 0.05 above it for |nu| <= 1/2
+    (their spacing decreases to pi, or increases to it, from j_{nu,1}), so
+    N >= n - 1: the window of _COUNT_WINDOW exact zeros from n - 2 (one
+    more below, for the rounding of the estimate) starts at a point <= R.
+    While all its points are <= R (N exceeds n by up to about nu/10 for
+    large nu), it moves up by its length, so the count always rests on a
+    point <= R below it and a witness > R above it.
+    """
+    n = math.sqrt(R) / math.pi - nu / 2.0 + 0.25
+    if n >= 2**53:
+        raise PrecisionFailure(f"count at R={R!r} passes 2^53 points")
+    lo = max(1, int(n) - 2)
+    while True:
+        z = specfun._zeros_at(nu, np.arange(lo, lo + _COUNT_WINDOW)) ** 2
+        inside = int(np.searchsorted(z, R, side="right"))
+        if inside < _COUNT_WINDOW:
+            return lo - 1 + inside
+        lo += _COUNT_WINDOW
 
 
 def _growth_residual(p, n):

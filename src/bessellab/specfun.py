@@ -125,20 +125,18 @@ def _mcmahon(nu, k):
     mu = 4.0 * nu * nu
     beta = (np.asarray(k, dtype=float) + 0.5 * nu - 0.25) * math.pi
     e = 8.0 * beta
-    guess = (
+    return (
         beta
         - (mu - 1.0) / e
         - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e**3)
         - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * e**5)
     )
-    return guess
 
 
 def _scan_zeros(nu, count):
     # the first `count` zeros: sign changes of J_nu on a grid of step
-    # _SCAN_STEP, extended until it holds enough, then every bracket
-    # polished at once by Newton steps from the secant point that fall back
-    # to bisection whenever they would leave the (shrinking) bracket
+    # _SCAN_STEP, extended until it holds enough, each bracket polished from
+    # its secant point
     u0 = 1e-8 if nu < 0.5 else max(1e-8, 0.7 * math.sqrt(nu * (nu + 2.0)))
     # first grid: up to McMahon's leading term (count + |nu|/2 + 1/4) pi
     n = int(((count + abs(nu) / 2.0 + 0.25) * math.pi - u0) / _SCAN_STEP) + 2
@@ -152,78 +150,89 @@ def _scan_zeros(nu, count):
             raise ConvergenceFailure(f"zero scan for nu={nu} ran away")
         n *= 2
     a, b, fa, fb = u[k], u[k + 1], f[k], f[k + 1]
-    x = a - fa * (b - a) / (fb - fa)
-    done = np.zeros(count, dtype=bool)
+    return _polish(nu, a - fa * (b - a) / (fb - fa), a, b, fa)
+
+
+def _polish(nu, x, a, b, fa):
+    # zeros of J_nu in the brackets [a, b] (J_nu(a) = fa), by Newton steps
+    # from x that fall back to bisection whenever they would leave the
+    # (shrinking) bracket.  Each zero leaves the batch once its own Newton
+    # step falls below 1e-14 x, where it is at the accuracy of jv itself, so
+    # its value does not depend on the other zeros in the batch.
+    zeros = np.empty(x.shape)
+    todo = np.arange(x.size)
     for _ in range(200):
         fx = special.jv(nu, x)
         left = np.sign(fx) == np.sign(fa)
         a = np.where(left, x, a)
         b = np.where(left, b, x)
+        # J_nu' = (nu/x) J_nu - J_{nu+1}: near a zero the first term is
+        # small, so nothing cancels, and it costs one jv beside fx
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = fx / special.jvp(nu, x)
+            step = fx / (nu / x * fx - special.jv(nu + 1.0, x))
         newton = x - step
         inside = (newton >= a) & (newton <= b)
-        x = np.where(done, x, np.where(inside, newton, 0.5 * (a + b)))
-        # the McMahon polish's stopping rule; after a Newton step that small
-        # the zero is at the accuracy of jv itself, and it is held there
-        done |= inside & (np.abs(step) < 1e-14 * x)
+        x = np.where(inside, newton, 0.5 * (a + b))
+        done = inside & (np.abs(step) < 1e-14 * x)
+        zeros[todo[done]] = x[done]
         if np.all(done):
-            return x
+            return zeros
+        keep = ~done
+        todo, x, a, b, fa = todo[keep], x[keep], a[keep], b[keep], fa[keep]
     raise ConvergenceFailure(f"bracketed polish of Bessel zeros (nu={nu}) did not converge")
+
+
+def _zeros_at(nu, k):
+    # the zeros j_{nu,k} for an int array of 1-based indices k.  Indices up
+    # to n_scan are bracketed by the sign-change scan (McMahon's expansion
+    # is unreliable there for larger orders); every higher one by
+    # [g - 1, g + 1] around its McMahon guess g, which past n_scan is off by
+    # less than 1e-2 while the zeros there are more than 3 apart
+    n_scan = max(4, int(math.ceil(abs(nu))) + 2)
+    scan = k <= n_scan
+    zeros = np.empty(k.shape)
+    zeros[scan] = _scan_zeros(nu, int(np.max(k[scan], initial=0)))[k[scan] - 1]
+    g = _mcmahon(nu, k[~scan])
+    fa, fb = special.jv(nu, g - 1.0), special.jv(nu, g + 1.0)
+    if np.any(np.sign(fa) == np.sign(fb)):
+        raise ConvergenceFailure(
+            f"McMahon bracket of a Bessel zero holds no sign change (nu={nu})")
+    zeros[~scan] = _polish(nu, g, g - 1.0, g + 1.0, fa)
+    amplitude = np.sqrt(2.0 / (math.pi * zeros))
+    if np.any(np.abs(special.jv(nu, zeros)) > 1e-8 * amplitude):
+        raise ConvergenceFailure(f"Bessel zero residual too large (nu={nu})")
+    return zeros
 
 
 def bessel_zeros(nu, kmax):
     """First kmax positive zeros of J_nu, strictly increasing.
 
-    The first few zeros are located by a sign-change scan (McMahon's
-    expansion is unreliable there for larger orders) and polished by
-    bracketed Newton steps; the rest start from McMahon guesses polished by
-    Newton steps.  For nu in {-0.9, -0.5, 0, 0.5, 2.5, 10, 37.3} the first
-    60 zeros are within 2.5e-15 relative of 30-digit mpmath references.
-    Failure to converge or to produce a strictly increasing sequence raises
+    Each zero is polished on its own by bracketed Newton steps, so the
+    first kmax zeros are the same numbers however many are asked for.  The
+    brackets of the first few come from a sign-change scan (McMahon's
+    expansion is unreliable there for larger orders), those of the rest
+    are [g - 1, g + 1] around McMahon's guess g.  For nu in
+    {-0.9, -0.5, 0, 0.5, 2.5, 10, 37.3} the first 60 zeros are within
+    2.5e-15 relative of 30-digit mpmath references.  Failure to converge,
+    a bracket without a sign change, a residual above 1e-8 of the
+    amplitude or a sequence that is not strictly increasing raises
     ConvergenceFailure.
     """
     nu = _order(nu)
     kmax = int(_as_index(kmax, 0, math.inf, "kmax"))
-    if kmax == 0:
-        return np.empty(0)
-
-    n_scan = min(kmax, max(4, int(math.ceil(abs(nu))) + 2))
-    zeros = np.empty(kmax)
-    zeros[:n_scan] = _scan_zeros(nu, n_scan)
-
-    if kmax > n_scan:
-        k = np.arange(n_scan + 1, kmax + 1)
-        guess = _mcmahon(nu, k)
-        x = guess.copy()
-        converged = False
-        for _ in range(60):
-            step = special.jv(nu, x) / special.jvp(nu, x)
-            np.clip(step, -1.0, 1.0, out=step)
-            x -= step
-            if np.max(np.abs(step)) < 1e-14 * np.max(x):
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceFailure(
-                f"Newton polish of Bessel zeros (nu={nu}) did not converge")
-        if np.max(np.abs(x - guess)) > 1.6:
-            raise ConvergenceFailure(
-                f"Bessel zero left its McMahon bracket (nu={nu})")
-        zeros[n_scan:] = x
-
-    amplitude = np.sqrt(2.0 / (math.pi * zeros))
-    if np.any(np.abs(special.jv(nu, zeros)) > 1e-8 * amplitude):
-        raise ConvergenceFailure(f"Bessel zero residual too large (nu={nu})")
+    zeros = _zeros_at(nu, np.arange(1, kmax + 1))
     if np.any(np.diff(zeros) <= 0):
         raise ConvergenceFailure(f"Bessel zeros not strictly increasing (nu={nu})")
     return zeros
 
 
 def bessel_zero(nu, k):
-    """k-th positive zero of J_nu (k = 1, 2, ...)."""
+    """k-th positive zero of J_nu (k = 1, 2, ...), equal to
+    ``bessel_zeros(nu, k)[-1]``.  Past the first few, which one scan finds
+    together, the zero is polished on its own, without the zeros below it.
+    """
     k = int(_as_index(k, 1, math.inf, "zero index k"))
-    return float(bessel_zeros(nu, k)[-1])
+    return float(_zeros_at(_order(nu), np.array([k]))[0])
 
 
 def bessel_kernel_diag(nu, x):

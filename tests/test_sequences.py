@@ -137,6 +137,41 @@ class TestBesselZeroSquared:
         assert b.count_upto((z2[4] + z2[5]) / 2) == 5
         assert b.count_upto(z2[7]) == 8
 
+    @pytest.mark.parametrize("nu", [0.5, 37.3])
+    @pytest.mark.parametrize("R", [1e10, 1e12, 1e14])
+    def test_count_upto_builds_no_point(self, nu, R):
+        # checked on the 30-digit mpmath zeros j_{n-2}, ..., j_{n+3}, which
+        # lie farther than 1e-8 relative from R, far beyond float rounding
+        mpmath = pytest.importorskip("mpmath")
+        b = make_bessel_zero_squared(nu)
+        n = b.count_upto(R)
+        assert b.prefix(0).base.size == 0  # the cache behind prefix is still empty
+        with mpmath.workdps(30):
+            window = [mpmath.besseljzero(mpmath.mpf(nu), k) ** 2 for k in range(n - 2, n + 4)]
+            assert all(abs(p - R) > 1e-8 * R for p in window)
+            assert [p <= R for p in window] == [True] * 3 + [False] * 3
+
+    @pytest.mark.parametrize("nu, kmax, step", [(0.0, 120, 1), (37.3, 120, 5), (100.0, 300, 13)])
+    def test_count_upto_matches_the_prefix(self, nu, kmax, step):
+        # R on squared zeros, their float neighbours, and McMahon's leading
+        # term ((k + nu/2 - 1/4) pi)^2, where the estimate steps: for nu = 0
+        # N falls one below it there, and for nu = 100 N runs up to 11 above
+        # it, so the window has to move
+        z2 = bessel_zeros(nu, kmax + 10) ** 2
+        k = np.arange(1, kmax, step)
+        beta2 = ((k + nu / 2 - 0.25) * np.pi) ** 2
+        R = np.concatenate([z2[k - 1], np.nextafter(z2[k - 1], 0), np.nextafter(z2[k - 1], 1e300),
+                            beta2])
+        b = make_bessel_zero_squared(nu)
+        got = [b.count_upto(r) for r in R]
+        assert np.array_equal(got, np.searchsorted(z2, R, side="right"))
+
+    def test_count_upto_stops_at_2_53_points(self):
+        b = make_bessel_zero_squared(0.5)
+        with pytest.raises(PrecisionFailure):
+            b.count_upto(1e300)
+        assert b.prefix(0).base.size == 0
+
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0])
     def test_rayleigh_sum_k1(self, nu):
         # certified tail at M=0 is the full sum 1/(4(nu+1))
@@ -236,8 +271,8 @@ def _assert_witnessed(seq, R):
     assert (n == 0 or pts[n - 1] <= R) and R < pts[n]
 
 
-# R stays below 1e8, about 3200 points, because a lazy sequence builds
-# every point up to its witness.
+# R stays below 1e8, about 3200 points, because the witness check itself
+# builds prefix(n + 1).
 @pytest.mark.parametrize("kind", sorted(_WITNESSED))
 @given(R=st.floats(min_value=0.0, max_value=1e8, exclude_min=True))
 @settings(max_examples=60, deadline=None)

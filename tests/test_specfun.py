@@ -20,7 +20,7 @@ from scipy import special
 from bessellab import errors, specfun
 from bessellab.dpp import nystrom
 from bessellab.equilibrium import cdf, density
-from bessellab.errors import DomainError
+from bessellab.errors import ConvergenceFailure, DomainError
 from bessellab.orthopoly import build_recurrence, weight_quadrature
 from bessellab.specfun import (
     BesselOrder,
@@ -197,6 +197,29 @@ class TestBesselZeros:
 
     def test_prefix_consistency(self):
         assert_allclose(bessel_zeros(1.3, 10), bessel_zeros(1.3, 25)[:10], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.5, 2.5, 10.0, 37.3])
+    def test_zeros_by_index_match_the_prefix(self, nu):
+        # each zero is polished on its own, so it does not depend on the
+        # other indices asked for, on either side of the scan / McMahon
+        # split at n_scan
+        n_scan = max(4, math.ceil(abs(nu)) + 2)
+        z = bessel_zeros(nu, n_scan + 40)
+        for k in (np.arange(n_scan - 2, n_scan + 3), np.arange(n_scan - 3, n_scan + 40, 7),
+                  np.array([n_scan + 1])):
+            assert np.array_equal(specfun._zeros_at(nu, k), z[k - 1])
+        assert bessel_zero(nu, n_scan + 1) == z[n_scan]
+        assert bessel_zero(nu, n_scan) == z[n_scan - 1]
+
+    def test_mcmahon_bracket_without_sign_change_raises(self, monkeypatch):
+        # a guess off by half the spacing of the zeros puts [g - 1, g + 1]
+        # between two of them (off by pi it would hold the next zero)
+        mcmahon = specfun._mcmahon
+        monkeypatch.setattr(specfun, "_mcmahon", lambda nu, k: mcmahon(nu, k) + np.pi / 2)
+        with pytest.raises(ConvergenceFailure, match="no sign change"):
+            bessel_zeros(0.0, 10)
+        with pytest.raises(ConvergenceFailure, match="no sign change"):
+            bessel_zero(2.5, 30)
 
     def test_invalid_order_rejected(self):
         with pytest.raises(DomainError):
