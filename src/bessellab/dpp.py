@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (_POSITIVE, DiscretizationFailure, PrecisionFailure, _as_index,
                      _as_seed, _check_number, _check_points)
@@ -143,7 +142,7 @@ def nystrom(nu, T, m=512):
         A = 0.5 * (A + A.T)
     if not np.all(np.isfinite(A)):
         raise PrecisionFailure(f"Nystrom matrix overflows at T={T!r}")
-    lam, vec = sla.eigh(A)
+    lam, vec = np.linalg.eigh(A)
     lam = _clip_to_window(lam, m)
     return DiscretizedKernel(
         nu=float(nu), T=T, m=m, nodes=x, weights=w,
@@ -389,7 +388,7 @@ def exact_count_law(kern, thresholds):
             lam = np.empty(0)
         else:
             sub = kern.matrix[np.ix_(inside, inside)]
-            lam = _clip_to_window(sla.eigvalsh(sub), kern.m)
+            lam = _clip_to_window(np.linalg.eigvalsh(sub), kern.m)
         mean[j] = lam.sum()
         var[j] = np.sum(lam * (1.0 - lam))
     return mean, var, _log_slope(thr, var)

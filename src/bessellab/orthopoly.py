@@ -34,7 +34,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
 
 from .errors import (_ABOVE_MINUS_ONE, _POSITIVE, DomainError, PrecisionFailure, _as_index,
@@ -328,9 +327,7 @@ def brute_force_christoffel(weight, n, x):
         sigma = 1.0
     powers = (quad.nodes[None, :] / sigma) ** np.arange(2 * n - 1)[:, None]
     moments = powers @ masses
-    M = np.empty((n, n))
-    for i in range(n):
-        M[i] = moments[i:i + n]
+    M = moments[np.arange(n)[:, None] + np.arange(n)]  # Hankel: M_ij = moments[i + j]
     cond = np.linalg.cond(M)
     if cond > 1e13:
         raise PrecisionFailure(
@@ -338,13 +335,15 @@ def brute_force_christoffel(weight, n, x):
             "use the recurrence route instead")
     v = (x / sigma) ** np.arange(n)
     try:
-        sol = sla.solve(M, v, assume_a="pos")
-        # one refinement pass with an extended-precision residual; cheap and
-        # buys back the digits the factorization loses at cond ~ 1e7..1e10
-        r = v - (M.astype(np.longdouble) @ sol.astype(np.longdouble))
-        sol = sol + sla.solve(M, r.astype(float), assume_a="pos")
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise PrecisionFailure(f"moment matrix not numerically SPD: {exc}") from exc
+    # M = L L^T, factored once: each solve is L y = b, then L^T x = y
+    sol = np.linalg.solve(L.T, np.linalg.solve(L, v))
+    # one refinement pass with an extended-precision residual; cheap and
+    # buys back the digits the factorization loses at cond ~ 1e7..1e10
+    r = v - (M.astype(np.longdouble) @ sol.astype(np.longdouble))
+    sol = sol + np.linalg.solve(L.T, np.linalg.solve(L, r.astype(float)))
     return math.exp(shift) / float(v @ sol)
 
 

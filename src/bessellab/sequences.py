@@ -38,6 +38,11 @@ PI2 = math.pi * math.pi
 # the eps of the growth residual's normalization n^{3/2} (log n)^{1+eps}
 GROWTH_EPS = 0.5
 
+# relative rounding bound of a float tail sum: the whole error bound of the
+# quadratic and finite kinds, and the floor of the bessel kind's, which only
+# a larger M lowers
+SUM_EPS = 8e-16
+
 _LAZY_KINDS = ("quadratic", "bessel")
 _FINITE_KINDS = ("sampled", "user")
 
@@ -101,9 +106,10 @@ class PointSequence:
         point is still <= R no witness exists and SequenceExhausted is
         raised.  No lazy kind builds its prefix: the quadratic kind counts
         in closed form, the bessel kind on a short window of exact zeros
-        around McMahon's estimate.  Past 2^53 points PrecisionFailure is
-        raised; the bessel kind raises ConvergenceFailure already where jv
-        can no longer place a zero (from about the 10^9-th, R ~ 1e19).
+        around McMahon's estimate.  PrecisionFailure is raised past 2^53
+        points, and on the bessel kind already past the zeros that the
+        residual check can certify (j > 2^27, about the 4.27e7-th zero, so
+        R above about 1.8e16).
         """
         R = _check_number(R, _POSITIVE, math.inf, "threshold R")
         if self.kind == "quadratic":
@@ -132,22 +138,24 @@ class PointSequence:
         """(value, error_bound) for sum_{n > M} p_n^{-k}.
 
         quadratic: exact via the Hurwitz zeta function.
-        bessel: explicit sum of `extra` further terms, then a zeta-based
-            asymptotic remainder; the stated bound is validated against
-            brute-force sums in the test suite.
+        bessel: explicit sum of `extra` further terms (default
+            max(2000, M)), then a zeta-based asymptotic remainder; the
+            stated bound is validated against brute-force sums in the test
+            suite.
         finite kinds: the remaining terms, with no infinite tail.
+
+        Every bound includes SUM_EPS times the sum, the rounding of the sum
+        itself; for the quadratic and finite kinds that is the whole bound.
         """
         k = int(_as_index(k, 1, math.inf, "k"))
         M = int(_as_index(M, 0, math.inf, "M"))
 
         if self.kind == "quadratic":
             val = float(math.pi ** (-2 * k) * special.zeta(2 * k, M + 1))
-            return val, 8e-16 * val
+            return val, SUM_EPS * val
 
         if self.kind == "bessel":
-            if extra is None:
-                extra = max(2000, M)
-            extra = int(_as_index(extra, 0, math.inf, "extra"))
+            extra = int(_as_index(max(2000, M) if extra is None else extra, 0, math.inf, "extra"))
             pts = self.prefix(M + extra)
             explicit = float(np.sum(pts[M:M + extra] ** (-k)))
             nu = self.nu
@@ -163,7 +171,7 @@ class PointSequence:
             bound = (
                 1.2 * k * (2.0 * abs(c2) + 1.0) * math.pi ** (-2 * k - 4) * z2k4
                 + 0.6 * k * (k + 1) * c0 * c0 * math.pi ** (-2 * k - 4) * z2k4
-                + 8e-16 * (explicit + abs(remainder))
+                + SUM_EPS * (explicit + abs(remainder))
             )
             return explicit + remainder, float(bound)
 
@@ -171,7 +179,7 @@ class PointSequence:
         if M >= self.size:
             return 0.0, 0.0
         val = float(np.sum(self._points[M:] ** (-k)))
-        return val, 8e-16 * val
+        return val, SUM_EPS * val
 
     def __repr__(self):
         if self.size is None:
@@ -207,7 +215,9 @@ def _bessel_count(nu, R):
     more below, for the rounding of the estimate) starts at a point <= R.
     While all its points are <= R (N exceeds n by up to about nu/10 for
     large nu), it moves up by its length, so the count always rests on a
-    point <= R below it and a witness > R above it.
+    point <= R below it and a witness > R above it.  Past the zeros that
+    ``specfun._zeros_at`` can certify (2^27, so R ~ 1.8e16) it raises
+    PrecisionFailure, and past 2^53 points before it builds an index.
     """
     n = math.sqrt(R) / math.pi - nu / 2.0 + 0.25
     if n >= 2**53:

@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (_ABOVE_ONE, _POSITIVE, DomainError, PrecisionFailure, _as_index,
                      _check_number, _check_points)
+from .sequences import SUM_EPS
 from .specfun import BesselOrder, _maybe_scalar
 
 __all__ = [
@@ -123,7 +124,11 @@ class ConditionalWeight:
         Certified bound on the absolute error of log-weight values coming
         from the truncated product tail.  The explicit part starts at
         M = max(256, 4 N(R)) terms and M doubles until the tail
-        certificate meets it.
+        certificate meets it, for at most 12 rounds; then PrecisionFailure
+        is raised.  For a bessel sequence the explicit terms of the zeta
+        remainder (``extra``) grow fourfold in a round only while the
+        coefficient error above its summation floor SUM_EPS * S_j exceeds
+        half the tolerance, since only a larger M lowers that floor.
     """
 
     support = quad_support = 1.0
@@ -160,10 +165,8 @@ class ConditionalWeight:
         q = R / p_next
 
         svals, serrs = [], []
-        kw = {} if extra is None else {"extra": extra}
-        coeff_err = 0.0
         for k in range(1, _MAX_SERIES_DEPTH + 2):
-            s, e = self.seq.tail_inverse_power(k, M, **kw)
+            s, e = self.seq.tail_inverse_power(k, M, extra=extra)
             svals.append(s)
             serrs.append(e)
             if k == 1:
@@ -175,12 +178,15 @@ class ConditionalWeight:
             if remainder + coeff_err <= self.tail_tolerance:
                 coeffs = np.array([-2.0 / j * svals[j - 1] for j in range(1, depth + 1)])
                 return True, (M, depth, coeffs, remainder + coeff_err)
-        # series alone cannot get there: push M (and the explicit part of
-        # the zeta remainder for bessel sequences) further out
-        new_extra = None if extra is None else 4 * extra
-        if self.seq.kind == "bessel" and coeff_err > 0.5 * self.tail_tolerance:
-            new_extra = 4 * (extra or max(2000, M))
-        return False, (2 * M, new_extra)
+        # series alone cannot get there: push M further out, and the explicit
+        # part of the bessel zeta remainder only while the coefficient error
+        # above its summation floor SUM_EPS * S_j (which only M lowers) is
+        # more than half the tolerance; the exact kinds' error is that floor
+        excess = sum(2.0 / (j + 1) * R ** (j + 1) * (serrs[j] - SUM_EPS * svals[j])
+                     for j in range(depth))
+        if excess > 0.5 * self.tail_tolerance:
+            extra = 4 * (extra or max(2000, M))
+        return False, (2 * M, extra)
 
     # -- evaluation --------------------------------------------------------
 

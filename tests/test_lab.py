@@ -206,12 +206,13 @@ class TestCli:
 
 def test_import_loads_no_quadrature_or_root_finder():
     # a fresh interpreter: scipy.integrate and scipy.optimize (and the
-    # scipy.sparse they pull in) stay off the import path of the package
+    # scipy.sparse they pull in) stay off the import path of the package,
+    # and so does scipy.linalg, since numpy.linalg does its dense algebra
     src = os.path.dirname(os.path.dirname(bessellab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, bessellab; print(sorted(m for m in sys.modules if m in "
-            "('scipy.integrate', 'scipy.optimize', 'scipy.sparse')))")
+            "('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

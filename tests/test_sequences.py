@@ -166,6 +166,16 @@ class TestBesselZeroSquared:
         got = [b.count_upto(r) for r in R]
         assert np.array_equal(got, np.searchsorted(z2, R, side="right"))
 
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 37.3])
+    @pytest.mark.parametrize("R", [1e17, 1e20, 1e25, 1e32])
+    def test_count_upto_stops_past_the_certified_zeros(self, nu, R):
+        # these used to raise ConvergenceFailure, "residual too large" or
+        # "McMahon bracket ... holds no sign change", naming the wrong cause
+        b = make_bessel_zero_squared(nu)
+        with pytest.raises(PrecisionFailure, match="can be certified"):
+            b.count_upto(R)
+        assert b.prefix(0).base.size == 0
+
     def test_count_upto_stops_at_2_53_points(self):
         b = make_bessel_zero_squared(0.5)
         with pytest.raises(PrecisionFailure):

@@ -20,7 +20,7 @@ from scipy import special
 from bessellab import errors, specfun
 from bessellab.dpp import nystrom
 from bessellab.equilibrium import cdf, density
-from bessellab.errors import ConvergenceFailure, DomainError
+from bessellab.errors import ConvergenceFailure, DomainError, PrecisionFailure
 from bessellab.orthopoly import build_recurrence, weight_quadrature
 from bessellab.specfun import (
     BesselOrder,
@@ -220,6 +220,24 @@ class TestBesselZeros:
             bessel_zeros(0.0, 10)
         with pytest.raises(ConvergenceFailure, match="no sign change"):
             bessel_zero(2.5, 30)
+
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 0.5, 37.3])
+    def test_zeros_stop_where_the_residual_check_cannot_certify_them(self, nu):
+        # past 2^27 half an ulp is 1.49e-8 of the slope, more than the
+        # residual check allows: the last 200 zeros whose bracket lies below
+        # it pass, the next raises PrecisionFailure (bessel_zero(0, 10**9)
+        # used to raise ConvergenceFailure, "residual too large")
+        top = specfun._ZERO_MAX
+        k = int(top / np.pi)
+        while specfun._mcmahon(nu, k + 1) + 1.0 <= top:
+            k += 1
+        while specfun._mcmahon(nu, k) + 1.0 > top:
+            k -= 1
+        z = specfun._zeros_at(nu, np.arange(k - 199, k + 1))
+        assert_allclose(np.diff(z), np.pi, rtol=1e-6)
+        for index in (k + 1, 10**9):
+            with pytest.raises(PrecisionFailure, match="can be certified"):
+                bessel_zero(nu, index)
 
     def test_invalid_order_rejected(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bessellab.errors import DomainError
+from bessellab.errors import DomainError, PrecisionFailure
 from bessellab.sequences import make_bessel_zero_squared, make_quadratic
 from bessellab.weights import (
     ApproxWeight,
@@ -114,6 +114,21 @@ class TestConditionalWeight:
         t = np.linspace(1.0, 149.0, 23)
         assert np.max(np.abs(wa.log_bar(t) - wb.log_bar(t))) < 1e-8
         assert wa.tail_error < 1e-8 and wb.tail_error < 1e-13
+
+    def test_tail_escalation_stops_at_the_summation_floor(self):
+        # at tol = 1e-15 the coefficient error is mostly the rounding floor
+        # of the tail sums, which more explicit zeta terms cannot lower; the
+        # certificate used to grow them fourfold every round anyway, and
+        # left 130 048 zeros in the cache
+        seq = make_bessel_zero_squared(0.0)
+        w = ConditionalWeight(seq, 0.0, 1e4, tail_tolerance=1e-15)
+        assert (w.M, w.series_depth) == (2048, 4)
+        assert w.tail_error <= 1e-15
+        assert seq.prefix(0).base.size <= w.M + max(2000, w.M)
+
+    def test_tail_that_cannot_be_certified_raises(self):
+        with pytest.raises(PrecisionFailure, match="could not certify"):
+            ConditionalWeight(make_quadratic(), 0.0, 100.0, tail_tolerance=1e-300)
 
     def test_monotone_in_gap_length(self):
         # enlarging the gap removes factors, so the weight can only grow
