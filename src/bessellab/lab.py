@@ -244,11 +244,11 @@ def approx_limit(cfg):
         f = (np.pi * n) ** (-2.0 - 2.0 * nu)
         K = tp.kernel_hat_grid(n, s * xs, s * xs) * f
         sup["plus_hat"].append(_compare(rows, step + ":plus_hat", xs, K, hat_plus_target))
-        K = tm.kernel_hat_grid(n, s * xs, s * xs) * f
-        sup["minus_hat"].append(_compare(rows, step + ":minus_hat", xs, K, hat_minus_target))
-        # exact transform tie between the signs, at points inside (0, 1/gamma^2)
+        # one minus-sign table serves the hat limit and the transform tie
         ts = s * xs
         lhs = tm.kernel_hat_grid(n, ts, ts)
+        sup["minus_hat"].append(_compare(rows, step + ":minus_hat", xs, lhs * f, hat_minus_target))
+        # exact transform tie between the signs, at points inside (0, 1/gamma^2)
         rhs = gamma ** (2.0 + 2.0 * nu) * tp.kernel_hat_grid(
             n, gamma**2 * ts, gamma**2 * ts
         )

@@ -9,9 +9,11 @@ Built-in kinds:
 Lazy kinds cache a strictly increasing prefix and extend it on demand.
 Counting points below a threshold R is only reported when a witness
 p_{N+1} > R is available, so the count is certified rather than guessed.
-Counting builds no prefix: the quadratic count is a closed form, and the
-bessel count is settled on a short window of exact zeros (each zero is
-computed on its own, so the window's points equal the prefix's).
+Counting builds no prefix: both lazy kinds settle the count on a short
+window of points computed by index around a leading-order estimate, in
+the prefix's own float rule (PI2 * k * k with float k, and each bessel
+zero computed on its own and squared), so the window's points equal the
+prefix's.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ SUM_EPS = 8e-16
 _LAZY_KINDS = ("quadratic", "bessel")
 _FINITE_KINDS = ("sampled", "user")
 
-# the number of exact zeros that settle a bessel count
+# the number of points that settle a lazy count
 _COUNT_WINDOW = 8
 
 
@@ -104,18 +106,19 @@ class PointSequence:
 
         Ties (p_n == R) count as inside.  For finite sequences whose last
         point is still <= R no witness exists and SequenceExhausted is
-        raised.  No lazy kind builds its prefix: the quadratic kind counts
-        in closed form, the bessel kind on a short window of exact zeros
-        around McMahon's estimate.  PrecisionFailure is raised past 2^53
-        points, and on the bessel kind already past the zeros that the
-        residual check can certify (j > 2^27, about the 4.27e7-th zero, so
-        R above about 1.8e16).
+        raised.  No lazy kind builds its prefix: both count on a short
+        window of points around the estimate sqrt(R)/pi, shifted by
+        McMahon's 1/4 - nu/2 for the bessel kind.  PrecisionFailure is
+        raised past 2^53 points, and on the bessel kind already past the
+        zeros that the residual check can certify (j > 2^27, about the
+        4.27e7-th zero, so R above about 1.8e16).
         """
         R = _check_number(R, _POSITIVE, math.inf, "threshold R")
         if self.kind == "quadratic":
-            return _quadratic_count(R)
+            return _window_count(R, 0.0, lambda k: PI2 * k * k)
         if self.kind == "bessel":
-            return _bessel_count(self.nu, R)
+            return _window_count(R, 0.25 - self.nu / 2.0,
+                                 lambda k: specfun._zeros_at(self.nu, k.astype(int)) ** 2)
         if self._points[-1] <= R:
             raise SequenceExhausted(
                 f"all {self.size} points are <= R={R}; extend the sequence to certify the count")
@@ -188,43 +191,34 @@ class PointSequence:
         return f"PointSequence({self.kind!r}, {self.size} points)"
 
 
-def _quadratic_count(R):
-    """N with PI2*N*N <= R < PI2*(N+1)*(N+1) in the float rule of the lazy
-    prefix, without building it: floor(sqrt(R)/pi), moved by the rounding
-    of either side.  Past 2^53 the float indices, and so the points, are
-    no longer distinct, and PrecisionFailure is raised."""
-    n = int(math.sqrt(R) / math.pi)
-    if n >= 2**53:
-        raise PrecisionFailure(f"count at R={R!r} passes 2^53 points")
-    while PI2 * (n + 1) * (n + 1) <= R:
-        n += 1
-    while n > 0 and PI2 * n * n > R:
-        n -= 1
-    return n
+def _window_count(R, shift, points_at):
+    """N with p_N <= R < p_{N+1}, where ``points_at(k)`` gives the points
+    at an array of float indices k in the float rule of the lazy prefix,
+    without building it.
 
-
-def _bessel_count(nu, R):
-    """N with j_{nu,N}^2 <= R < j_{nu,N+1}^2 in the float rule of the lazy
-    prefix (each zero squared), without building it.
-
-    The estimate n = floor(sqrt(R)/pi - nu/2 + 1/4) is McMahon's leading
-    term j_{nu,n} ~ (n + nu/2 - 1/4) pi solved for n.  The zeros lie below
-    that term for |nu| > 1/2 and at most 0.05 above it for |nu| <= 1/2
-    (their spacing decreases to pi, or increases to it, from j_{nu,1}), so
-    N >= n - 1: the window of _COUNT_WINDOW exact zeros from n - 2 (one
-    more below, for the rounding of the estimate) starts at a point <= R.
-    While all its points are <= R (N exceeds n by up to about nu/10 for
-    large nu), it moves up by its length, so the count always rests on a
-    point <= R below it and a witness > R above it.  Past the zeros that
-    ``specfun._zeros_at`` can certify (2^27, so R ~ 1.8e16) it raises
-    PrecisionFailure, and past 2^53 points before it builds an index.
+    The estimate n = floor(sqrt(R)/pi + shift) is the leading term
+    p_n ~ (n - shift)^2 pi^2 solved for n: exact up to rounding for the
+    quadratic kind (shift 0), and McMahon's j_{nu,n} ~ (n + nu/2 - 1/4) pi
+    for the bessel kind (shift 1/4 - nu/2).  The zeros lie below that term
+    for |nu| > 1/2 and at most 0.05 above it for |nu| <= 1/2 (their spacing
+    decreases to pi, or increases to it, from j_{nu,1}), so N >= n - 1;
+    the quadratic estimate's rounding grows with n, and between
+    3 * 2^51 and 2^53 it was at most N + 2 at 1.75e9 sampled thresholds
+    just below p_{N+1}.  So the window of _COUNT_WINDOW points from n - 2
+    starts at a point <= R.  While all its points are <= R (N exceeds n by
+    up to about nu/10 for large nu), it moves up by its length, so the
+    count always rests on a point <= R below it and a witness > R above
+    it.  Past 2^53 points the float indices, and so the quadratic points,
+    are no longer distinct, and PrecisionFailure is raised before an index
+    is built; past the zeros that ``specfun._zeros_at`` can certify (2^27,
+    so R ~ 1.8e16) the bessel kind raises it there.
     """
-    n = math.sqrt(R) / math.pi - nu / 2.0 + 0.25
+    n = math.sqrt(R) / math.pi + shift
     if n >= 2**53:
         raise PrecisionFailure(f"count at R={R!r} passes 2^53 points")
     lo = max(1, int(n) - 2)
     while True:
-        z = specfun._zeros_at(nu, np.arange(lo, lo + _COUNT_WINDOW)) ** 2
+        z = points_at(np.arange(lo, lo + _COUNT_WINDOW, dtype=float))
         inside = int(np.searchsorted(z, R, side="right"))
         if inside < _COUNT_WINDOW:
             return lo - 1 + inside

@@ -158,11 +158,10 @@ class ConditionalWeight:
         if self.seq.size is not None:
             return True, (min(M, self.seq.size), 0, np.empty(0), 0.0)
 
+        # M >= max(256, 4 n_cond) >= n_cond and count_upto certified
+        # p_{n_cond+1} > R, so p_{M+1} > R and q < 1
         R = self.R
-        p_next = self.seq.p(M + 1)
-        if p_next <= R:
-            return False, (2 * M, extra)
-        q = R / p_next
+        q = R / self.seq.p(M + 1)
 
         svals, serrs = [], []
         for k in range(1, _MAX_SERIES_DEPTH + 2):

@@ -52,6 +52,21 @@ class TestClosedForms:
             F = np.array([eq.cdf(g, xi) for xi in x])
             assert np.all(np.diff(F) > 0)
 
+    @pytest.mark.parametrize("g", [1.0, 1.0 + 1e-12, 1.1, 2.0, 5.0, 1e6])
+    def test_cdf_at_one_is_exactly_one(self, g):
+        # arctan2 alone gives 0.9999999999999999 at gamma = 1 + 1e-12
+        assert eq.cdf(g, 1.0) == 1.0
+        assert eq.cdf(g, np.array([0.5, 1.0]))[1] == 1.0
+
+    def test_gamma_one_is_the_square_root_law(self):
+        # at gamma = 1 the general closed forms reduce exactly to
+        # F = sqrt(x) and phi_+- = +-i pi sqrt(x)
+        x = np.concatenate([[0.0, 5e-324, 1e-300], np.linspace(1e-3, 1.0 - 1e-3, 97),
+                            [np.nextafter(1.0, 0.0)]])
+        assert np.array_equal(eq.cdf(1.0, x), np.sqrt(x))
+        assert np.array_equal(eq.phi_boundary(1.0, x, "+"), 1j * (math.pi * np.sqrt(x)))
+        assert np.array_equal(eq.phi_boundary(1.0, x, "-"), -1j * (math.pi * np.sqrt(x)))
+
     def test_cdf_derivative_is_density(self):
         g, h = 1.5, 1e-6
         for x in (0.1, 0.4, 0.8):
@@ -205,6 +220,26 @@ class TestGMap:
     def test_non_finite_points_raise(self, fn, arg, z):
         with pytest.raises(DomainError, match="finite"):
             fn(arg, z)
+
+    @pytest.mark.parametrize("g", [1.1, 2.0, 5.0])
+    @pytest.mark.parametrize("x", [1e-8, 0.2, 0.9, 0.999, 0.0, -1e-6, -0.5, -50.0])
+    def test_boundary_matches_mpmath(self, g, x):
+        # on the cut and left of it; z = x + 0j puts every log(z - s),
+        # s > x, on its upper side, so the reference is g_+
+        mpmath = pytest.importorskip("mpmath")
+        ref = _g_mp(mpmath, g, complex(x, 0.0))
+        assert abs(eq.g_boundary(g, x, "+") - ref) <= 1e-14
+        assert abs(eq.g_boundary(g, x, "-") - ref.conjugate()) <= 1e-14
+
+    def test_boundary_at_the_smallest_subnormal(self):
+        # 0.5 x underflows to 0 at x = 5e-324; the values stay those of
+        # the limit x -> 0+
+        for g in (1.0, 2.0, 5.0):
+            near = eq.log_potential(g, 1e-310)
+            assert abs(eq.log_potential(g, 5e-324) - near) <= 1e-14
+            gp = eq.g_boundary(g, 5e-324, "+")
+            assert abs(gp.real - near) <= 1e-14
+            assert abs(gp.imag - math.pi) <= 1e-14
 
     def test_non_finite_boundary_point_raises(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,7 @@ from scipy import special
 
 from bessellab import errors, specfun
 from bessellab.dpp import nystrom
-from bessellab.equilibrium import cdf, density
+from bessellab.equilibrium import cdf, density, g_boundary, log_potential
 from bessellab.errors import ConvergenceFailure, DomainError, PrecisionFailure
 from bessellab.orthopoly import build_recurrence, weight_quadrature
 from bessellab.specfun import (
@@ -379,6 +379,8 @@ _FLOAT_ENTRY_POINTS = {
     "bessel_j_deriv": lambda v: bessel_j_deriv(0.0, v),
     "density": lambda v: density(2.0, v),
     "cdf": lambda v: cdf(2.0, v),
+    "log_potential": lambda v: log_potential(2.0, v),
+    "g_boundary": lambda v: g_boundary(2.0, v, "+"),
     "make_user": lambda v: make_user([0.5, v]).prefix(2),
     # c must leave the support base.support / c finite and positive
     "ScaledWeight": lambda v: ScaledWeight(PowerWeight(0.5), v, 1.0).support,
@@ -389,8 +391,9 @@ _LIBRARY_ERRORS = (errors.DomainError, errors.ConvergenceFailure, errors.Sequenc
 
 # A RuntimeWarning escaping an entry point fails the test.  The examples
 # are a huge order (the Gauss-Jacobi rule overflows), a window near the
-# float maximum (the Nystrom masses overflow), NaN and inf, and a scale
-# c = 1e-310 whose support 1 / c overflows.
+# float maximum (the Nystrom masses overflow), NaN and inf, a scale
+# c = 1e-310 whose support 1 / c overflows, and the smallest subnormal,
+# where 0.5 x underflows to 0 in the log potential.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", sorted(_FLOAT_ENTRY_POINTS))
 @given(v=st.floats(allow_nan=True, allow_infinity=True))
@@ -399,6 +402,7 @@ _LIBRARY_ERRORS = (errors.DomainError, errors.ConvergenceFailure, errors.Sequenc
 @example(v=math.nan)
 @example(v=math.inf)
 @example(v=1e-310)
+@example(v=5e-324)
 @settings(max_examples=60, deadline=None)
 def test_any_float_gives_finite_values_or_library_error(entry, v):
     try:
