@@ -19,9 +19,9 @@ byte-identical CSV.  Floats are serialized with 17 significant digits and
 no timestamps or environment info enter the output.
 """
 
-import csv
 import hashlib
 import json
+import operator
 import os
 from dataclasses import dataclass, asdict
 
@@ -432,18 +432,38 @@ EXPERIMENTS = {
 }
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+# the characters the csv module would quote a field for
+_NEEDS_QUOTES = ',"\n\r'
 
 
 def write_csv(path, rows, fields):
+    """Write the list of dicts ``rows`` as a CSV table of the columns ``fields``.
+
+    A column of Python floats is written ``%.17g``, which reads back as the
+    same float; a column with no float is written with ``str``.  The header
+    is ``fields``, every line ends in a newline, and no field is quoted, so
+    the rows stream through one format string.  A column that mixes floats
+    with other values, and a header or ``str`` cell that holds a comma, a
+    double quote or a line break, raise ``ValueError``.
+    """
+    specs = []
+    for k in fields:
+        column = operator.itemgetter(k)
+        kinds = {issubclass(t, float) for t in set(map(type, map(column, rows)))}
+        if len(kinds) > 1:
+            raise ValueError("CSV column %r mixes floats with other values" % (k,))
+        if True in kinds:
+            specs.append("%.17g")
+            text = k
+        else:
+            specs.append("%s")
+            text = k + "".join(set(map(str, map(column, rows))))
+        if any(c in text for c in _NEEDS_QUOTES):
+            raise ValueError("CSV column %r holds a comma, a quote or a line break" % (k,))
+    line = ",".join(specs) + "\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        wr.writeheader()
-        for r in rows:
-            wr.writerow({k: _fmt(r[k]) for k in fields})
+        fh.write(",".join(fields) + "\n")
+        fh.writelines(map(line.__mod__, map(operator.itemgetter(*fields), rows)))
 
 
 def write_summary(path, summary):

@@ -5,6 +5,7 @@ runs in a trimmed configuration to exercise plumbing, determinism of the
 written artifacts, and exit codes.
 """
 
+import csv
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from bessellab.lab import (
     ExperimentConfig,
     default_config,
     run_experiment,
+    write_csv,
 )
 
 # every experiment in a configuration small enough for the unit suite
@@ -172,12 +174,65 @@ class TestArtifacts:
         assert {step: max(errs) for step, errs in by_step.items()} == sups
 
     def test_csv_float_format_full_precision(self, tmp_path):
-        cfg = default_config("equilibrium_report", gammas=(1.5,), grid_points=5)
-        _, _, summary = run_experiment(cfg, out_dir=tmp_path)
-        text = open(summary["csv"]).read()
-        # 17 significant digits keep the roundtrip exact
-        sample = text.strip().splitlines()[1].split(",")[-1]
-        assert float(sample) == float(repr(float(sample)))
+        # equilibrium_report has only float columns, hard_edge_limit a label
+        for cfg in (default_config("equilibrium_report", gammas=(1.5,), grid_points=5),
+                    _trimmed("hard_edge_limit")):
+            rows, fields, summary = run_experiment(cfg, out_dir=tmp_path)
+            with open(summary["csv"], newline="") as fh:
+                reader = csv.DictReader(fh)
+                read = list(reader)
+            assert reader.fieldnames == list(fields)
+            assert len(read) == len(rows)
+            for got, row in zip(read, rows):
+                for k in fields:
+                    if isinstance(row[k], float):
+                        # 17 significant digits read back as the same float
+                        assert float(got[k]).hex() == row[k].hex()
+                    else:
+                        assert got[k] == str(row[k])
+
+
+def _reference_csv(path, rows, fields):
+    """The csv module's rendering of ``rows``: .17g floats, str otherwise."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+        wr.writeheader()
+        for r in rows:
+            wr.writerow({k: format(v, ".17g") if isinstance(v, float) else str(v)
+                         for k, v in r.items()})
+
+
+_EDGE_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                1.7976931348623157e308, 0.1, -1.0 / 3.0]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [
+        [{"label": "R=1e+04", "x": x, "n": n, "ok": n % 2 == 0}
+         for n, x in enumerate(_EDGE_FLOATS)],
+        [{"label": "n=%d:plus_hat" % n, "x": np.float64(x), "n": np.int64(n), "ok": None}
+         for n, x in enumerate(_EDGE_FLOATS)],
+        [],
+    ], ids=["python-scalars", "numpy-scalars", "empty"])
+    def test_matches_csv_module(self, tmp_path, rows):
+        fields = ["label", "x", "n", "ok"]
+        write_csv(tmp_path / "a.csv", rows, fields)
+        _reference_csv(tmp_path / "b.csv", rows, fields)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_mixed_float_column_rejected(self, tmp_path):
+        rows = [{"x": 1.0}, {"x": 2}]
+        with pytest.raises(ValueError, match="mixes floats"):
+            write_csv(tmp_path / "a.csv", rows, ["x"])
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\nb", "a\rb"],
+                             ids=["comma", "quote", "newline", "return"])
+    def test_label_needing_quotes_rejected(self, tmp_path, label):
+        with pytest.raises(ValueError, match="comma, a quote or a line break"):
+            write_csv(tmp_path / "a.csv", [{"step": "ok", "x": 1.0}, {"step": label, "x": 2.0}],
+                      ["step", "x"])
+        with pytest.raises(ValueError, match="comma, a quote or a line break"):
+            write_csv(tmp_path / "b.csv", [{label: 1.0}], [label])
 
 
 class TestCli:
