@@ -16,8 +16,9 @@ real values, each returning the converted value:
 * ``_as_seed(seed, name)``: seed as a Python int >= 0, with no upper bound,
   since derived seeds fill [0, 2^64) and ``_as_index`` stops at 2^63;
 
-and by ``_check_complex(z, name)`` for the finite complex points of the
-equilibrium maps.
+and by ``_check_complex(z, name)``: z as a complex array whose every entry
+has finite real and imaginary parts, for the points of the equilibrium
+maps; the error names "finite".
 
 Every interval is closed.  An open bound is passed as the nearest float
 inside it: ``_POSITIVE`` for "> 0", ``_BELOW_ONE`` for "< 1",
@@ -25,7 +26,6 @@ inside it: ``_POSITIVE`` for "> 0", ``_BELOW_ONE`` for "< 1",
 nor an infinity passes any check, even against an infinite bound.
 """
 
-import cmath
 import math
 import operator
 
@@ -112,8 +112,9 @@ def _as_seed(seed, name):
 
 
 def _check_complex(z, name):
-    """z as a complex; DomainError unless both its parts are finite."""
-    z = complex(z)
-    if cmath.isfinite(z):
+    """z as a complex array; DomainError unless both parts of every entry
+    are finite."""
+    z = np.asarray(z, dtype=complex)
+    if np.isfinite(z).all():
         return z
-    raise DomainError(f"{name} must be finite, got {z!r}")
+    raise DomainError(f"{name} must be finite")

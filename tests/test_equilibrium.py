@@ -306,6 +306,8 @@ class TestPhiAndF:
         up = eq.phi_map(g, complex(-0.5, 1e-8))
         dn = eq.phi_map(g, complex(-0.5, -1e-8))
         assert abs(up - dn) < 1e-6
+        # the axis itself carries the upper-side value, whatever sign of zero
+        assert eq.phi_map(g, complex(-0.5, -0.0)) == eq.phi_map(g, complex(-0.5, 0.0))
 
     def test_f_side_independent(self):
         g = 1.5
@@ -330,6 +332,69 @@ class TestPhiAndF:
         for phase in (0.5, 2.0, 4.0):
             z = 1e-6 * cmath.exp(1j * phase)
             assert_allclose((eq.f_map(g, z) / z).real, target, rtol=1e-4)
+
+
+def _scalar_map(fn, z, *args):
+    return np.array([fn(2.0, w, *args) for w in z.ravel().tolist()]).reshape(z.shape)
+
+
+class TestArrays:
+    # rows in both half-planes and on the negative real axis; for g, real
+    # z > 1 in place of the negative axis, which is its cut
+    HALVES = np.linspace(-1.5, 1.8, 12) + 1j * np.array([[-0.7], [-1e-3], [1e-3], [0.4]])
+    Z = np.vstack([HALVES, np.linspace(-3.0, -0.25, 12) + 0j])
+    Z_G = np.vstack([HALVES, np.linspace(1.25, 40.0, 12) + 0j])
+    # circles of radius 0.009, 0.45 and 0.9 through the real axis, and a
+    # real row across the disk
+    DISK = np.vstack([np.array([[0.009], [0.45], [0.9]])
+                      * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 12)),
+                      np.linspace(-0.9, 0.9, 12) + 0j])
+
+    def test_g_map_array_is_pointwise(self):
+        assert np.array_equal(eq.g_map(2.0, self.Z_G), _scalar_map(eq.g_map, self.Z_G))
+
+    def test_phi_map_array_is_pointwise(self):
+        assert np.array_equal(eq.phi_map(2.0, self.Z), _scalar_map(eq.phi_map, self.Z))
+
+    def test_f_map_array_is_pointwise(self):
+        out = eq.f_map(2.0, self.DISK)
+        assert np.array_equal(out, _scalar_map(eq.f_map, self.DISK))
+        assert np.all(out[-1].imag == 0.0)
+
+    def test_g_boundary_array_is_pointwise(self):
+        x = np.array([[-50.0, -0.5, 0.0], [1e-8, 0.5, 0.999]])
+        for side in "+-":
+            assert np.array_equal(eq.g_boundary(2.0, x, side),
+                                  _scalar_map(eq.g_boundary, x, side))
+
+    def test_shapes_and_scalars(self):
+        assert eq.phi_map(2.0, self.Z).shape == self.Z.shape
+        assert eq.g_map(2.0, self.Z_G).shape == self.Z_G.shape
+        assert eq.f_map(2.0, self.DISK).shape == self.DISK.shape
+        assert eq.g_boundary(2.0, np.zeros((2, 3)), "+").shape == (2, 3)
+        for out in (eq.g_map(2.0, 0.5 + 0.1j), eq.phi_map(2.0, 0.5 + 0.1j),
+                    eq.f_map(2.0, 0.5), eq.g_boundary(2.0, 0.5, "-")):
+            assert isinstance(out, complex) and np.ndim(out) == 0
+
+    def test_phi_map_reads_the_cut_through_phi_boundary(self):
+        x = np.array([0.0, 0.3, 0.99])
+        z = np.concatenate([x + 0j, [0.5 + 0.2j, -0.4 + 0j]])
+        for side in "+-":
+            out = eq.phi_map(2.0, z, side=side)
+            assert np.array_equal(out[:3], eq.phi_boundary(2.0, x, side))
+            assert np.array_equal(out[3:], eq.phi_map(2.0, z[3:]))
+
+    @pytest.mark.parametrize("fn, z", [
+        (eq.g_map, [0.5 + 0.1j, complex(math.nan, 0.0)]),
+        (eq.g_map, [0.5 + 0.1j, 0.5 + 0j]),
+        (eq.phi_map, [0.5 + 0.1j, complex(0.2, math.nan)]),
+        (eq.phi_map, [0.5 + 0.1j, 0.3 + 0j]),
+        (eq.f_map, [0.5 + 0.1j, complex(math.nan, 0.1)]),
+        (eq.f_map, [0.5 + 0.1j, 1.0 + 0j])],
+        ids=["g-nan", "g-cut", "phi-nan", "phi-no-side", "f-nan", "f-disk"])
+    def test_one_bad_entry_raises(self, fn, z):
+        with pytest.raises(DomainError):
+            fn(2.0, np.array(z))
 
 
 class TestParametrix:
@@ -364,8 +429,25 @@ class TestLens:
     def test_phi_has_negative_real_part_off_support(self):
         rep = eq.lens_sign_check(2.0)
         assert rep["max_re_phi"] < 0
-        assert rep["conjugate_defect"] < 1e-13
-        assert rep["max_re_on_cut"] < 1e-12
+        assert set(rep) == {"gamma", "max_re_phi"}
+        # what the lens leaves out: the lower half is the conjugate, and
+        # the cut between the halves has Re phi = 0
+        z = np.linspace(0.05, 0.95, 19)[:, None] + 1j * np.linspace(0.01, 0.2, 8)
+        assert np.array_equal(eq.phi_map(2.0, z.conj()), np.conj(eq.phi_map(2.0, z)))
+        assert np.all(eq.phi_boundary(2.0, z.real[:, 0], "+").real == 0.0)
+
+    def test_one_phi_evaluation_per_gamma(self, monkeypatch):
+        calls = []
+        upper = eq._phi_upper
+
+        def counting(gamma, z):
+            calls.append(np.size(z))
+            return upper(gamma, z)
+
+        monkeypatch.setattr(eq, "_phi_upper", counting)
+        for g in (1.1, 2.0, 5.0):
+            eq.lens_sign_check(g)
+        assert calls == [19 * 8] * 3
 
     def test_diagnostics_serializable(self):
         import json

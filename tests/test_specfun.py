@@ -19,7 +19,7 @@ from scipy import special
 
 from bessellab import errors, specfun
 from bessellab.dpp import nystrom
-from bessellab.equilibrium import cdf, density, g_boundary, log_potential
+from bessellab.equilibrium import cdf, density, f_map, g_boundary, g_map, log_potential, phi_map
 from bessellab.errors import ConvergenceFailure, DomainError, PrecisionFailure
 from bessellab.orthopoly import build_recurrence, weight_quadrature
 from bessellab.specfun import (
@@ -381,6 +381,9 @@ _FLOAT_ENTRY_POINTS = {
     "cdf": lambda v: cdf(2.0, v),
     "log_potential": lambda v: log_potential(2.0, v),
     "g_boundary": lambda v: g_boundary(2.0, v, "+"),
+    "g_map": lambda v: g_map(2.0, complex(v, 1e-3)),
+    "phi_map": lambda v: phi_map(2.0, complex(v, 0.3)),
+    "f_map": lambda v: f_map(2.0, complex(0.5, v)),
     "make_user": lambda v: make_user([0.5, v]).prefix(2),
     # c must leave the support base.support / c finite and positive
     "ScaledWeight": lambda v: ScaledWeight(PowerWeight(0.5), v, 1.0).support,
