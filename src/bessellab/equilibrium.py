@@ -36,8 +36,8 @@ import math
 
 import numpy as np
 
-from .errors import (_BELOW_ONE, _POSITIVE, DomainError, _check_complex, _check_number,
-                     _check_points)
+from .errors import (_BELOW_ONE, _POSITIVE, DomainError, PrecisionFailure, _check_complex,
+                     _check_number, _check_points)
 from .specfun import BesselOrder, _maybe_scalar
 from .weights import field_V
 
@@ -405,7 +405,16 @@ def f_map(gamma, z):
 # global parametrix
 
 
-def _parametrix_from_parts(nu, a, sqrt_ratio):
+def _parametrix_from_parts(nu, z, sgn):
+    # N(z) off the cut (sgn None) or on its side sgn = +1/-1
+    if sgn is None:
+        ratio = (z - 1.0) / z
+        a, sqrt_ratio = ratio ** 0.25, np.sqrt(complex(ratio))
+    else:
+        x = z.real
+        mag = ((1.0 - x) / x) ** 0.25
+        a = mag * complex(math.cos(math.pi / 4.0), sgn * math.sin(math.pi / 4.0))
+        sqrt_ratio = sgn * 1j * math.sqrt((1.0 - x) / x)
     ai = 1.0 / a
     m = np.array([[0.5 * (a + ai), (a - ai) / 2j],
                   [-(a - ai) / 2j, 0.5 * (a + ai)]], dtype=complex)
@@ -417,23 +426,28 @@ def _parametrix_from_parts(nu, a, sqrt_ratio):
 
 def global_parametrix(nu, z, side=None):
     """The 2x2 matrix N(z) solving the jump N_+ = N_- [[0, x^nu], [-x^-nu, 0]]
-    on (0, 1), analytic elsewhere, N(oo) = I, det N = 1."""
+    on (0, 1), analytic elsewhere, N(oo) = I, det N = 1.
+
+    Its entries grow like |z|^(-|nu|/2 - 1/4) near z = 0; where one leaves
+    the float range (nu = 2 at z = 1e-300, nu = 300 at z = 1e-12),
+    PrecisionFailure is raised.
+    """
     z = complex(_check_complex(z, "z"))
     nu = BesselOrder(nu).nu
     on_cut = z.imag == 0.0 and 0.0 <= z.real <= 1.0
-    if not on_cut:
-        ratio = (z - 1.0) / z
-        return _parametrix_from_parts(nu, ratio ** 0.25, np.sqrt(complex(ratio)))
-    if side is None:
+    if on_cut and side is None:
         raise DomainError("z on [0, 1] needs side='+'/'-'")
-    sgn = _side_sign(side)
-    x = z.real
-    if x in (0.0, 1.0):
+    sgn = _side_sign(side) if on_cut else None
+    if on_cut and z.real in (0.0, 1.0):
         raise DomainError("the parametrix is singular at the endpoints 0 and 1")
-    mag = ((1.0 - x) / x) ** 0.25
-    a = mag * complex(math.cos(math.pi / 4.0), sgn * math.sin(math.pi / 4.0))
-    sqrt_ratio = sgn * 1j * math.sqrt((1.0 - x) / x)
-    return _parametrix_from_parts(nu, a, sqrt_ratio)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _parametrix_from_parts(nu, z, sgn)
+    except OverflowError:
+        out = np.full((2, 2), math.nan)
+    if not np.all(np.isfinite(out)):
+        raise PrecisionFailure(f"the parametrix (nu={nu}) overflows this close to z = 0")
+    return out
 
 
 def lens_sign_check(gamma):

@@ -77,7 +77,13 @@ def _maybe_scalar(out):
 
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss.
+
+    The nodes are within 6.4e-17 of the roots of P_n.  The weights are
+    less accurate, worst at the end nodes: against 2 / ((1 - x^2) P_n'(x)^2)
+    at 32 digits their relative error is up to 1.3e-12 at n = 64, 1.4e-11
+    at n = 128, 1.5e-11 at n = 161 and 1.1e-10 at n = 512, the Nystrom
+    default.
 
     The rule depends on n alone, so it is computed once per process and
     shared: both arrays are read-only, and callers map them into new ones.
@@ -140,10 +146,13 @@ def _mcmahon(nu, k):
     )
 
 
-def _scan_zeros(nu, count):
-    # the first `count` zeros: sign changes of J_nu on a grid of step
-    # _SCAN_STEP, extended until it holds enough, each bracket polished from
-    # its secant point
+@functools.lru_cache(maxsize=16)
+def _scan_brackets(nu, count):
+    # brackets of the first `count` zeros: sign changes of J_nu on a grid of
+    # step _SCAN_STEP, extended until it holds enough.  Rows (start, a, b,
+    # J_nu(a)) with the secant point as start, the arguments of _polish.  The
+    # scan depends on (nu, count) alone, so it is cached for the last 16
+    # such pairs and the array is read-only.
     u0 = 1e-8 if nu < 0.5 else max(1e-8, 0.7 * math.sqrt(nu * (nu + 2.0)))
     # first grid: up to McMahon's leading term (count + |nu|/2 + 1/4) pi
     n = int(((count + abs(nu) / 2.0 + 0.25) * math.pi - u0) / _SCAN_STEP) + 2
@@ -157,7 +166,9 @@ def _scan_zeros(nu, count):
             raise ConvergenceFailure(f"zero scan for nu={nu} ran away")
         n *= 2
     a, b, fa, fb = u[k], u[k + 1], f[k], f[k + 1]
-    return _polish(nu, a - fa * (b - a) / (fb - fa), a, b, fa)
+    rows = np.array([a - fa * (b - a) / (fb - fa), a, b, fa])
+    rows.setflags(write=False)
+    return rows
 
 
 def _polish(nu, x, a, b, fa):
@@ -190,27 +201,31 @@ def _polish(nu, x, a, b, fa):
 
 
 def _zeros_at(nu, k):
-    # the zeros j_{nu,k} for an int array of 1-based indices k.  Indices up
-    # to n_scan are bracketed by the sign-change scan (McMahon's expansion
-    # is unreliable there for larger orders); every higher one by
-    # [g - 1, g + 1] around its McMahon guess g, which past n_scan is off by
-    # less than 1e-2 while the zeros there are more than 3 apart.  A bracket
-    # reaching past _ZERO_MAX raises PrecisionFailure before any work.
+    # the zeros j_{nu,k} for a strictly increasing int array of 1-based
+    # indices k, the one path of every Bessel zero.  Indices up to n_scan
+    # take their bracket from the sign-change scan (McMahon's expansion is
+    # unreliable there for larger orders); every higher one [g - 1, g + 1]
+    # around its McMahon guess g, which past n_scan is off by less than 1e-2
+    # while the zeros there are more than 3 apart.  One _polish runs on all
+    # of them, then the residual and ordering checks.  A bracket reaching
+    # past _ZERO_MAX raises PrecisionFailure before any work.
     n_scan = max(4, int(math.ceil(abs(nu))) + 2)
     scan = k <= n_scan
     g = _mcmahon(nu, k[~scan])
     if np.any(g + 1.0 > _ZERO_MAX):
         raise PrecisionFailure(f"no Bessel zero past {_ZERO_MAX:.6g} can be certified (nu={nu})")
-    zeros = np.empty(k.shape)
-    zeros[scan] = _scan_zeros(nu, int(np.max(k[scan], initial=0)))[k[scan] - 1]
     fa, fb = special.jv(nu, g - 1.0), special.jv(nu, g + 1.0)
     if np.any(np.sign(fa) == np.sign(fb)):
         raise ConvergenceFailure(
             f"McMahon bracket of a Bessel zero holds no sign change (nu={nu})")
-    zeros[~scan] = _polish(nu, g, g - 1.0, g + 1.0, fa)
+    brackets = np.concatenate([_scan_brackets(nu, n_scan)[:, k[scan] - 1],
+                               [g, g - 1.0, g + 1.0, fa]], axis=1)
+    zeros = _polish(nu, *brackets)
     amplitude = np.sqrt(2.0 / (math.pi * zeros))
     if np.any(np.abs(special.jv(nu, zeros)) > 1e-8 * amplitude):
         raise ConvergenceFailure(f"Bessel zero residual too large (nu={nu})")
+    if np.any(np.diff(zeros) <= 0):
+        raise ConvergenceFailure(f"Bessel zeros not strictly increasing (nu={nu})")
     return zeros
 
 
@@ -220,30 +235,27 @@ def bessel_zeros(nu, kmax):
     Each zero is polished on its own by bracketed Newton steps, so the
     first kmax zeros are the same numbers however many are asked for.  The
     brackets of the first few come from a sign-change scan (McMahon's
-    expansion is unreliable there for larger orders), those of the rest
-    are [g - 1, g + 1] around McMahon's guess g.  For nu in
-    {-0.9, -0.5, 0, 0.5, 2.5, 10, 37.3} the first 60 zeros are within
-    2.5e-15 relative of 30-digit mpmath references.  Failure to converge,
-    a bracket without a sign change, a residual above 1e-8 of the
-    amplitude or a sequence that is not strictly increasing raises
-    ConvergenceFailure.  A zero whose bracket reaches past _ZERO_MAX = 2^27
-    (from about the 4.27e7-th), where half an ulp of the argument is more
-    than the residual check allows, raises PrecisionFailure before any
-    zero is polished.
+    expansion is unreliable there for larger orders), run once per order
+    per process and cached; those of the rest are [g - 1, g + 1] around
+    McMahon's guess g.  For nu in {-0.9, -0.5, 0, 0.5, 2.5, 10, 37.3} the
+    first 60 zeros are within 2.5e-15 relative of 30-digit mpmath
+    references.  Failure to converge, a bracket without a sign change, a
+    residual above 1e-8 of the amplitude or a sequence that is not
+    strictly increasing raises ConvergenceFailure.  A zero whose bracket
+    reaches past _ZERO_MAX = 2^27 (from about the 4.27e7-th), where half
+    an ulp of the argument is more than the residual check allows, raises
+    PrecisionFailure before any zero is polished.
     """
-    nu = _order(nu)
     kmax = int(_as_index(kmax, 0, math.inf, "kmax"))
-    zeros = _zeros_at(nu, np.arange(1, kmax + 1))
-    if np.any(np.diff(zeros) <= 0):
-        raise ConvergenceFailure(f"Bessel zeros not strictly increasing (nu={nu})")
-    return zeros
+    return _zeros_at(_order(nu), np.arange(1, kmax + 1))
 
 
 def bessel_zero(nu, k):
     """k-th positive zero of J_nu (k = 1, 2, ...), equal to
-    ``bessel_zeros(nu, k)[-1]``.  Past the first few, which one scan finds
-    together, the zero is polished on its own, without the zeros below it.
-    It raises PrecisionFailure past _ZERO_MAX, as ``bessel_zeros`` does.
+    ``bessel_zeros(nu, k)[-1]``.  It is the only zero polished: its bracket
+    comes from the cached scan of the first few zeros or from McMahon's
+    guess, and it passes the same checks.  It raises PrecisionFailure past
+    _ZERO_MAX, as ``bessel_zeros`` does.
     """
     k = int(_as_index(k, 1, math.inf, "zero index k"))
     return float(_zeros_at(_order(nu), np.array([k]))[0])

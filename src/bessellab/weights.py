@@ -126,9 +126,11 @@ class ConditionalWeight:
         M = max(256, 4 N(R)) terms and M doubles until the tail
         certificate meets it, for at most 12 rounds; then PrecisionFailure
         is raised.  For a bessel sequence the explicit terms of the zeta
-        remainder (``extra``) grow fourfold in a round only while the
-        coefficient error above its summation floor SUM_EPS * S_j exceeds
-        half the tolerance, since only a larger M lowers that floor.
+        remainder (``extra``) grow fourfold in a round while the coefficient
+        error above its summation floor SUM_EPS * S_j exceeds half the
+        tolerance, since only a larger M lowers that floor; a round whose
+        series remainder and floor already fit the tolerance keeps M and
+        only grows ``extra``.
     """
 
     support = quad_support = 1.0
@@ -177,15 +179,22 @@ class ConditionalWeight:
             if remainder + coeff_err <= self.tail_tolerance:
                 coeffs = np.array([-2.0 / j * svals[j - 1] for j in range(1, depth + 1)])
                 return True, (M, depth, coeffs, remainder + coeff_err)
-        # series alone cannot get there: push M further out, and the explicit
-        # part of the bessel zeta remainder only while the coefficient error
-        # above its summation floor SUM_EPS * S_j (which only M lowers) is
-        # more than half the tolerance; the exact kinds' error is that floor
+        # series alone cannot get there.  The coefficient error is its
+        # summation floor SUM_EPS * S_j, which only M lowers, plus the excess
+        # of the bessel zeta remainder's bound, which falls at least like
+        # (M + extra)^-5 (the exact kinds have no excess).  If the remainder
+        # and the floor fit, the excess alone is in the way: retry at the
+        # same M with the explicit terms that bring it to half the room left,
+        # at most four times as many.  Otherwise double M, and grow the
+        # explicit terms fourfold while the excess is over half the tolerance.
+        explicit = extra or max(2000, M)
         excess = sum(2.0 / (j + 1) * R ** (j + 1) * (serrs[j] - SUM_EPS * svals[j])
                      for j in range(depth))
-        if excess > 0.5 * self.tail_tolerance:
-            extra = 4 * (extra or max(2000, M))
-        return False, (2 * M, extra)
+        room = self.tail_tolerance - (remainder + coeff_err - excess)
+        if room > 0:
+            grow = min(4.0, (2.0 * excess / room) ** 0.2)
+            return False, (M, math.ceil((M + explicit) * grow) - M)
+        return False, (2 * M, 4 * explicit if excess > 0.5 * self.tail_tolerance else extra)
 
     # -- evaluation --------------------------------------------------------
 

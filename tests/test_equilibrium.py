@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bessellab import equilibrium as eq
-from bessellab.errors import DomainError
+from bessellab.errors import DomainError, PrecisionFailure
 from bessellab.weights import field_V_gamma
 
 # mpmath, 30 digits: pi^2 gamma / (pi + 2 (sqrt(gamma-1) - atan sqrt(gamma-1)))^2
@@ -415,6 +415,20 @@ class TestParametrix:
         jump = np.array([[0.0, x**nu], [-(x**-nu), 0.0]], dtype=complex)
         right = eq.global_parametrix(nu, x, side="-") @ jump
         assert np.max(np.abs(left - right)) < 1e-10
+
+    @pytest.mark.parametrize("nu, z, side", [
+        (2.0, 1e-300, "+"), (2.0, complex(1e-300, 1e-300), None), (37.3, 1e-30, "-"),
+        (300.0, 1e-12, "+"), (0.0, 5e-324j, None)])
+    def test_overflow_near_zero_raises(self, nu, z, side):
+        # the entries grow like |z|^(-nu/2 - 1/4): these came back with
+        # inf/NaN entries (nu = 2) or raised a bare OverflowError
+        with pytest.raises(PrecisionFailure, match="overflows"):
+            eq.global_parametrix(nu, z, side=side)
+
+    def test_large_but_finite_entries_near_zero(self):
+        for z, side in ((1e-100, "+"), (complex(1e-100, 1e-100), None)):
+            n = eq.global_parametrix(2.0, z, side=side)
+            assert np.all(np.isfinite(n)) and np.max(np.abs(n)) > 1e120
 
     def test_singular_points_rejected(self):
         with pytest.raises(DomainError):

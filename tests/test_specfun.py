@@ -31,7 +31,7 @@ from bessellab.specfun import (
     bessel_zero,
     bessel_zeros,
 )
-from bessellab.sequences import make_user
+from bessellab.sequences import _COUNT_WINDOW, make_bessel_zero_squared, make_user
 from bessellab.weights import ApproxWeight, PowerWeight, ScaledWeight, field_V, field_V_gamma
 
 # mpmath, 30 digits
@@ -170,7 +170,8 @@ class TestBesselZeros:
         mpmath = pytest.importorskip("mpmath")
         z = bessel_zeros(nu, 60)
         # every bracket of the scan, polished without brentq and with it
-        scanned, zb = specfun._scan_zeros(nu, 60), _brentq_zeros(nu, 60)
+        scanned = specfun._polish(nu, *specfun._scan_brackets(nu, 60))
+        zb = _brentq_zeros(nu, 60)
         with mpmath.workdps(30):
             v = mpmath.mpf(nu)
             ref = []
@@ -239,6 +240,63 @@ class TestBesselZeros:
             with pytest.raises(PrecisionFailure, match="can be certified"):
                 bessel_zero(nu, index)
 
+    @staticmethod
+    def _count_polish_sizes(monkeypatch):
+        sizes = []
+        polish = specfun._polish
+
+        def counting(nu, x, a, b, fa):
+            sizes.append(x.size)
+            return polish(nu, x, a, b, fa)
+
+        monkeypatch.setattr(specfun, "_polish", counting)
+        return sizes
+
+    def test_count_scans_once_per_order_and_polishes_only_its_windows(self, monkeypatch):
+        # at nu = 300 the first n_scan = 302 brackets come from the scan: it
+        # runs once for the order, and each count polishes only the zeros of
+        # the windows it reads (it used to scan and polish up to 302 zeros
+        # per window)
+        nu = 300.0
+        z = bessel_zeros(nu, 401)
+        specfun._scan_brackets.cache_clear()
+        sizes = self._count_polish_sizes(monkeypatch)
+        seq = make_bessel_zero_squared(nu)
+        for n in (50, 150, 301, 302, 400):
+            assert seq.count_upto(z[n - 1] * z[n]) == n
+        assert specfun._scan_brackets.cache_info().misses == 1
+        assert len(sizes) >= 5 and set(sizes) == {_COUNT_WINDOW}
+
+    def test_one_zero_asked_is_one_zero_polished(self, monkeypatch):
+        # below and above n_scan = 302: a cached scan bracket, a McMahon one
+        nu = 300.0
+        z = bessel_zeros(nu, 310)
+        specfun._scan_brackets.cache_clear()
+        sizes = self._count_polish_sizes(monkeypatch)
+        assert bessel_zero(nu, 300) == z[299]
+        assert bessel_zero(nu, 305) == z[304]
+        assert sizes == [1, 1]
+        assert specfun._scan_brackets.cache_info().misses == 1
+
+    def test_scan_brackets_are_cached_and_read_only(self):
+        rows = specfun._scan_brackets(2.5, 6)
+        assert specfun._scan_brackets(2.5, 6) is rows
+        start, a, b, fa = rows
+        assert np.all((a < start) & (start < b))
+        assert np.all(np.sign(fa) != np.sign(special.jv(2.5, b)))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+    def test_zeros_out_of_order_raise_on_every_path(self, monkeypatch):
+        # the one ordering check sits in _zeros_at, so the count's windows
+        # pass through it as the prefix does
+        polish = specfun._polish
+        monkeypatch.setattr(specfun, "_polish", lambda *args: polish(*args)[::-1])
+        with pytest.raises(ConvergenceFailure, match="strictly increasing"):
+            bessel_zeros(0.0, 10)
+        with pytest.raises(ConvergenceFailure, match="strictly increasing"):
+            make_bessel_zero_squared(0.0).count_upto(1e4)
+
     def test_invalid_order_rejected(self):
         with pytest.raises(DomainError):
             bessel_zeros(-1.0, 5)
@@ -248,6 +306,31 @@ class TestBesselZeros:
     def test_zero_count_gives_empty(self):
         assert len(bessel_zeros(0.0, 0)) == 0
 
+
+def _legendre_mp(mpmath, n, t):
+    # P_n(t) and P_n'(t) by the three-term recurrence, at mpmath precision
+    p0, p1 = mpmath.mpf(1), t
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+    return p1, n * (t * p1 - p0) / (t * t - 1)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n, bound", [(128, 1.5e-11), (512, 1.2e-10)])
+    def test_accuracy_against_mpmath(self, n, bound):
+        # the accuracy the docstring states: nodes within 6.4e-17 of the
+        # roots of P_n, weights (worst at the end nodes) within `bound`
+        # relative of 2 / ((1 - x^2) P_n'(x)^2) at 32 digits
+        mpmath = pytest.importorskip("mpmath")
+        x, w = specfun._gauss_legendre(n)
+        with mpmath.workdps(32):
+            for i in (0, 1, 2, n // 8, n // 4, n // 2 - 1, n - 2, n - 1):
+                t = mpmath.mpf(float(x[i]))
+                p, dp = _legendre_mp(mpmath, n, t)
+                t -= p / dp
+                _, dp = _legendre_mp(mpmath, n, t)
+                assert abs(x[i] - t) <= 6.4e-17
+                assert abs(w[i] - 2 / ((1 - t * t) * dp * dp)) <= bound * w[i]
 
 class TestBesselKernel:
     def test_half_integer_closed_form(self):

@@ -126,6 +126,20 @@ class TestConditionalWeight:
         assert w.tail_error <= 1e-15
         assert seq.prefix(0).base.size <= w.M + max(2000, w.M)
 
+    def test_tail_escalation_keeps_m_once_its_floor_fits(self):
+        # at nu = 37.3 the floor and the series remainder fit tol = 1e-15 from
+        # M = 2048 on, but the zeta remainder's excess at 32 000 explicit
+        # terms (3.5e-16) does not; the round keeps M and adds the explicit
+        # terms the excess needs, where M used to double to 4096
+        seq = make_bessel_zero_squared(37.3)
+        w = ConditionalWeight(seq, 37.3, 1e4, tail_tolerance=1e-15)
+        assert (w.M, w.series_depth) == (2048, 4)
+        assert w.tail_error <= 1e-15
+        assert seq.prefix(0).base.size < w.M + 4 * 32000
+        loose = ConditionalWeight(make_bessel_zero_squared(37.3), 37.3, 1e4, tail_tolerance=1e-12)
+        t = np.linspace(0.0, 1.0, 17)
+        assert np.max(np.abs(w.log_smooth(t) - loose.log_smooth(t))) <= 1e-12 + 1e-15
+
     def test_tail_that_cannot_be_certified_raises(self):
         with pytest.raises(PrecisionFailure, match="could not certify"):
             ConditionalWeight(make_quadratic(), 0.0, 100.0, tail_tolerance=1e-300)
