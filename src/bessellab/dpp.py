@@ -19,13 +19,21 @@ Samples are drawn in blocks of B in lockstep, on one basis shared by the
 block: the d eigenvectors that any of its samples kept.  Eigenvalues sit
 near 0 or 1 but for a few, so d stays close to the block's largest k:
 within 2 of it at (nu, T, m) = (0, 1e4, 512), (2, 1e3, 256) and
-(0, 1e5, 1024), blocks of 48 on 480 derived seeds.  Each draw step is one
-(m x d)(d x B) matrix product for the whole block, so a step costs
-O(B d m) and a block O(B d m k_max).  A lone ``sample`` is a block of
-one.  Products over d columns sum in another order than over a sample's
-own k, so marginals may differ in the last bits between block sizes; the
-drawn points have been identical in every case checked, and the tests
-pin them.
+(0, 1e5, 1024), blocks of 48 and of 250 on 500 derived seeds.  Each draw
+step is one (m x d)(d x B) matrix product for the whole block, so a step
+costs O(B d m) and a block O(B d m k_max).  A lone ``sample`` is a block
+of one.  Products over d columns sum in another order than over a
+sample's own k, so marginals may differ in the last bits between block
+sizes; the drawn points have been identical in every case checked, and
+the tests pin them.
+
+A draw takes the first node whose cumulative marginal exceeds u times the
+total, found in two stages over blocks of L = _DRAW_BLOCK nodes (the
+marginals padded with zero-mass rows to a multiple of L): the cumulative
+block masses give the block, and a node-by-node cumulative sum inside it,
+started from the mass of the blocks before, gives the node.  That is one
+vectorized pass over the m x B marginals; only O(B (m/L + L)) of the work
+is a sequential sum.
 
 The same recipe gives the exact count law: N(0, T'] is a sum of
 independent Bernoulli(lambda_j), lambda_j the eigenvalues of the kernel
@@ -67,6 +75,10 @@ VAR_SLOPE = 1.0 / (4.0 * np.pi**2)
 # of order k * 1e-16; anything more negative than this means the selected
 # eigenvectors were not orthonormal to working precision.
 MARGINAL_TOL = 1e-10
+
+# Nodes per block of the chain-rule draw: a draw first finds its block from
+# the block masses, then its node inside the block.
+_DRAW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,9 @@ def _sample_block(kern, seeds):
     w = W[i_b] * M[b] against E[b], maps every sample's direction g to
     its kernel column with one product c = W g^T and subtracts c^2 from
     P.  A sample that already has its k points has M[b] = 0, so g = 0
-    and P[:, b] stays as it is.
+    and P[:, b] stays as it is.  W, and so P, are padded with rows of
+    zero mass to a multiple of _DRAW_BLOCK, where P is viewed by blocks
+    of nodes for the draw.
     """
     lam = kern.eigenvalues
     n_block = len(seeds)
@@ -183,35 +197,51 @@ def _sample_block(kern, seeds):
         U[b, :k[b]] = rng.random(k[b])
     steps = int(k.max())
     used = keep.any(axis=0)
-    W = kern.eigenvectors[:, used]  # m x d
+    m, d = kern.eigenvectors.shape[0], int(np.count_nonzero(used))
+    nb = -(-m // _DRAW_BLOCK)  # blocks of nodes; rows past m have zero mass
+    W = np.zeros((nb * _DRAW_BLOCK, d))  # m x d, and the padding's zero rows
+    W[:m] = kern.eigenvectors[:, used]
     M = keep[:, used].astype(float)  # B x d, 1 on a sample's own columns
-    m, d = W.shape
     P = (W * W) @ M.T  # column b: diag of sample b's projection kernel
+    Pb = P.reshape(nb, _DRAW_BLOCK, n_block)  # a view: P by blocks of nodes
     E = np.empty((n_block, steps, d))
-    cdf = np.empty((m, n_block))
+    C = np.zeros((nb + 1, n_block))  # C[q]: mass of the blocks before block q
     chosen = np.empty((steps, n_block), dtype=int)
     cols = np.arange(n_block)
     for t in range(steps):
         active = t < k
         M[k == t] = 0.0  # finished: g = 0 from here on
-        np.add.accumulate(P, axis=0, out=cdf)  # cumsum, minus its wrapper's cost
-        total = cdf[-1]
+        np.add.accumulate(Pb.sum(axis=1), axis=0, out=C[1:])
+        total = C[-1]
         vanished = active & ~(total > 0)
         if vanished.any():
             b = int(np.argmax(vanished))
             raise PrecisionFailure(
                 "conditional marginals vanished after %d of %d points (seed %d)"
                 % (t, k[b], seeds[b]))
-        # the first node whose cumulative mass exceeds u * total (the count
-        # of cdf <= u * total, as searchsorted side="right"): u < 1 keeps
-        # i < m, and a node of zero marginal is never drawn; a finished
-        # sample's index is only kept in range
-        i = np.count_nonzero(cdf <= U[:, t] * total, axis=0)
-        np.minimum(i, m - 1, out=i)
+        # the draw is the first node whose cumulative mass exceeds u * total.
+        # Its block is the count of blocks whose C[q + 1] <= u * total (u < 1
+        # keeps it below nb; a finished sample's is only kept in range).
+        # Inside the block the cumulative mass is summed node by node from
+        # C[block], so it never rises at a node of zero marginal and such a
+        # node is never drawn; if rounding leaves the block's sum short of
+        # u * total, its last node of positive marginal is taken.
+        x = U[:, t] * total
+        blk = np.minimum(np.count_nonzero(C[1:] <= x, axis=0), nb - 1)
+        cum = Pb[blk, :, cols]  # B x L: the marginals of each sample's block
+        cum[:, 0] += C[blk, cols]
+        np.add.accumulate(cum, axis=1, out=cum)
+        j = np.count_nonzero(cum <= x[:, None], axis=1)
+        short = active & (j == _DRAW_BLOCK)
+        if short.any():
+            last = _DRAW_BLOCK - 1 - np.argmax(Pb[blk, ::-1, cols] > 0, axis=1)
+            j = np.where(short, last, j)
+        i = blk * _DRAW_BLOCK + np.minimum(j, _DRAW_BLOCK - 1)
         chosen[t] = i
         w = W[i] * M
         Et = E[:, :t]
-        g = w - np.einsum("btd,bt->bd", Et, np.einsum("btd,bd->bt", Et, w))
+        h = np.matmul(Et, w[:, :, None])  # B x t x 1: E[b] w_b
+        g = w - np.matmul(h.transpose(0, 2, 1), Et)[:, 0]
         g /= np.sqrt(np.where(active, P[i, cols], 1.0))[:, None]
         E[:, t] = g
         c = W @ g.T  # m x B: one product for the whole block
@@ -243,9 +273,12 @@ def sample(kern, seed):
     column sums of W^2 = diag(K), and the earlier directions are rows of
     E.  After node i is drawn, g = (w_i - E^T (E w_i)) / sqrt(p[i]) is
     orthonormal to them, the orthonormalized kernel column is c = g W, and
-    p -= c^2.  Each draw costs O(m k), a sample O(m k^2).  This is a block
-    of one for ``_sample_block``, which ``sample_many`` runs on blocks of
-    its derived seeds; see the module docstring on why their points agree.
+    p -= c^2.  Node i is found from the masses of blocks of _DRAW_BLOCK
+    nodes, then inside its block (see the module docstring); a node of zero
+    marginal is never drawn.  Each draw costs O(m k), a sample O(m k^2).
+    This is a block of one for ``_sample_block``, which ``sample_many``
+    runs on blocks of its derived seeds; see the module docstring on why
+    their points agree.
 
     seed must be an integer >= 0, as every derived seed of
     ``sample_many`` is (they fill [0, 2^64)); anything else raises
@@ -257,10 +290,12 @@ def sample(kern, seed):
 
 
 # Samples drawn in lockstep by sample_many, chosen by measurement: on 2
-# vCPU with OpenBLAS, 500 samples at the default (nu, T, m) = (0, 1e4, 512)
-# took a median 0.203 s at 48, 0.209 s at 32 and 0.228 s at 64, whose runs
-# spread widest (upper quartile 0.31 s; 0.20 s with OpenBLAS on one thread).
-_BLOCK = 48
+# vCPU with OpenBLAS, the median of 15 interleaved in-process runs of 500
+# samples at the default (nu, T, m) = (0, 1e4, 512) took 92 ms at 48, 74 ms
+# at 100, 73 ms at 128, 71 ms at 200, 69 ms at 250 and 75 ms at 500.  A
+# block of 500 also raises the peak RSS of a dpp_stats run by about 8 MB;
+# 250 leaves it as it is at 48.
+_BLOCK = 250
 
 
 def sample_many(kern, n_samples, master_seed):
@@ -269,7 +304,9 @@ def sample_many(kern, n_samples, master_seed):
     The derived seeds are drawn _BLOCK at a time in lockstep
     (``_sample_block``): the block shares the d eigenvectors that any of
     its samples kept, and each draw step is one (m x d)(d x B) product for
-    the whole block, O(B d m) per step, in place of B length-m products.
+    the whole block, O(B d m) per step, in place of B length-m products,
+    and one pass over the m x B marginals to find the B nodes from their
+    block masses.
     Sample j equals ``sample(kern, seeds[j])`` point for point.
     master_seed must be an integer >= 0; anything else raises DomainError.
     """

@@ -24,8 +24,8 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .errors import (_POSITIVE, DomainError, PrecisionFailure, SequenceExhausted, _as_index,
-                     _check_number, _check_points)
+from .errors import (_POSITIVE, ConvergenceFailure, DomainError, PrecisionFailure,
+                     SequenceExhausted, _as_index, _check_number, _check_points)
 
 __all__ = [
     "PointSequence",
@@ -83,7 +83,13 @@ class PointSequence:
             idx = np.arange(1, n + 1, dtype=float)
             self._points = PI2 * idx * idx
         else:
-            self._points = specfun.bessel_zeros(self.nu, n) ** 2
+            # only the new zeros are computed: each is polished on its own,
+            # so a prefix grown in steps equals one built at once
+            have = self._points.size
+            new = specfun._zeros_at(self.nu, np.arange(have + 1, n + 1)) ** 2
+            if have and not new[0] > self._points[-1]:
+                raise ConvergenceFailure(f"Bessel zeros not strictly increasing (nu={self.nu})")
+            self._points = np.concatenate([self._points, new])
 
     def prefix(self, n):
         """First n points as an array (a read-only view of the cache)."""

@@ -148,7 +148,8 @@ class TestSampling:
         assert abs(counts.mean() - kern.trace) < 3.5 * se + 1e-9
 
     @pytest.mark.parametrize("nu, T, m, n_seeds", [
-        (0.0, 1e4, 512, 50), (0.5, 100.0, 128, 100), (2.0, 1e3, 256, 100)])
+        (0.0, 1e4, 512, 50), (0.5, 100.0, 128, 100), (2.0, 1e3, 256, 100),
+        (0.5, 100.0, 100, 100)])
     def test_matches_qr_reference_sampler(self, nu, T, m, n_seeds):
         kern = nystrom(nu, T, m)
         for seed in range(n_seeds):
@@ -193,6 +194,27 @@ class TestSampling:
         cfg = sample(kern, 0)
         assert cfg.points.size == 2 and kern.nodes[0] not in cfg.points
 
+    def test_top_uniform_takes_last_node_of_positive_marginal(self, monkeypatch):
+        # every uniform the largest float below 1: each draw must take the
+        # last node of positive marginal, never a zero row after it.  The
+        # 21 nodes fill one block of 16 and 5 of the next, padded with 11
+        # rows of zero mass; the support ends at node 18, inside the padded
+        # block.  Here the node-by-node sum of that block can round to just
+        # below u * total, where the draw falls back to its last node of
+        # positive marginal
+        class Top:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(dpp, "_rng", lambda seed: Top())
+        V = np.zeros((21, 2))
+        V[14:19] = np.linalg.qr(np.array([[0.0, -2.0], [-2.0, 3.0], [-4.0, -2.0],
+                                          [-4.0, -4.0], [-2.0, 2.0]]))[0]
+        kern = _kernel_from_columns(V)
+        assert kern.m % dpp._DRAW_BLOCK != 0
+        cfg = sample(kern, 0)
+        assert np.array_equal(cfg.points, kern.nodes[[17, 18]])
+
     @pytest.mark.parametrize("seed", [0, 1, 20260825])
     def test_batched_uniforms_match_scalar_draws(self, seed):
         # sample draws its k chain-rule uniforms with one random(k) call
@@ -232,8 +254,10 @@ class TestSampling:
         assert np.array_equal(sample(kern, 2.0).points, sample(kern, 2).points)
 
     # the second window is small enough that most samples keep no
-    # eigenvector, so a block mixes samples of k = 0 with the others
-    @pytest.mark.parametrize("window", [(0.5, 100.0, 128), (0.5, 4.0, 64)])
+    # eigenvector, so a block mixes samples of k = 0 with the others; the
+    # third has m = 100 nodes, not a multiple of the draw's node blocks
+    @pytest.mark.parametrize("window", [(0.5, 100.0, 128), (0.5, 4.0, 64),
+                                        (0.5, 100.0, 100)])
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
     def test_blocks_never_move_a_point(self, window, n):
         # sample_many draws its derived seeds in lockstep blocks; each

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bessellab import specfun
 from bessellab.dpp import nystrom, sample_many
-from bessellab.errors import DomainError, PrecisionFailure, SequenceExhausted
+from bessellab.errors import (ConvergenceFailure, DomainError, PrecisionFailure,
+                              SequenceExhausted)
 from bessellab.orthopoly import build_recurrence
 from bessellab.sequences import (
     make_bessel_zero_squared,
@@ -128,6 +130,26 @@ class TestBesselZeroSquared:
         r50 = abs(b.growth_residual(50))
         r400 = abs(b.growth_residual(400))
         assert r400 < r50 < 1.0
+
+    @pytest.mark.parametrize("nu", [0.0, 2.5, 100.0])
+    def test_prefix_grown_in_steps_equals_one_built_at_once(self, nu):
+        # a growth computes only the new zeros, each polished on its own
+        grown = make_bessel_zero_squared(nu)
+        for n in (10, 300, 5000):
+            grown.prefix(n)
+        once = make_bessel_zero_squared(nu).prefix(5000)
+        assert np.array_equal(grown.prefix(5000), once)
+        assert np.array_equal(once, bessel_zeros(nu, 5000) ** 2)
+
+    def test_growth_checks_where_old_and_new_zeros_meet(self, monkeypatch):
+        # the new zeros, here shifted back one index, must continue the
+        # cached prefix strictly
+        b = make_bessel_zero_squared(0.0)
+        b.prefix(10)
+        zeros_at = specfun._zeros_at
+        monkeypatch.setattr(specfun, "_zeros_at", lambda nu, k: zeros_at(nu, k - 1))
+        with pytest.raises(ConvergenceFailure, match="strictly increasing"):
+            b.prefix(20)
 
     def test_count_matches_zero_table(self):
         b = make_bessel_zero_squared(0.0)
