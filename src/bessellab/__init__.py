@@ -36,7 +36,6 @@ from .sequences import (
     make_user,
 )
 from .specfun import (
-    BesselOrder,
     bessel_j,
     bessel_j_deriv,
     bessel_kernel,
@@ -86,7 +85,6 @@ __all__ = [
     "make_quadratic",
     "make_sampled",
     "make_user",
-    "BesselOrder",
     "bessel_j",
     "bessel_j_deriv",
     "bessel_kernel",

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (_BELOW_ONE, _POSITIVE, DomainError, PrecisionFailure, _check_complex,
                      _check_number, _check_points)
-from .specfun import BesselOrder, _maybe_scalar
+from .specfun import _maybe_scalar, _order
 from .weights import field_V
 
 __all__ = [
@@ -433,7 +433,7 @@ def global_parametrix(nu, z, side=None):
     PrecisionFailure is raised.
     """
     z = complex(_check_complex(z, "z"))
-    nu = BesselOrder(nu).nu
+    nu = _order(nu)
     on_cut = z.imag == 0.0 and 0.0 <= z.real <= 1.0
     if on_cut and side is None:
         raise DomainError("z on [0, 1] needs side='+'/'-'")

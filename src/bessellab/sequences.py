@@ -57,7 +57,7 @@ class PointSequence:
 
     def __init__(self, kind, nu=None, points=None):
         # only the bessel kind reads its order
-        self.nu = specfun.BesselOrder(nu).nu if kind == "bessel" else None
+        self.nu = specfun._order(nu) if kind == "bessel" else None
         if kind in _LAZY_KINDS:
             self._points = np.empty(0)
             self.size = None

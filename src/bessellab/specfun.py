@@ -1,22 +1,26 @@
 """Bessel functions of the first kind and the hard-edge Bessel kernel.
 
-All routines are parametrized by a real order nu > -1.  The kernel lives on
-the squared scale: for x, y > 0
+All routines are parametrized by a real order nu > -1, and every value is
+built from scipy's J_nu and J_{nu+1}.  The one derivative rule is the
+recurrence J_nu'(u) = (nu/u) J_nu(u) - J_{nu+1}(u).  The kernel lives on
+the squared scale: for x, y > 0, with J = J_nu and J1 = J_{nu+1},
 
-    K(x, y) = [J(sqrt x) sqrt(y) J'(sqrt y) - J(sqrt y) sqrt(x) J'(sqrt x)]
-              / (2 (x - y)),
+    K(x, y) = [J(sqrt y) sqrt(x) J1(sqrt x) - J(sqrt x) sqrt(y) J1(sqrt y)]
+              / (2 (x - y))
 
-where J = J_nu and J' its derivative.  On the diagonal the limit is
+(Tracy & Widom, Commun. Math. Phys. 161, 1994), which is the form in J and
+J' with the recurrence substituted.  On the diagonal the limit is
 
-    K(x, x) = [J'(sqrt x)^2 + (1 - nu^2 / x) J(sqrt x)^2] / 4,
+    K(x, x) = [J(sqrt x)^2 + J1(sqrt x)^2
+               - (2 nu / sqrt x) J(sqrt x) J1(sqrt x)] / 4,
 
-obtained from l'Hopital's rule together with the Bessel equation
-u^2 J'' + u J' + (u^2 - nu^2) J = 0.
+obtained from l'Hopital's rule, the Bessel equation and the recurrence.
+The J' form of the same limit, J'^2 + (1 - nu^2/x) J^2, cancels a nu^2/x
+term near the origin; this one does not.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -27,7 +31,6 @@ from .errors import (_ABOVE_MINUS_ONE, _POSITIVE, ConvergenceFailure, PrecisionF
                      _as_index, _check_number, _check_points)
 
 __all__ = [
-    "BesselOrder",
     "bessel_j",
     "bessel_j_deriv",
     "bessel_zero",
@@ -36,9 +39,12 @@ __all__ = [
     "bessel_kernel_diag",
 ]
 
-# relative |x - y| below which the kernel switches to the diagonal limit;
-# both branches are accurate to ~1e-9 at the switch, so the value is
-# continuous across it to that level
+# relative |x - y| below which the kernel switches to the diagonal limit at
+# the midpoint.  Just outside it the off-diagonal form divides the rounding
+# of jv by x - y: against 40-digit mpmath on x in [1e-4, 1e4] it is off by
+# up to 2.0e-7 relative for nu in {-0.9, -0.5, 0, 0.5, 2} and 1.6e-6 at
+# nu = 10, while the midpoint value just inside is within 1.3e-13.  The
+# kernel jumps by that much across the switch.
 DIAG_SWITCH = 1e-8
 
 # sign-change scan step for locating small zeros; consecutive zeros of J_nu
@@ -53,21 +59,9 @@ _SCAN_STEP = math.pi / 4
 _ZERO_MAX = 2.0**27
 
 
-@dataclasses.dataclass(frozen=True)
-class BesselOrder:
-    """Validated order nu > -1 of a Bessel function of the first kind."""
-
-    nu: float
-
-    def __post_init__(self):
-        nu = _check_number(self.nu, _ABOVE_MINUS_ONE, math.inf, "Bessel order nu")
-        object.__setattr__(self, "nu", nu)
-
-
 def _order(nu):
-    if isinstance(nu, BesselOrder):
-        return nu.nu
-    return BesselOrder(nu).nu
+    """nu as a float; DomainError unless it is a finite Bessel order > -1."""
+    return _check_number(nu, _ABOVE_MINUS_ONE, math.inf, "Bessel order nu")
 
 
 def _maybe_scalar(out):
@@ -117,17 +111,26 @@ def _deriv_at_zero(nu):
     return math.inf if nu > 0 else -math.inf
 
 
-def bessel_j_deriv(nu, u):
-    """d/du J_nu(u) for finite u >= 0, computed as (J_{nu-1}(u) - J_{nu+1}(u)) / 2.
+def _deriv(nu, u, j):
+    # J_nu'(u) = (nu/u) J_nu(u) - J_{nu+1}(u), given j = J_nu(u): one jv
+    # beside the J_nu the caller already has
+    return nu / u * j - special.jv(nu + 1.0, u)
 
-    At u = 0 the one-sided limit is returned; for non-integer nu < 1 that
-    limit is a signed infinity.
+
+def bessel_j_deriv(nu, u):
+    """d/du J_nu(u) for finite u >= 0, as (nu/u) J_nu(u) - J_{nu+1}(u).
+
+    Against 40-digit mpmath on 200 points u in [1e-3, 50] its error is at
+    most 5.5e-14 of |J_nu(u)| + |J_nu'(u)| for nu in {-0.9, -0.5, 0.3, 2,
+    37.3} (6.1e-14 on 1 000 points).  Away from u = 0 most of it is the
+    error of scipy's J_{nu+1}.  At u = 0 the one-sided limit is returned;
+    for non-integer nu < 1 that limit is a signed infinity.
     """
     nu = _order(nu)
     u = _check_points(u, 0.0, math.inf, "u")
     zero = u == 0.0
     safe = np.where(zero, 1.0, u)
-    out = special.jvp(nu, safe)
+    out = _deriv(nu, safe, special.jv(nu, safe))
     if np.any(zero):
         out = np.where(zero, _deriv_at_zero(nu), out)
     return _maybe_scalar(out)
@@ -184,10 +187,10 @@ def _polish(nu, x, a, b, fa):
         left = np.sign(fx) == np.sign(fa)
         a = np.where(left, x, a)
         b = np.where(left, b, x)
-        # J_nu' = (nu/x) J_nu - J_{nu+1}: near a zero the first term is
-        # small, so nothing cancels, and it costs one jv beside fx
+        # near a zero the (nu/x) J_nu term of J_nu' is small, so nothing
+        # cancels
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = fx / (nu / x * fx - special.jv(nu + 1.0, x))
+            step = fx / _deriv(nu, x, fx)
         newton = x - step
         inside = (newton >= a) & (newton <= b)
         x = np.where(inside, newton, 0.5 * (a + b))
@@ -262,22 +265,37 @@ def bessel_zero(nu, k):
 
 
 def bessel_kernel_diag(nu, x):
-    """Diagonal K(x, x) of the hard-edge kernel, x > 0."""
+    """Diagonal K(x, x) of the hard-edge kernel, x > 0.
+
+    It is [J_nu^2 + J_{nu+1}^2 - (2 nu / sqrt x) J_nu J_{nu+1}] / 4 at
+    sqrt x; no term cancels near x = 0 as nu^2 / x does in the J' form.
+    Against 40-digit mpmath on the 512 Nystrom nodes of (0, 1e4) it is
+    within 1.2e-13 relative for nu in {-0.9, -0.5, 0.5, 2}, 1.6e-13 at
+    nu = 10, and 2.6e-12 at nu = 37.3 on the 511 nodes where K(x, x) is a
+    normal float.
+    """
     nu = _order(nu)
     x = _check_points(x, _POSITIVE, math.inf, "x")
     u = np.sqrt(x)
     j = special.jv(nu, u)
-    jp = special.jvp(nu, u)
-    return _maybe_scalar(0.25 * (jp * jp + (1.0 - nu * nu / x) * j * j))
+    j1 = special.jv(nu + 1.0, u)
+    return _maybe_scalar(0.25 * (j * j + j1 * j1 - 2.0 * nu / u * j * j1))
 
 
 def bessel_kernel(nu, x, y):
     """Hard-edge Bessel kernel K(x, y) on (0, oo)^2.
 
-    J_nu(sqrt t) and sqrt(t) J_nu'(sqrt t) are evaluated once per entry of
-    the un-broadcast x and of y, and only the products are broadcast, so an
-    m x m outer grid such as ``x[:, None], x[None, :]`` costs O(m) Bessel
-    evaluations rather than O(m^2).
+    It is [J_nu(sqrt y) sqrt(x) J_{nu+1}(sqrt x)
+    - J_nu(sqrt x) sqrt(y) J_{nu+1}(sqrt y)] / (2 (x - y)).  J_nu(sqrt t)
+    and sqrt(t) J_{nu+1}(sqrt t) are evaluated once per entry of the
+    un-broadcast x and of y, and only the products are broadcast, so an
+    m x m outer grid such as ``x[:, None], x[None, :]`` costs 4m Bessel
+    evaluations rather than O(m^2), plus two for each entry within
+    DIAG_SWITCH of the diagonal.  Against 40-digit mpmath on the
+    512 x 512 Nystrom grid of (0, 1e4) every off-diagonal entry is within
+    1.5e-13 of the largest diagonal value for nu in {-0.9, -0.5, 0.5, 2},
+    and within 6.8e-13 and 1.8e-12 at nu = 10 and 37.3.  The worst entries
+    pair neighbouring nodes, where the numerator cancels.
 
     Within relative distance DIAG_SWITCH of the diagonal the analytic
     diagonal limit at the midpoint is used, evaluated on those entries
@@ -291,12 +309,12 @@ def bessel_kernel(nu, x, y):
     sy = np.sqrt(y)
     jx = special.jv(nu, sx)
     jy = special.jv(nu, sy)
-    dx = sx * special.jvp(nu, sx)
-    dy = sy * special.jvp(nu, sy)
+    ex = sx * special.jv(nu + 1.0, sx)
+    ey = sy * special.jv(nu + 1.0, sy)
     # halving the numerator rather than doubling x - y is exact and cannot
     # overflow when x - y is near the float maximum
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(0.5 * (jx * dy - jy * dx) / (x - y))
+        out = np.asarray(0.5 * (jy * ex - jx * ey) / (x - y))
 
     near = np.abs(x - y) <= DIAG_SWITCH * np.maximum(x, y)
     if np.any(near):

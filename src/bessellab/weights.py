@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (_ABOVE_ONE, _POSITIVE, DomainError, PrecisionFailure, _as_index,
                      _check_number, _check_points)
 from .sequences import SUM_EPS
-from .specfun import BesselOrder, _maybe_scalar
+from .specfun import _maybe_scalar, _order
 
 __all__ = [
     "field_V",
@@ -137,7 +137,7 @@ class ConditionalWeight:
 
     def __init__(self, seq, nu, R, tail_tolerance=1e-10):
         self.seq = seq
-        self.nu = BesselOrder(nu).nu
+        self.nu = _order(nu)
         self.R = _check_number(R, _POSITIVE, math.inf, "R")
         self.tail_tolerance = _check_number(tail_tolerance, _POSITIVE, math.inf, "tail_tolerance")
         self.n_cond = seq.count_upto(self.R)
@@ -246,7 +246,7 @@ class ApproxWeight:
         self.kind = kind
         self.gamma = _check_number(gamma, _ABOVE_ONE, math.inf, "gamma")
         self.n = int(_as_index(n, 1, math.inf, "n"))
-        self.nu = BesselOrder(nu).nu
+        self.nu = _order(nu)
         # the minus weight vanishes beyond gamma^-2, so quadrature stops there
         self.quad_support = 1.0 if kind == "plus" else self.gamma ** -2
 
@@ -271,7 +271,7 @@ class PowerWeight:
     support = quad_support = 1.0
 
     def __init__(self, nu):
-        self.nu = BesselOrder(nu).nu
+        self.nu = _order(nu)
 
     def log_smooth(self, t):
         t = _check_points(t, 0.0, self.support * (1 + 1e-12), "t")

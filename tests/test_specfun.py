@@ -23,7 +23,6 @@ from bessellab.equilibrium import cdf, density, f_map, g_boundary, g_map, log_po
 from bessellab.errors import ConvergenceFailure, DomainError, PrecisionFailure
 from bessellab.orthopoly import build_recurrence, weight_quadrature
 from bessellab.specfun import (
-    BesselOrder,
     bessel_j,
     bessel_j_deriv,
     bessel_kernel,
@@ -52,6 +51,15 @@ def _kernel_mp(mpmath, nu, x, y):
     jx, jy = mpmath.besselj(nu, sx), mpmath.besselj(nu, sy)
     djx, djy = mpmath.besselj(nu, sx, 1), mpmath.besselj(nu, sy, 1)
     return (jx * sy * djy - jy * sx * djx) / (2 * (x - y))
+
+
+def _diag_mp(mpmath, nu, x):
+    # the J' form of the diagonal at the working precision of mpmath, where
+    # its nu^2 / x cancellation costs nothing that matters
+    nu, x = mpmath.mpf(nu), mpmath.mpf(x)
+    u = mpmath.sqrt(x)
+    j, dj = mpmath.besselj(nu, u), mpmath.besselj(nu, u, 1)
+    return (dj * dj + (1 - nu * nu / x) * j * j) / 4
 
 
 def _dpp_grid(m=512, T=1e4):
@@ -98,9 +106,6 @@ class TestBesselJ:
         out = bessel_j(0.0, 1.0)
         assert np.isscalar(out) or np.asarray(out).ndim == 0
 
-    def test_accepts_bessel_order(self):
-        assert bessel_j(BesselOrder(0.5), 2.0) == bessel_j(0.5, 2.0)
-
 
 class TestBesselJDeriv:
     def test_values_at_zero(self):
@@ -122,6 +127,21 @@ class TestBesselJDeriv:
         d2 = (bessel_j(nu, u + h / 2) - bessel_j(nu, u - h / 2)) / h
         extrap = (4 * d2 - d1) / 3
         assert_allclose(bessel_j_deriv(nu, u), extrap, rtol=1e-10)
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.3, 2.0, 37.3])
+    def test_matches_mpmath(self, nu):
+        # the bound the docstring states, relative to |J| + |J'| so that it
+        # holds at the zeros of either; the measured worst is 5.5e-14
+        # (nu = 37.3)
+        mpmath = pytest.importorskip("mpmath")
+        u = np.geomspace(1e-3, 50.0, 200)
+        with mpmath.workdps(40):
+            v = mpmath.mpf(nu)
+            j = [mpmath.besselj(v, mpmath.mpf(t)) for t in u]
+            jp = [mpmath.besselj(v, mpmath.mpf(t), 1) for t in u]
+            err = [float(abs(g - d) / (abs(a) + abs(d)))
+                   for g, a, d in zip(bessel_j_deriv(nu, u), j, jp)]
+        assert max(err) <= 1.5e-13
 
     def test_half_integer_closed_form(self):
         # d/du sqrt(2/(pi u)) sin u = sqrt(2/(pi u)) (cos u - sin(u)/(2u))
@@ -300,8 +320,8 @@ class TestBesselZeros:
     def test_invalid_order_rejected(self):
         with pytest.raises(DomainError):
             bessel_zeros(-1.0, 5)
-        with pytest.raises(DomainError):
-            BesselOrder(float("nan"))
+        with pytest.raises(DomainError, match="Bessel order nu"):
+            bessel_j(float("nan"), 2.0)
 
     def test_zero_count_gives_empty(self):
         assert len(bessel_zeros(0.0, 0)) == 0
@@ -354,6 +374,25 @@ class TestBesselKernel:
         extrap = 2 * vals[1] - vals[0]
         assert_allclose(bessel_kernel_diag(nu, x), extrap, rtol=1e-8)
 
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.5, 2.0, 10.0])
+    def test_diagonal_and_near_origin_entries_match_mpmath(self, nu):
+        # the 12 smallest Nystrom nodes (the first at x = 3.0e-7) and ten
+        # more across (0, 1e4).  The diagonal once cancelled a nu^2 / x term
+        # there, off by up to 2.4e-5 relative at nu = 10.  The worst
+        # measured now is 1.6e-13 relative on the diagonal (nu = 10) and
+        # 5.4e-16 of the largest diagonal value off it (nu = -0.9).  From
+        # nu = 37.3 on, K at the smallest nodes underflows.
+        mpmath = pytest.importorskip("mpmath")
+        x = _dpp_grid()[np.r_[0:12, 12:512:50]]
+        with mpmath.workdps(40):
+            diag = np.array([float(_diag_mp(mpmath, nu, t)) for t in x])
+            off = np.array([[float(_kernel_mp(mpmath, nu, a, b)) if a != b else 0.0
+                             for b in x[:12]] for a in x[:12]])
+        assert np.all(np.abs(bessel_kernel_diag(nu, x) - diag) <= 4e-13 * diag)
+        grid = bessel_kernel(nu, x[:12, None], x[None, :12])
+        np.fill_diagonal(grid, 0.0)
+        assert np.max(np.abs(grid - off)) <= 1.2e-15 * diag.max()
+
     def test_diagonal_switch_is_seamless(self):
         # crossing the near-diagonal threshold must not produce a jump
         x = 5.0
@@ -400,9 +439,9 @@ class TestBesselKernel:
     @pytest.mark.parametrize("nu", [-0.5, 0.5, 2.0])
     def test_grid_no_farther_from_mpmath_than_pairwise_grouping(self, nu):
         # The kernel once grouped its products as (J(sx) sy) J'(sy) on the
-        # broadcast arrays.  Where that grouping and the per-argument one,
-        # J(sx) (sy J'(sy)), differ most on the dpp_stats grid, the
-        # per-argument value must be no farther from 40 digits.
+        # broadcast arrays.  Where that grouping and the kernel, now
+        # J(sy) (sx J_{nu+1}(sx)) per argument, differ most on the dpp_stats
+        # grid, the kernel must be no farther from 40 digits.
         mpmath = pytest.importorskip("mpmath")
         x = _dpp_grid()
         new = bessel_kernel(nu, x[:, None], x[None, :])
@@ -421,8 +460,10 @@ class TestBesselKernel:
         assert new_err <= 1e-11 * np.max(np.abs(ref))
 
     def test_outer_grid_costs_linear_bessel_work(self, monkeypatch):
-        # count every element scipy's jv/jvp evaluate for bessellab.specfun:
-        # the 512 x 512 Nystrom grid needs 4m off-diagonal plus 2m diagonal
+        # count every element scipy's jv evaluates for bessellab.specfun, the
+        # one scipy function it may call: the 512 x 512 Nystrom grid needs
+        # J_nu and J_nu+1 at the m nodes of x and of y off the diagonal (4m)
+        # plus both at the m diagonal entries (2m)
         counted = [0]
 
         def counting(fn):
@@ -433,7 +474,7 @@ class TestBesselKernel:
             return wrapped
 
         monkeypatch.setattr(specfun, "special", types.SimpleNamespace(
-            jv=counting(special.jv), jvp=counting(special.jvp)))
+            jv=counting(special.jv)))
         m = 512
         nystrom(0.0, 1e4, m)
         assert 0 < counted[0] <= 6 * m
