@@ -69,25 +69,6 @@ def _maybe_scalar(out):
     return out[()] if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=16)
-def _gauss_legendre(n):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss.
-
-    The nodes are within 6.4e-17 of the roots of P_n.  The weights are
-    less accurate, worst at the end nodes: against 2 / ((1 - x^2) P_n'(x)^2)
-    at 32 digits their relative error is up to 1.3e-12 at n = 64, 1.4e-11
-    at n = 128, 1.5e-11 at n = 161 and 1.1e-10 at n = 512, the Nystrom
-    default.
-
-    The rule depends on n alone, so it is computed once per process and
-    shared: both arrays are read-only, and callers map them into new ones.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def bessel_j(nu, u):
     """J_nu(u) for finite u >= 0.
 

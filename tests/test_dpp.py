@@ -281,15 +281,16 @@ class TestSampling:
     def test_default_points_are_pinned(self):
         # sha256 of the 500 samples of the dpp_stats default (size as
         # little-endian int64, then the points as little-endian float64),
-        # recorded from the one-sample-at-a-time sampler that preceded the
-        # block sampler
+        # recorded on the Gauss-Legendre rule of orthopoly._gauss_jacobi; the
+        # draws pick the same node indices as the one-sample-at-a-time
+        # sampler on numpy's leggauss rule that preceded it
         runs = sample_many(nystrom(0.0, 1e4, 512), 500, 20260825)
         h = hashlib.sha256()
         for cfg in runs:
             h.update(np.int64(cfg.points.size).astype("<i8").tobytes())
             h.update(cfg.points.astype("<f8").tobytes())
         assert h.hexdigest() == (
-            "11b29f83f21b7ea8652b1024029afd3dbfcc895e56b3d5837700243f7c967e11")
+            "336ca70c0458a33477ef44074b2898b4b3839dd5add0a75a90631a6814043ea7")
 
     def test_failures_name_the_seed(self):
         # every sample of this kernel keeps both columns on node 0, so each

@@ -5,10 +5,12 @@ runs in a trimmed configuration to exercise plumbing, determinism of the
 written artifacts, and exit codes.
 """
 
+import ast
 import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -262,12 +264,31 @@ class TestCli:
 def test_import_loads_no_quadrature_or_root_finder():
     # a fresh interpreter: scipy.integrate and scipy.optimize (and the
     # scipy.sparse they pull in) stay off the import path of the package,
-    # and so does scipy.linalg, since numpy.linalg does its dense algebra
+    # and so does scipy.linalg, since numpy.linalg does its dense algebra;
+    # a Gauss-Jacobi rule and a quadratic-kind weight's zeta tail load
+    # none of them either
     src = os.path.dirname(os.path.dirname(bessellab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, bessellab; print(sorted(m for m in sys.modules if m in "
+    code = ("import sys, bessellab; bessellab.weight_quadrature(0.5); "
+            "bessellab.ConditionalWeight(bessellab.make_quadratic(), 0.5, 1e3); "
+            "print(sorted(m for m in sys.modules if m in "
             "('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_specfun_imports_scipy():
+    importers = set()
+    for path in pathlib.Path(bessellab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"specfun.py"}

@@ -8,7 +8,6 @@ coefficients, and a 40-digit mpmath direct sum are their oracles.
 """
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal, assert_array_less
 from scipy import special
 
-from bessellab import orthopoly, specfun
+from bessellab import orthopoly
+from bessellab.dpp import nystrom
 from bessellab.errors import DomainError, PrecisionFailure
 from bessellab.orthopoly import (
     DEGREE_CAP,
@@ -92,35 +92,33 @@ class TestQuadrature:
         # (support/32)^(nu+1) overflows the Gauss-Jacobi masses
         with pytest.raises(PrecisionFailure):
             weight_quadrature(2.0, support=1e300)
+        # a Gauss rule whose mass (from nu ~ 1023) or Christoffel sums overflow
+        for n, nu in ((120, 1100.0), (120, 1e300), (512, 300.0)):
+            with pytest.raises(PrecisionFailure):
+                orthopoly._gauss_jacobi(n, nu)
 
-    def test_rules_computed_once_per_pair(self, monkeypatch):
+    def test_rules_computed_once_per_pair(self):
         # count the Gauss rules the package computes: three builds at one
-        # (nu, n_panel) need one Gauss-Jacobi and one Gauss-Legendre rule
-        calls = {"roots_jacobi": 0, "leggauss": 0}
-
-        def counting(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
-
-        monkeypatch.setattr(orthopoly, "special", types.SimpleNamespace(
-            roots_jacobi=counting("roots_jacobi", special.roots_jacobi)))
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                            counting("leggauss", np.polynomial.legendre.leggauss))
+        # (nu, n_panel) need one Gauss-Jacobi and one Gauss-Legendre rule,
+        # and at nu = 0 one rule serves both panel kinds and the Nystrom
+        # rule of the same size
         orthopoly._gauss_jacobi.cache_clear()
-        specfun._gauss_legendre.cache_clear()
         for _ in range(3):
             build_recurrence(PowerWeight(0.5), 20)
-        assert calls == {"roots_jacobi": 1, "leggauss": 1}
+        assert orthopoly._gauss_jacobi.cache_info().misses == 2
+        orthopoly._gauss_jacobi.cache_clear()
+        for _ in range(3):
+            build_recurrence(PowerWeight(0.0), 20)
+        nystrom(0.0, 10.0, 120)
+        assert orthopoly._gauss_jacobi.cache_info().misses == 1
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])
     def test_cached_rules_match_direct_construction(self, nu):
-        # the composite rule built from fresh scipy/numpy rules, bit for bit,
-        # on the first (uncached) and the second (cached) call
+        # the composite rule built from freshly computed Gauss rules, bit for
+        # bit, on the first (uncached) and the second (cached) call
         n, support = 120, 3.0
-        xj, wj = special.roots_jacobi(n, 0.0, nu)
-        xl, wl = np.polynomial.legendre.leggauss(n)
+        xj, wj = orthopoly._gauss_jacobi.__wrapped__(n, nu)
+        xl, wl = orthopoly._gauss_jacobi.__wrapped__(n, 0.0)
         c = support / 16.0
         nodes, masses = [c * 0.5 * (1.0 + xj)], [wj * (0.5 * c) ** (nu + 1.0)]
         edges = (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0, 1.0)
@@ -130,7 +128,6 @@ class TestQuadrature:
             nodes.append(t)
             masses.append(0.5 * (hi - lo) * wl * t**nu)
         orthopoly._gauss_jacobi.cache_clear()
-        specfun._gauss_legendre.cache_clear()
         for _ in range(2):
             quad = weight_quadrature(nu, support, n_panel=n)
             assert_array_equal(quad.nodes, np.concatenate(nodes))
@@ -144,10 +141,48 @@ class TestQuadrature:
         again = weight_quadrature(0.5)
         assert_array_equal(again.nodes, nodes)
         assert_array_equal(again.weights, masses)
-        for rule in (orthopoly._gauss_jacobi(120, 0.5), specfun._gauss_legendre(120)):
+        for rule in (orthopoly._gauss_jacobi(120, 0.5), orthopoly._gauss_jacobi(120, 0.0)):
             for arr in rule:
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
+
+
+def _jacobi_rule_mp(mpmath, n, nu, x):
+    """The node of the n-point rule for (1 + x)^nu next to x, polished as a
+    root of P_n^(0, nu), and its weight 2^(nu+1) / ((1 - x^2) P_n'(x)^2)
+    with P_n' = (n + nu + 1)/2 P_{n-1}^(1, nu+1), at mpmath's precision."""
+    nu = mpmath.mpf(nu)
+
+    def dp(t):
+        return (n + nu + 1) / 2 * mpmath.jacobi(n - 1, 1, nu + 1, t)
+
+    t = mpmath.mpf(float(x))
+    for _ in range(3):
+        t -= mpmath.jacobi(n, 0, nu, t, zeroprec=1000) / dp(t)
+    return t, 2 ** (nu + 1) / ((1 - t * t) * dp(t) ** 2)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n, nu", [(1, 0.0), (2, 0.5), (128, 0.0), (512, 0.0),
+                                       (161, -0.9), (161, -0.5), (161, 0.5), (200, 2.0),
+                                       (120, 37.3), (161, 100.0)])
+    def test_accuracy_against_mpmath(self, n, nu):
+        # the accuracy the docstring states: nodes within 2.5e-16 absolute,
+        # weights (worst at the end nodes) within 4.2e-11 relative at
+        # n = 512 and 8e-12 up to n = 200, against 40-digit references
+        mpmath = pytest.importorskip("mpmath")
+        x, w = orthopoly._gauss_jacobi(n, nu)
+        bound = 4.2e-11 if n > 200 else 8e-12
+        with mpmath.workdps(40):
+            for i in {0, 1, 2, n // 8, n // 4, n // 2, n - 3, n - 2, n - 1} & set(range(n)):
+                t, wt = _jacobi_rule_mp(mpmath, n, nu, x[i])
+                assert abs(x[i] - t) <= 2.5e-16
+                assert abs(w[i] - wt) <= bound * wt
+
+    def test_cached_rule_equals_a_fresh_one(self):
+        cached = orthopoly._gauss_jacobi(161, 0.5)
+        for a, b in zip(cached, orthopoly._gauss_jacobi.__wrapped__(161, 0.5)):
+            assert_array_equal(a, b)
 
 
 class TestRecurrence:

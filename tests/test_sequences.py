@@ -21,6 +21,7 @@ from bessellab.errors import (ConvergenceFailure, DomainError, PrecisionFailure,
                               SequenceExhausted)
 from bessellab.orthopoly import build_recurrence
 from bessellab.sequences import (
+    _hurwitz_zeta,
     make_bessel_zero_squared,
     make_quadratic,
     make_sampled,
@@ -241,6 +242,42 @@ class TestBesselZeroSquared:
             b.tail_inverse_power(0, 5)
         with pytest.raises(DomainError):
             b.tail_inverse_power(1, -1)
+
+
+def _hurwitz_zeta_mp(mpmath, s, a):
+    """zeta(s, a) to far more than double precision, or None where mpmath
+    cannot vouch for it.  mpmath's own zeta(s, a) at 80 and 120 digits
+    differs by up to 2.6e-11 relative at large s and a (s = 36,
+    a = 2000.7), so for integer a the reference is zeta(s) - sum_{n<a} n^-s
+    at 50 + s log10(a) digits, and for other a a point is kept only where
+    mpmath at 80 and 120 digits agrees to 1e-25.  At a = 10^6 + 1 the sum would take 10^6 terms per s;
+    computed once that way (in fixed point, about a minute), it agreed with
+    mpmath's zeta at 120 digits to 3.7e-21 for every s = 2..40, which the
+    test therefore takes."""
+    if a == 10**6 + 1:
+        with mpmath.workdps(120):
+            return mpmath.zeta(s, a)
+    if a == int(a):
+        with mpmath.workdps(50 + int(s * math.log10(a))):
+            return mpmath.zeta(s) - mpmath.fsum(mpmath.mpf(n) ** -s for n in range(1, int(a)))
+    with mpmath.workdps(80):
+        low = mpmath.zeta(s, a)
+    with mpmath.workdps(120):
+        high = mpmath.zeta(s, a)
+    return high if abs(high - low) <= 1e-25 * high else None
+
+
+def test_hurwitz_zeta_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    for a in (0.3, 1, 1.5, 11, 257, 2000.7, 10000.75, 10**6 + 1):
+        for s in range(2, 41):
+            ref = _hurwitz_zeta_mp(mpmath, s, a)
+            if ref is not None:
+                assert abs(_hurwitz_zeta(s, a) - ref) <= 6e-16 * ref, (s, a)
+                checked += 1
+    # the mpmath filter keeps 271 of the 312 points
+    assert checked >= 250
 
 
 class TestFiniteSequences:
