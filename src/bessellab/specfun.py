@@ -1,9 +1,12 @@
 """Bessel functions of the first kind and the hard-edge Bessel kernel.
 
 All routines are parametrized by a real order nu > -1, and every value is
-built from scipy's J_nu and J_{nu+1}.  The one derivative rule is the
-recurrence J_nu'(u) = (nu/u) J_nu(u) - J_{nu+1}(u).  The kernel lives on
-the squared scale: for x, y > 0, with J = J_nu and J1 = J_{nu+1},
+built from scipy's J_nu and J_{nu+1}.  scipy.special is imported at the
+first J_nu evaluation rather than with the package, so code that evaluates
+no Bessel function (orthopoly, weights, equilibrium) loads numpy alone.
+The one derivative rule is the recurrence J_nu'(u) = (nu/u) J_nu(u) -
+J_{nu+1}(u).  The kernel lives on the squared scale: for x, y > 0, with
+J = J_nu and J1 = J_{nu+1},
 
     K(x, y) = [J(sqrt y) sqrt(x) J1(sqrt x) - J(sqrt x) sqrt(y) J1(sqrt y)]
               / (2 (x - y))
@@ -25,7 +28,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import (_ABOVE_MINUS_ONE, _POSITIVE, ConvergenceFailure, PrecisionFailure,
                      _as_index, _check_number, _check_points)
@@ -59,6 +61,13 @@ _SCAN_STEP = math.pi / 4
 _ZERO_MAX = 2.0**27
 
 
+def _jv(nu, u):
+    # scipy's J_nu(u), the one scipy call of the package; its import runs
+    # once, at the first call, and is a sys.modules lookup after that
+    from scipy.special import jv
+    return jv(nu, u)
+
+
 def _order(nu):
     """nu as a float; DomainError unless it is a finite Bessel order > -1."""
     return _check_number(nu, _ABOVE_MINUS_ONE, math.inf, "Bessel order nu")
@@ -78,7 +87,7 @@ def bessel_j(nu, u):
     """
     nu = _order(nu)
     u = _check_points(u, 0.0, math.inf, "u")
-    return _maybe_scalar(special.jv(nu, u))
+    return _maybe_scalar(_jv(nu, u))
 
 
 def _deriv_at_zero(nu):
@@ -95,7 +104,7 @@ def _deriv_at_zero(nu):
 def _deriv(nu, u, j):
     # J_nu'(u) = (nu/u) J_nu(u) - J_{nu+1}(u), given j = J_nu(u): one jv
     # beside the J_nu the caller already has
-    return nu / u * j - special.jv(nu + 1.0, u)
+    return nu / u * j - _jv(nu + 1.0, u)
 
 
 def bessel_j_deriv(nu, u):
@@ -111,7 +120,7 @@ def bessel_j_deriv(nu, u):
     u = _check_points(u, 0.0, math.inf, "u")
     zero = u == 0.0
     safe = np.where(zero, 1.0, u)
-    out = _deriv(nu, safe, special.jv(nu, safe))
+    out = _deriv(nu, safe, _jv(nu, safe))
     if np.any(zero):
         out = np.where(zero, _deriv_at_zero(nu), out)
     return _maybe_scalar(out)
@@ -142,7 +151,7 @@ def _scan_brackets(nu, count):
     n = int(((count + abs(nu) / 2.0 + 0.25) * math.pi - u0) / _SCAN_STEP) + 2
     while True:
         u = u0 + _SCAN_STEP * np.arange(n + 1)
-        f = special.jv(nu, u)
+        f = _jv(nu, u)
         k = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0))[:count]
         if k.size == count:
             break
@@ -164,7 +173,7 @@ def _polish(nu, x, a, b, fa):
     zeros = np.empty(x.shape)
     todo = np.arange(x.size)
     for _ in range(200):
-        fx = special.jv(nu, x)
+        fx = _jv(nu, x)
         left = np.sign(fx) == np.sign(fa)
         a = np.where(left, x, a)
         b = np.where(left, b, x)
@@ -198,7 +207,7 @@ def _zeros_at(nu, k):
     g = _mcmahon(nu, k[~scan])
     if np.any(g + 1.0 > _ZERO_MAX):
         raise PrecisionFailure(f"no Bessel zero past {_ZERO_MAX:.6g} can be certified (nu={nu})")
-    fa, fb = special.jv(nu, g - 1.0), special.jv(nu, g + 1.0)
+    fa, fb = _jv(nu, g - 1.0), _jv(nu, g + 1.0)
     if np.any(np.sign(fa) == np.sign(fb)):
         raise ConvergenceFailure(
             f"McMahon bracket of a Bessel zero holds no sign change (nu={nu})")
@@ -206,7 +215,7 @@ def _zeros_at(nu, k):
                                [g, g - 1.0, g + 1.0, fa]], axis=1)
     zeros = _polish(nu, *brackets)
     amplitude = np.sqrt(2.0 / (math.pi * zeros))
-    if np.any(np.abs(special.jv(nu, zeros)) > 1e-8 * amplitude):
+    if np.any(np.abs(_jv(nu, zeros)) > 1e-8 * amplitude):
         raise ConvergenceFailure(f"Bessel zero residual too large (nu={nu})")
     if np.any(np.diff(zeros) <= 0):
         raise ConvergenceFailure(f"Bessel zeros not strictly increasing (nu={nu})")
@@ -258,8 +267,8 @@ def bessel_kernel_diag(nu, x):
     nu = _order(nu)
     x = _check_points(x, _POSITIVE, math.inf, "x")
     u = np.sqrt(x)
-    j = special.jv(nu, u)
-    j1 = special.jv(nu + 1.0, u)
+    j = _jv(nu, u)
+    j1 = _jv(nu + 1.0, u)
     return _maybe_scalar(0.25 * (j * j + j1 * j1 - 2.0 * nu / u * j * j1))
 
 
@@ -288,10 +297,10 @@ def bessel_kernel(nu, x, y):
     y = _check_points(y, _POSITIVE, math.inf, "y")
     sx = np.sqrt(x)
     sy = np.sqrt(y)
-    jx = special.jv(nu, sx)
-    jy = special.jv(nu, sy)
-    ex = sx * special.jv(nu + 1.0, sx)
-    ey = sy * special.jv(nu + 1.0, sy)
+    jx = _jv(nu, sx)
+    jy = _jv(nu, sy)
+    ex = sx * _jv(nu + 1.0, sx)
+    ey = sy * _jv(nu + 1.0, sy)
     # halving the numerator rather than doubling x - y is exact and cannot
     # overflow when x - y is near the float maximum
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -119,22 +119,42 @@ class TestMassAndVariational:
 
 
 def _log_potential_mp(mpmath, gamma, x):
-    """40-digit integral of log|x - s| rho_gamma(s) ds, split at 0, x and 1.
+    """40-digit integral of log|x - s| rho_gamma(s) ds, split at 0, x/2, x and 1.
 
-    The piece on (x, 1) runs in d = 1 - s, so that 1 - s keeps its digits
-    when x is within a few ulps of 1.
+    Each piece is substituted so that mpmath.quad sees a smooth integrand
+    with at most a log at one end.  On (0, x/2), s = x sin^2 t takes up the
+    1/sqrt(s) end.  On (x/2, x), x - s = (1 - x) sinh^2 v takes up the
+    1/sqrt(1 - s) that lies just past s = x when x is within a few ulps
+    of 1.  On (x, 1), 1 - s = (1 - x) sin^2 t takes up the 1/sqrt(1 - s)
+    end.  1 - s is formed from 1 - x, so it keeps its digits there.
     """
     with mpmath.workdps(40):
         g, x = mpmath.mpf(gamma), mpmath.mpf(x)
+        y = 1 - x
 
         def rho(s, om):
             # density at s, given om = 1 - s
             q = mpmath.sqrt((g - 1) / om)
             return (mpmath.mpf(1) / 2 + (q - mpmath.atan(q)) / mpmath.pi) / mpmath.sqrt(g * s)
 
-        left = mpmath.quad(lambda s: mpmath.log(x - s) * rho(s, 1 - s), [0, x])
-        right = mpmath.quad(lambda d: mpmath.log(1 - x - d) * rho(1 - d, d), [0, 1 - x])
-        return left + right
+        def outer(t):
+            c, sn = mpmath.cos(t), mpmath.sin(t)
+            s = x * sn * sn
+            return mpmath.log(x - s) * rho(s, 1 - s) * 2 * x * sn * c
+
+        def inner(v):
+            sh, ch = mpmath.sinh(v), mpmath.cosh(v)
+            e = y * sh * sh
+            return mpmath.log(e) * rho(x - e, y * ch * ch) * 2 * y * sh * ch
+
+        def right(t):
+            c, sn = mpmath.cos(t), mpmath.sin(t)
+            d = y * sn * sn
+            return mpmath.log(y * c * c) * rho(1 - d, d) * 2 * y * sn * c
+
+        return (mpmath.quad(outer, [0, mpmath.pi / 4])
+                + mpmath.quad(inner, [0, mpmath.asinh(mpmath.sqrt(x / (2 * y)))])
+                + mpmath.quad(right, [0, mpmath.pi / 2]))
 
 
 class TestPotentialRule:

@@ -261,22 +261,26 @@ class TestCli:
             main(["frobnicate"])
 
 
-def test_import_loads_no_quadrature_or_root_finder():
-    # a fresh interpreter: scipy.integrate and scipy.optimize (and the
-    # scipy.sparse they pull in) stay off the import path of the package,
-    # and so does scipy.linalg, since numpy.linalg does its dense algebra;
-    # a Gauss-Jacobi rule and a quadratic-kind weight's zeta tail load
-    # none of them either
+def test_import_loads_no_quadrature_or_root_finder(tmp_path):
+    # a fresh interpreter: the package, a Gauss-Jacobi rule, a quadratic-kind
+    # weight's zeta tail and the default equilibrium_report evaluate no
+    # Bessel function, so none of them loads any scipy module; the first
+    # J_nu evaluation loads scipy.special and gives the in-process value
     src = os.path.dirname(os.path.dirname(bessellab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, bessellab; bessellab.weight_quadrature(0.5); "
             "bessellab.ConditionalWeight(bessellab.make_quadratic(), 0.5, 1e3); "
-            "print(sorted(m for m in sys.modules if m in "
-            "('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg')))")
+            "from bessellab.lab import default_config, run_experiment; "
+            f"run_experiment(default_config('equilibrium_report'), out_dir={str(tmp_path)!r}); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "j = bessellab.bessel_j(0.5, 2.0); "
+            "print('scipy.special' in sys.modules, repr(j))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    before, after = out.strip().splitlines()
+    assert before == "[]"
+    assert after == f"True {bessellab.bessel_j(0.5, 2.0)!r}"
 
 
 def test_only_specfun_imports_scipy():

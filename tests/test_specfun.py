@@ -8,7 +8,6 @@ marked "mpmath" below) or at 40 digits in the test itself.
 """
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -436,21 +435,18 @@ class TestBesselKernel:
         assert new_err <= 1e-11 * np.max(np.abs(ref))
 
     def test_outer_grid_costs_linear_bessel_work(self, monkeypatch):
-        # count every element scipy's jv evaluates for bessellab.specfun, the
-        # one scipy function it may call: the 512 x 512 Nystrom grid needs
+        # count every element specfun's _jv evaluates, the one seam through
+        # which it calls scipy's jv: the 512 x 512 Nystrom grid needs
         # J_nu and J_nu+1 at the m nodes of x and of y off the diagonal (4m)
         # plus both at the m diagonal entries (2m)
         counted = [0]
 
-        def counting(fn):
-            def wrapped(nu, u):
-                out = fn(nu, u)
-                counted[0] += np.size(out)
-                return out
-            return wrapped
+        def counting(nu, u):
+            out = special.jv(nu, u)
+            counted[0] += np.size(out)
+            return out
 
-        monkeypatch.setattr(specfun, "special", types.SimpleNamespace(
-            jv=counting(special.jv)))
+        monkeypatch.setattr(specfun, "_jv", counting)
         m = 512
         nystrom(0.0, 1e4, m)
         assert 0 < counted[0] <= 6 * m
