@@ -12,7 +12,7 @@ from .errors import (
 from .dpp import (
     CountStats,
     DiscretizedKernel,
-    SampleConfig,
+    Samples,
     count_stats,
     exact_count_law,
     nystrom,
@@ -65,7 +65,7 @@ __all__ = [
     "SequenceExhausted",
     "CountStats",
     "DiscretizedKernel",
-    "SampleConfig",
+    "Samples",
     "count_stats",
     "exact_count_law",
     "nystrom",

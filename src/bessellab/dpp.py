@@ -35,6 +35,14 @@ started from the mass of the blocks before, gives the node.  That is one
 vectorized pass over the m x B marginals; only O(B (m/L + L)) of the work
 is a sequential sum.
 
+A batch of samples is one ``Samples`` value: every sample's points in
+one flat array, sample after sample, cut by n + 1 offsets.  A block sorts
+its draws once, along the draw axis with +inf past each sample's k, and
+reads its points out with one mask.  ``count_stats`` takes its counts
+N(0, T'] from one cumulative sum of points <= T' read at the offsets, and
+each point's index within its sample, for the growth residuals, from the
+offsets as well.
+
 The same recipe gives the exact count law: N(0, T'] is a sum of
 independent Bernoulli(lambda_j), lambda_j the eigenvalues of the kernel
 restricted to (0, T'], which ``exact_count_law`` reports beside the Monte
@@ -45,7 +53,7 @@ the downstream consumers (counting statistics, growth residuals) need.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +65,7 @@ from .specfun import bessel_kernel
 
 __all__ = [
     "DiscretizedKernel",
-    "SampleConfig",
+    "Samples",
     "CountStats",
     "nystrom",
     "sample",
@@ -94,6 +102,7 @@ class DiscretizedKernel:
     matrix: np.ndarray       # A_ij = sqrt(w_i w_j) K(x_i, x_j), symmetric
     eigenvalues: np.ndarray  # ascending, clipped to [0, 1]
     eigenvectors: np.ndarray # columns, orthonormal
+    eig_range: tuple         # (lowest, highest) eigenvalue before the clip
 
     @property
     def trace(self):
@@ -101,24 +110,31 @@ class DiscretizedKernel:
 
 
 @dataclass(frozen=True)
-class SampleConfig:
-    """One sampled configuration together with everything that determined it."""
+class Samples:
+    """A batch of sampled configurations together with what determined them.
 
-    points: np.ndarray  # sorted, in (0, T)
-    seed: int
+    Sample j holds points[offsets[j]:offsets[j + 1]], strictly increasing,
+    drawn from seeds[j] by the kernel of order nu on (0, T] at m nodes.
+    """
+
+    points: np.ndarray   # every sample's points, one sample after another
+    offsets: np.ndarray  # n + 1 ints rising from 0 to points.size
+    seeds: np.ndarray    # n uint64
     T: float
     nu: float
     m: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
+        off = np.asarray(self.offsets)
         object.__setattr__(self, "points", pts)
-        if pts.size and np.any(np.diff(pts) <= 0):
+        object.__setattr__(self, "offsets", off)
+        if (off.shape != (len(self.seeds) + 1,) or off.size < 2 or off[0] != 0
+                or off[-1] != pts.size or np.any(np.diff(off) < 0)):
+            raise ValueError("offsets must rise from 0 to points.size, one sample per seed")
+        # a step that does not rise is allowed only where a sample starts
+        if not np.isin(np.flatnonzero(np.diff(pts) <= 0) + 1, off).all():
             raise ValueError("sample points must be strictly increasing")
-
-    def count_upto(self, threshold):
-        threshold = _check_number(threshold, _POSITIVE, self.T, "threshold")
-        return int(np.searchsorted(self.points, threshold, side="right"))
 
 
 def _clip_to_window(lam, m):
@@ -159,11 +175,9 @@ def nystrom(nu, T, m=512):
     if not np.all(np.isfinite(A)):
         raise PrecisionFailure(f"Nystrom matrix overflows at T={T!r}")
     lam, vec = np.linalg.eigh(A)
-    lam = _clip_to_window(lam, m)
     return DiscretizedKernel(
-        nu=float(nu), T=T, m=m, nodes=x, weights=w,
-        matrix=A, eigenvalues=lam, eigenvectors=vec,
-    )
+        nu=float(nu), T=T, m=m, nodes=x, weights=w, matrix=A, eigenvectors=vec,
+        eigenvalues=_clip_to_window(lam, m), eig_range=(float(lam[0]), float(lam[-1])))
 
 
 def _rng(seed):
@@ -173,7 +187,8 @@ def _rng(seed):
 
 
 def _sample_block(kern, seeds):
-    """One configuration for each checked seed, the samples drawn in lockstep.
+    """The points and sizes k of one configuration for each checked seed,
+    the samples drawn in lockstep.
 
     Each seed makes the calls of a lone sample: random(n) for the
     eigenvalue thinning, then random(k) for the chain rule.  The block
@@ -187,7 +202,8 @@ def _sample_block(kern, seeds):
     P.  A sample that already has its k points has M[b] = 0, so g = 0
     and P[:, b] stays as it is.  W, and so P, are padded with rows of
     zero mass to a multiple of _DRAW_BLOCK, where P is viewed by blocks
-    of nodes for the draw.
+    of nodes for the draw.  The points come sample after sample, each
+    sample's in increasing order.
     """
     lam = kern.eigenvalues
     n_block = len(seeds)
@@ -261,13 +277,23 @@ def _sample_block(kern, seeds):
                     % (low, MARGINAL_TOL, seeds[b]))
             # what is left below zero is roundoff
             np.maximum(P, 0.0, out=P)
-    return [SampleConfig(points=np.sort(kern.nodes[chosen[:k[b], b]]), seed=seed,
-                         T=kern.T, nu=kern.nu, m=kern.m)
-            for b, seed in enumerate(seeds)]
+    drawn = np.arange(steps)[:, None] < k  # steps x B: the draws each sample made
+    x = np.where(drawn, kern.nodes[chosen], np.inf)
+    x.sort(axis=0)
+    return x.T[drawn.T], k
+
+
+def _sample_seeds(kern, seeds):
+    # the checked seeds drawn _BLOCK at a time, gathered into one batch
+    pts, k = zip(*[_sample_block(kern, seeds[start:start + _BLOCK])
+                   for start in range(0, len(seeds), _BLOCK)])
+    return Samples(points=np.concatenate(pts), offsets=np.cumsum(np.concatenate([[0], *k])),
+                   seeds=np.array(seeds, dtype=np.uint64), T=kern.T, nu=kern.nu, m=kern.m)
 
 
 def sample(kern, seed):
-    """Draw one configuration from the discretized process.
+    """Draw one configuration from the discretized process, returned as a
+    ``Samples`` batch of one.
 
     Bernoulli(lambda_j) selects k eigenvectors (one uniform per
     eigenvalue); the projection kernel K = V V^T is then sampled point by
@@ -290,7 +316,7 @@ def sample(kern, seed):
     marginal falls below -MARGINAL_TOL or the marginals run out before k
     points are drawn.
     """
-    return _sample_block(kern, [_as_seed(seed, "seed")])[0]
+    return _sample_seeds(kern, [_as_seed(seed, "seed")])
 
 
 # Samples drawn in lockstep by sample_many, chosen by measurement: on 2
@@ -303,7 +329,8 @@ _BLOCK = 250
 
 
 def sample_many(kern, n_samples, master_seed):
-    """n_samples independent configurations from deterministically derived seeds.
+    """n_samples independent configurations from deterministically derived
+    seeds, returned as one ``Samples`` batch.
 
     The derived seeds are drawn _BLOCK at a time in lockstep
     (``_sample_block``): the block shares the d eigenvectors that any of
@@ -311,15 +338,14 @@ def sample_many(kern, n_samples, master_seed):
     the whole block, O(B d m) per step, in place of B length-m products,
     and one pass over the m x B marginals to find the B nodes from their
     block masses.
-    Sample j equals ``sample(kern, seeds[j])`` point for point.
+    Sample j equals ``sample(kern, samples.seeds[j])`` point for point.
     master_seed must be an integer >= 0; anything else raises DomainError.
     """
     n_samples = int(_as_index(n_samples, 1, math.inf, "n_samples"))
     seeds = np.random.SeedSequence(_as_seed(master_seed, "master_seed")).generate_state(
         n_samples, dtype=np.uint64
     ).tolist()
-    return [cfg for start in range(0, n_samples, _BLOCK)
-            for cfg in _sample_block(kern, seeds[start:start + _BLOCK])]
+    return _sample_seeds(kern, seeds)
 
 
 @dataclass(frozen=True)
@@ -334,8 +360,7 @@ class CountStats:
     target_mean: np.ndarray      # sqrt(T')/pi
     n_samples: int
     var_slope: float             # fit of var against log T'
-    var_slope_target: float = VAR_SLOPE
-    max_growth_residual: float = field(default=np.nan)
+    max_growth_residual: float
 
     def rows(self):
         out = []
@@ -354,16 +379,12 @@ class CountStats:
 
 
 def _max_growth_residual(samples):
-    # samples as zero-padded rows of one array; entries past a row's last
-    # point, and every entry of a row with fewer than 3 points, are masked
-    sizes = np.array([s.points.size for s in samples])
-    width = int(sizes.max())
-    filled = np.arange(width) < sizes[:, None]
-    pts = np.zeros(filled.shape)
-    pts[filled] = np.concatenate([s.points for s in samples])
-    n = np.arange(3, width + 1, dtype=float)
-    r = _growth_residual(pts[:, 2:], n)
-    return float(np.max(np.abs(r), where=filled[:, 2:], initial=0.0))
+    # each point's 1-based index n in its sample; points with n < 3 are skipped
+    off = samples.offsets
+    n = np.arange(1, samples.points.size + 1) - np.repeat(off[:-1], np.diff(off))
+    far = n >= 3
+    r = _growth_residual(samples.points[far], n[far].astype(float))
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 def _log_slope(thresholds, var):
@@ -378,17 +399,12 @@ def count_stats(samples, thresholds):
     slope against log T'.  Also reports the worst growth residual
     (p_n - pi^2 n^2) / (n^{3/2} log^{3/2} n) across all samples (eps =
     GROWTH_EPS = 1/2 of ``PointSequence.growth_residual``)."""
-    if not samples:
-        raise ValueError("empty sample list")
-    T = samples[0].T
-    nu0 = samples[0].nu
-    for s in samples:
-        if s.T != T or s.nu != nu0:
-            raise ValueError("samples must share T and nu")
-    thr = _check_points(thresholds, _POSITIVE, T, "thresholds")
-    ns = len(samples)
-    counts = np.array([np.searchsorted(s.points, thr, side="right") for s in samples],
-                      dtype=float)
+    thr = _check_points(thresholds, _POSITIVE, samples.T, "thresholds")
+    ns = samples.offsets.size - 1
+    # below[i]: points among the first i of the batch that lie in (0, T']
+    below = np.zeros((samples.points.size + 1, thr.size))
+    np.cumsum(samples.points[:, None] <= thr, axis=0, out=below[1:])
+    counts = np.diff(below[samples.offsets], axis=0)
     mean = counts.mean(axis=0)
     var = counts.var(axis=0, ddof=1) if ns > 1 else np.zeros_like(mean)
     se_mean = np.sqrt(var / ns)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import equilibrium
-from .dpp import count_stats, exact_count_law, nystrom, sample_many
+from .dpp import VAR_SLOPE, count_stats, exact_count_law, nystrom, sample_many
 from .orthopoly import build_recurrence, lubinsky_gap
 from .sequences import make_bessel_zero_squared, make_quadratic
 from .specfun import bessel_kernel
@@ -399,17 +399,16 @@ def dpp_stats(cfg):
     count law of the discretized process beside the Monte Carlo values."""
     T = float(max(cfg.thresholds))
     kern = nystrom(cfg.nu, T, cfg.m)
-    samples = sample_many(kern, cfg.n_samples, cfg.seed)
-    st = count_stats(samples, cfg.thresholds)
+    st = count_stats(sample_many(kern, cfg.n_samples, cfg.seed), cfg.thresholds)
     exact_mean, exact_var, exact_var_slope = exact_count_law(kern, cfg.thresholds)
     summary = {
         "trace": kern.trace,
-        "eig_min": float(kern.eigenvalues.min()),
-        "eig_max": float(kern.eigenvalues.max()),
+        "eig_min": kern.eig_range[0],
+        "eig_max": kern.eig_range[1],
         "mean_offsets": (st.mean - st.target_mean).tolist(),
         "var": st.var.tolist(),
         "var_slope": st.var_slope,
-        "var_slope_target": st.var_slope_target,
+        "var_slope_target": VAR_SLOPE,
         "exact_mean": exact_mean.tolist(),
         "exact_var": exact_var.tolist(),
         "exact_var_slope": exact_var_slope,

@@ -20,7 +20,7 @@ from bessellab.dpp import (
     _BLOCK,
     CountStats,
     DiscretizedKernel,
-    SampleConfig,
+    Samples,
     _rng,
     count_stats,
     exact_count_law,
@@ -58,12 +58,17 @@ def _derived_seeds(n, master_seed):
     return np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64).tolist()
 
 
+def _split(samples):
+    # the batch's samples, one array of points each
+    return np.split(samples.points, samples.offsets[1:-1])
+
+
 def _kernel_from_columns(V):
     # a DiscretizedKernel whose "eigenvectors" are the given columns, all kept
     m, k = V.shape
     return DiscretizedKernel(nu=0.0, T=10.0, m=m, nodes=np.linspace(1.0, 9.0, m),
                              weights=np.ones(m), matrix=V @ V.T,
-                             eigenvalues=np.ones(k), eigenvectors=V)
+                             eigenvalues=np.ones(k), eigenvectors=V, eig_range=(1.0, 1.0))
 
 
 class TestNystrom:
@@ -127,23 +132,22 @@ class TestSampling:
         assert np.all(np.diff(cfg.points) > 0)
         assert cfg.points.min() > 0.0 and cfg.points.max() <= 100.0
         assert cfg.T == 100.0 and cfg.nu == 0.0 and cfg.m == 128
+        assert cfg.offsets.tolist() == [0, cfg.points.size] and cfg.seeds.tolist() == [3]
 
     def test_master_seed_spawns_distinct_streams(self):
         kern = nystrom(0.0, 100.0, m=128)
-        runs = sample_many(kern, 4, 123)
-        counts = {len(r.points) for r in runs}
-        pts = [tuple(np.round(r.points, 9)) for r in runs]
+        runs = _split(sample_many(kern, 4, 123))
+        counts = {r.size for r in runs}
+        pts = [tuple(np.round(r, 9)) for r in runs]
         assert len(set(pts)) == 4 or len(counts) > 1
         again = sample_many(kern, 4, 123)
-        for r, s in zip(runs, again):
-            assert_allclose(r.points, s.points, rtol=0, atol=0)
+        assert np.array_equal(np.concatenate(runs), again.points)
 
     def test_mean_count_matches_trace(self):
         # first moment of a determinantal sample equals the kernel trace;
         # 200 fixed-seed draws keep the Monte Carlo error ~0.06
         kern = nystrom(0.0, 100.0, m=128)
-        runs = sample_many(kern, 200, 2026)
-        counts = np.array([len(r.points) for r in runs], dtype=float)
+        counts = np.diff(sample_many(kern, 200, 2026).offsets).astype(float)
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - kern.trace) < 3.5 * se + 1e-9
 
@@ -248,9 +252,9 @@ class TestSampling:
         j = int(np.argmax(np.array(seeds) >= 2**63))
         assert seeds[j] >= 2**63
         cfg = sample(kern, np.uint64(seeds[j]))
-        assert cfg.seed == seeds[j]
+        assert cfg.seeds.tolist() == [seeds[j]]
         assert np.array_equal(cfg.points, sample(kern, seeds[j]).points)
-        assert np.array_equal(cfg.points, sample_many(kern, 8, 20260825)[j].points)
+        assert np.array_equal(cfg.points, _split(sample_many(kern, 8, 20260825))[j])
         assert np.array_equal(sample(kern, 2.0).points, sample(kern, 2).points)
 
     # the second window is small enough that most samples keep no
@@ -265,18 +269,18 @@ class TestSampling:
         kern = nystrom(*window)
         seeds = _derived_seeds(n, 2027)
         many = sample_many(kern, n, 2027)
-        assert [cfg.seed for cfg in many] == seeds
-        for cfg, seed in zip(many, seeds):
-            assert np.array_equal(cfg.points, sample(kern, seed).points)
-        sizes = {cfg.points.size for cfg in many}
+        assert many.seeds.tolist() == seeds
+        for pts, seed in zip(_split(many), seeds):
+            assert np.array_equal(pts, sample(kern, seed).points)
+        sizes = set(np.diff(many.offsets).tolist())
         if window[1] == 4.0 and n > 1:
             assert 0 in sizes and len(sizes) > 1
 
     def test_many_matches_qr_reference_sampler(self):
         kern = nystrom(0.5, 100.0, 128)
         seeds = _derived_seeds(_BLOCK + 1, 4)
-        for cfg, seed in zip(sample_many(kern, _BLOCK + 1, 4), seeds):
-            assert np.array_equal(cfg.points, _qr_sample_points(kern, seed))
+        for pts, seed in zip(_split(sample_many(kern, _BLOCK + 1, 4)), seeds):
+            assert np.array_equal(pts, _qr_sample_points(kern, seed))
 
     def test_default_points_are_pinned(self):
         # sha256 of the 500 samples of the dpp_stats default (size as
@@ -286,9 +290,9 @@ class TestSampling:
         # sampler on numpy's leggauss rule that preceded it
         runs = sample_many(nystrom(0.0, 1e4, 512), 500, 20260825)
         h = hashlib.sha256()
-        for cfg in runs:
-            h.update(np.int64(cfg.points.size).astype("<i8").tobytes())
-            h.update(cfg.points.astype("<f8").tobytes())
+        for start, stop in zip(runs.offsets[:-1], runs.offsets[1:]):
+            h.update(np.int64(stop - start).astype("<i8").tobytes())
+            h.update(runs.points[start:stop].astype("<f8").tobytes())
         assert h.hexdigest() == (
             "336ca70c0458a33477ef44074b2898b4b3839dd5add0a75a90631a6814043ea7")
 
@@ -304,11 +308,6 @@ class TestSampling:
                       [-50.0, 7418.0], [-14558.0, 4465.0]])
         with pytest.raises(PrecisionFailure, match=r"below .*\(seed 0\)"):
             sample(_kernel_from_columns(V), 0)
-
-    def test_count_upto(self):
-        cfg = SampleConfig(points=np.array([1.0, 5.0, 20.0]), seed=0, T=50.0, nu=0.0, m=64)
-        assert cfg.count_upto(5.0) == 2
-        assert cfg.count_upto(0.5) == 0
 
 
 @pytest.fixture(scope="module")
@@ -367,7 +366,7 @@ class TestCountStats:
             lam, vec = np.linalg.eigh(matrix)
             return DiscretizedKernel(nu=0.0, T=4.0, m=3, nodes=np.array([1.0, 2.0, 3.0]),
                                      weights=np.ones(3), matrix=matrix, eigenvalues=lam,
-                                     eigenvectors=vec)
+                                     eigenvectors=vec, eig_range=(lam[0], lam[-1]))
 
         with pytest.raises(DiscretizationFailure):
             exact_count_law(kernel([1.5, 0.5, 0.2]), [2.5])
@@ -377,8 +376,6 @@ class TestCountStats:
     def test_threshold_validation(self, runs):
         with pytest.raises(ValueError):
             count_stats(runs, [2000.0])
-        with pytest.raises(ValueError):
-            count_stats([], [10.0])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_or_nonfinite_threshold_rejected(self, runs, kern1000, bad):
@@ -387,34 +384,49 @@ class TestCountStats:
         with pytest.raises(DomainError):
             exact_count_law(kern1000, [10.0, bad])
 
-    def test_mixed_windows_rejected(self, runs):
-        other = sample(nystrom(0.0, 100.0, m=128), 1)
-        with pytest.raises(ValueError):
-            count_stats(list(runs) + [other], [50.0])
-
     def test_array_form_matches_per_sample_loop(self, runs):
-        # counts and the worst growth residual equal the per-sample
-        # count_upto and PointSequence.growth_residual loop bit for bit,
-        # with samples of fewer than 3 points skipped
-        short = [SampleConfig(points=pts, seed=0, T=1000.0, nu=0.0, m=256)
-                 for pts in (np.empty(0), np.array([3.0]), np.array([3.0, 40.0]))]
-        batch = short + list(runs)
+        # counts and the worst growth residual equal a per-sample
+        # searchsorted and PointSequence.growth_residual loop bit for bit,
+        # with samples of fewer than 3 points skipped, empty ones included
+        # at both ends of the batch
+        short = [np.empty(0), np.array([3.0]), np.array([3.0, 40.0])]
+        batch = short + _split(runs) + [np.empty(0)]
+
+        def samples(parts):
+            return Samples(points=np.concatenate(parts),
+                           offsets=np.cumsum([0] + [p.size for p in parts]),
+                           seeds=range(len(parts)), T=1000.0, nu=0.0, m=256)
+
         thr = [10.0, 100.0, 1000.0]
-        counts = np.array([[s.count_upto(t) for t in thr] for s in batch], dtype=float)
+        counts = np.array([np.searchsorted(p, thr, side="right") for p in batch],
+                          dtype=float)
         worst = 0.0
-        for s in batch:
-            if s.points.size >= 3:
-                n = np.arange(3, s.points.size + 1)
-                r = make_sampled(s.points).growth_residual(n)
+        for p in batch:
+            if p.size >= 3:
+                r = make_sampled(p).growth_residual(np.arange(3, p.size + 1))
                 worst = max(worst, float(np.max(np.abs(r))))
-        stats = count_stats(batch, thr)
+        stats = count_stats(samples(batch), thr)
         assert np.array_equal(stats.mean, counts.mean(axis=0))
         assert np.array_equal(stats.var, counts.var(axis=0, ddof=1))
         assert stats.max_growth_residual == worst > 0.0
-        assert count_stats(short, thr).max_growth_residual == 0.0
+        assert count_stats(samples(short), thr).max_growth_residual == 0.0
 
 
 class TestSerialization:
     def test_config_validates_ordering(self):
-        with pytest.raises(ValueError):
-            SampleConfig(points=np.array([2.0, 1.0]), seed=0, T=10.0, nu=0.0, m=64)
+        def batch(points, offsets):
+            return Samples(points=np.array(points, dtype=float), offsets=offsets,
+                           seeds=range(len(offsets) - 1), T=10.0, nu=0.0, m=64)
+
+        # a sample may start below where the one before it ended, also
+        # across empty samples and with empty samples at either end
+        ok = batch([1.0, 5.0, 2.0, 3.0, 0.5], [0, 0, 2, 2, 4, 5, 5])
+        assert [p.tolist() for p in _split(ok)] == [[], [1.0, 5.0], [], [2.0, 3.0], [0.5], []]
+        with pytest.raises(ValueError, match="increasing"):
+            batch([2.0, 1.0], [0, 2])
+        with pytest.raises(ValueError, match="increasing"):
+            batch([1.0, 5.0, 2.0, 2.0], [0, 0, 2, 4])
+        # offsets that do not fit the points or the seeds
+        for off in ([0, 1], [0, 3, 2], [1, 2], [0, 2, 3], [0]):
+            with pytest.raises(ValueError, match="offsets"):
+                batch([1.0, 2.0], off)

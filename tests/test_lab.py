@@ -7,6 +7,7 @@ written artifacts, and exit codes.
 
 import ast
 import csv
+import importlib
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bessellab
+from bessellab import dpp
 from bessellab.cli import main
 from bessellab.lab import (
     EXPERIMENTS,
@@ -143,6 +145,22 @@ class TestExperimentsTrimmed:
         assert summary["eig_max"] <= 1.0 + 1e-8
         for off in summary["mean_offsets"]:
             assert abs(off) < 3.0  # loose: 40 draws only
+
+    def test_dpp_stats_reports_the_spectrum_before_the_clip(self, monkeypatch):
+        # a hand-built diagonal kernel whose Nystrom matrix has eigenvalues
+        # from -1e-9 to 1 + 1e-9, inside EIG_TOL: nystrom clips them to
+        # [0, 1] for the sampler but keeps the two ends, which dpp_stats
+        # reports in place of the clipped 0 and 1
+        cfg = _trimmed("dpp_stats")
+        T = max(cfg.thresholds)
+        w = dpp.nystrom(cfg.nu, T, cfg.m).weights
+        lam = np.linspace(-1e-9, 1.0 + 1e-9, cfg.m)
+        monkeypatch.setattr(dpp, "bessel_kernel", lambda nu, x, y: np.diag(lam / w))
+        kern = dpp.nystrom(cfg.nu, T, cfg.m)
+        assert kern.eigenvalues[0] == 0.0 and kern.eigenvalues[-1] == 1.0
+        assert_allclose(kern.eig_range, (lam[0], lam[-1]), rtol=0, atol=1e-15)
+        _, _, summary = run_experiment(cfg)
+        assert (summary["eig_min"], summary["eig_max"]) == kern.eig_range
 
 
 class TestArtifacts:
@@ -281,6 +299,18 @@ def test_import_loads_no_quadrature_or_root_finder(tmp_path):
     before, after = out.strip().splitlines()
     assert before == "[]"
     assert after == f"True {bessellab.bessel_j(0.5, 2.0)!r}"
+
+
+def test_every_export_resolves():
+    # each name in the package's __all__ and in every module's __all__
+    # exists, so no export outlives the name it points to
+    folder = pathlib.Path(bessellab.__file__).parent
+    modules = [bessellab] + [importlib.import_module(f"bessellab.{path.stem}")
+                             for path in sorted(folder.glob("*.py"))
+                             if path.stem != "__init__"]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_only_specfun_imports_scipy():

@@ -437,6 +437,21 @@ class TestOrderingAndGap:
         km = tm.kernel_hat(n_val, x, x)
         assert np.all(kp <= kw) and np.all(kw <= km)
 
+    @given(nu=st.floats(min_value=-0.9, max_value=3.0, exclude_min=True),
+           gamma=st.floats(min_value=1.05, max_value=5.0),
+           n=st.integers(min_value=1, max_value=40),
+           d=st.integers(min_value=1, max_value=40),
+           x=st.floats(min_value=1e-3, max_value=1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_dominated_weight_has_the_larger_diagonal(self, nu, gamma, n, d, x):
+        # ApproxWeight("plus") = t^nu exp(-n V(t/gamma)) <= t^nu pointwise
+        # since V >= 0, so its Christoffel function is the smaller and its
+        # Khat_d(x, x) the larger.  Random draws from these ranges kept a
+        # relative margin above 8e-3, so the 1e-12 slack covers rounding only
+        plus = build_recurrence(ApproxWeight("plus", gamma, n, nu), d).kernel_hat(d, x, x)
+        bare = build_recurrence(PowerWeight(nu), d).kernel_hat(d, x, x)
+        assert plus >= bare * (1.0 - 1e-12)
+
     def test_gap_bound_nonnegative_slack(self):
         seq = make_quadratic()
         gamma, R = 1.2, 1e3
