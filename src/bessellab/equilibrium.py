@@ -12,13 +12,15 @@ with inverse-square-root edges at both ends.  At gamma = 1 this reduces to
 
     c_gamma = pi^2 gamma / (pi + 2 (sqrt(gamma-1) - arctan sqrt(gamma-1)))^2.
 
-The maps g (log-potential transform), phi (the cut [0, oo)), and
-f = -phi^2/4 (conformal near 0, f'(0) = pi^2/(4 c_gamma)) are evaluated
-in closed form on scalars or arrays, one numpy expression for the upper
-half-plane continued below by conjugation, with explicit boundary values
-on the cut; the matrix N
-solves the global jump problem N_+ = N_- [[0, x^nu], [-x^-nu, 0]] on
-(0, 1) with N(oo) = I.
+The maps g (log-potential transform), phi (the cut [0, oo)),
+f = -phi^2/4 (conformal near 0, f'(0) = pi^2/(4 c_gamma)) and the matrix
+N solving the global jump problem N_+ = N_- [[0, x^nu], [-x^-nu, 0]] on
+(0, 1) with N(oo) = I are evaluated in closed form on scalars or arrays:
+each is one numpy expression on the closed upper half-plane, whose value
+on the cut is the boundary value from above, and the lower half comes by
+symmetry, conjugation for g and phi and N(conj z) = s3 conj N(z) s3 with
+s3 = diag(1, -1) for N.  phi takes the arctan form of its logs, so
+nothing cancels near z = 0 and no log(-1) is taken at gamma = 1.
 
 Potential integrals use substitutions that remove the inverse-square-root
 endpoint singularities and the log factor's kink, leaving at most a u log u
@@ -340,12 +342,13 @@ def _side_sign(side):
 
 
 def _phi_upper(gamma, z):
-    # analytic continuation from the upper half-plane, principal branches
+    # phi on the closed upper half-plane, principal branches, in the form
+    # log((1 + iw)/(1 - iw)) = 2i arctan w: no log(-1) is taken at gamma = 1
+    # and nothing cancels near z = 0
     sg, sg1 = math.sqrt(gamma), math.sqrt(gamma - 1.0)
     s1z, sz = np.sqrt(1.0 - z), np.sqrt(z)
-    t1 = np.log((sg * s1z + 1j * sz * sg1) / (sg * s1z - 1j * sz * sg1))
-    t2 = np.sqrt(z / gamma) * np.log((sg1 + 1j * s1z) / (sg1 - 1j * s1z))
-    return t1 + t2
+    return 2j * (np.arctan(sz * sg1 / (sg * s1z))
+                 + (sz / sg) * (0.5 * math.pi - np.arctan(sg1 / s1z)))
 
 
 def phi_map(gamma, z, side=None):
@@ -354,8 +357,18 @@ def phi_map(gamma, z, side=None):
     Real entries z >= 0 require a ``side`` and take the values of
     ``phi_boundary``, which rejects z >= 1; on (0, 1) the boundary values
     are purely imaginary, phi_+- = +- i pi cdf.  Every other entry is one
-    array evaluation of the closed form.  Near 0,
-    phi(z) ~ +- (i pi / sqrt(c_gamma)) sqrt(z).
+    array evaluation of the closed form, for Im z >= 0 (the conjugate below)
+
+        phi(z) = 2i [arctan(sqrt(z (gamma-1)) / sqrt(gamma (1-z)))
+                     + sqrt(z/gamma) (pi/2 - arctan(sqrt(gamma-1) / sqrt(1-z)))],
+
+    the log form log((1 + iw)/(1 - iw)) = 2i arctan w.  Near 0,
+    phi(z) ~ +- (i pi / sqrt(c_gamma)) sqrt(z).  Against the log form at
+    40 digits in mpmath it is within 3.6e-16 relative for gamma in
+    {1, 1.1, 2, 5} and |z| from 1e-12 to 1e6 in both half-planes, rows
+    1e-300 off (1, gamma) included; near z = gamma the form is conditioned
+    like gamma |1 - z| / |gamma - z|, and the error stays within 5e-16
+    times that.
     """
     z = _check_complex(z, "z")
     gamma = _check_number(gamma, 1.0, math.inf, "gamma")
@@ -370,18 +383,22 @@ def phi_map(gamma, z, side=None):
 
 
 def phi_boundary(gamma, x, side):
-    """Exact boundary values of phi on [0, 1); x may be an array:
+    """Exact boundary values of phi on [0, 1); x may be an array.
 
-        phi_+- = +-2i [arctan2(r sx, q) + sx arctan2(q, r)],
+    phi_+ is the closed form of ``phi_map`` at z = x + 0i, all of it real
+    arithmetic there, and phi_- its conjugate:
+
+        phi_+- = +-2i [arctan(r sx / q) + sx (pi/2 - arctan(r / q))],
 
     with r, q and sx those of ``cdf``; at gamma = 1 it is +-i pi sqrt(x).
+    Against the log form at 40 digits in mpmath it is within 3.5e-16
+    relative for gamma in {1, 1.1, 2, 5} and x from 1e-300 to 1 - 1e-12.
     """
     gamma = _check_number(gamma, 1.0, math.inf, "gamma")
     x = _check_points(x, 0.0, _BELOW_ONE, "x")
     sgn = _side_sign(side)
-    r, q, sx = math.sqrt(gamma - 1.0), np.sqrt(1.0 - x), np.sqrt(x / gamma)
-    val = 2.0 * (np.arctan2(r * sx, q) + sx * np.arctan2(q, r))
-    return _maybe_scalar(sgn * 1j * val)
+    phi = _phi_upper(gamma, x)
+    return _maybe_scalar(phi if sgn > 0.0 else np.conj(phi))
 
 
 def f_map(gamma, z):
@@ -404,50 +421,62 @@ def f_map(gamma, z):
 # ---------------------------------------------------------------------------
 # global parametrix
 
-
-def _parametrix_from_parts(nu, z, sgn):
-    # N(z) off the cut (sgn None) or on its side sgn = +1/-1
-    if sgn is None:
-        ratio = (z - 1.0) / z
-        a, sqrt_ratio = ratio ** 0.25, np.sqrt(complex(ratio))
-    else:
-        x = z.real
-        mag = ((1.0 - x) / x) ** 0.25
-        a = mag * complex(math.cos(math.pi / 4.0), sgn * math.sin(math.pi / 4.0))
-        sqrt_ratio = sgn * 1j * math.sqrt((1.0 - x) / x)
-    ai = 1.0 / a
-    m = np.array([[0.5 * (a + ai), (a - ai) / 2j],
-                  [-(a - ai) / 2j, 0.5 * (a + ai)]], dtype=complex)
-    lam = 1.0 + sqrt_ratio
-    left = np.diag([2.0 ** -nu, 2.0 ** nu]).astype(complex)
-    right = np.diag([lam ** nu, lam ** -nu]).astype(complex)
-    return left @ m @ right
+# s3 conj(N) s3 with s3 = diag(1, -1) flips the signs of the off-diagonal
+# entries (in row-major order) of conj(N)
+_SIGMA3_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def global_parametrix(nu, z, side=None):
     """The 2x2 matrix N(z) solving the jump N_+ = N_- [[0, x^nu], [-x^-nu, 0]]
-    on (0, 1), analytic elsewhere, N(oo) = I, det N = 1.
+    on (0, 1), analytic elsewhere, N(oo) = I, det N = 1; z may be an array,
+    and the result has shape z.shape + (2, 2).
+
+    Entries on [0, 1] need a ``side``.  On the closed upper half-plane, the
+    '+' side included, with s = sqrt(z - 1)/sqrt(z), a = sqrt(s) and
+    lam = 1 + s,
+
+        N = [[(lam/2)^nu lam/(2a),    (2 lam)^-nu i/(2 a z lam)],
+             [-(2 lam)^nu i/(2 a z lam), (lam/2)^-nu lam/(2a)]],
+
+    the standard N = diag(2^-nu, 2^nu) M(a) diag(lam^nu, lam^-nu) with
+    the entries (a + 1/a)/2 and (a - 1/a)/(2i) of M rewritten so that
+    neither subtracts.  Below, and on the '-' side, N(conj z) = s3 conj N(z)
+    s3 with s3 = diag(1, -1).
+
+    Against that standard form at 40 digits in mpmath, for |z| from 1e-3
+    to 1e6 in both half-planes and on both sides of (0, 1), every entry is
+    within 6.9e-16 of the largest for nu in {-0.9, 0, 0.5, 2}, 2.9e-15 at
+    nu = 10 and 2.7e-14 at nu = 37.3.
 
     Its entries grow like |z|^(-|nu|/2 - 1/4) near z = 0; where one leaves
     the float range (nu = 2 at z = 1e-300, nu = 300 at z = 1e-12),
     PrecisionFailure is raised.
     """
-    z = complex(_check_complex(z, "z"))
+    z = _check_complex(z, "z")
     nu = _order(nu)
-    on_cut = z.imag == 0.0 and 0.0 <= z.real <= 1.0
-    if on_cut and side is None:
-        raise DomainError("z on [0, 1] needs side='+'/'-'")
-    sgn = _side_sign(side) if on_cut else None
-    if on_cut and z.real in (0.0, 1.0):
-        raise DomainError("the parametrix is singular at the endpoints 0 and 1")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _parametrix_from_parts(nu, z, sgn)
-    except OverflowError:
-        out = np.full((2, 2), math.nan)
-    if not np.all(np.isfinite(out)):
+    flat = z.reshape(-1)  # an array even for one point, as in _conjugate_below
+    below = flat.imag < 0.0
+    cut = (flat.imag == 0.0) & (flat.real >= 0.0) & (flat.real <= 1.0)
+    if cut.any():
+        if side is None:
+            raise DomainError("z on [0, 1] needs side='+'/'-'")
+        if _side_sign(side) < 0.0:
+            below = below | cut
+        if (cut & ((flat.real == 0.0) | (flat.real == 1.0))).any():
+            raise DomainError("the parametrix is singular at the endpoints 0 and 1")
+    w = flat.real + 1j * np.abs(flat.imag)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.sqrt(w - 1.0) / np.sqrt(w)
+        a = np.sqrt(s)
+        lam = 1.0 + s
+        diag = lam / (2.0 * a)
+        off = 1j / (2.0 * a * w * lam)
+        half, twice = (0.5 * lam) ** nu, (2.0 * lam) ** nu
+        out = np.array([diag * half, off / twice, -off * twice, diag / half]).T
+        out = np.where(below[:, None], out.conj() * _SIGMA3_SIGNS, out)
+    if not np.isfinite(out).all():
         raise PrecisionFailure(f"the parametrix (nu={nu}) overflows this close to z = 0")
-    return out
+    return out.reshape(z.shape + (2, 2))
 
 
 def lens_sign_check(gamma):

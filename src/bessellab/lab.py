@@ -59,7 +59,8 @@ class ExperimentConfig:
 
     ``schedule`` is experiment-specific: target point counts N(R) for
     hard_edge_limit, polynomial degrees for approx_limit, and a single
-    window R for sandwich_chain.
+    window R for sandwich_chain.  approx_limit reads a single gamma; both
+    single values raise ValueError when the tuple holds more or fewer.
     """
 
     experiment: str
@@ -121,6 +122,14 @@ def _sequence(cfg):
     if cfg.sequence == "bessel":
         return make_bessel_zero_squared(cfg.nu)
     raise ValueError("unknown sequence kind %r" % (cfg.sequence,))
+
+
+def _single(cfg, field):
+    # the one value of a tuple field an experiment reads only once
+    values = getattr(cfg, field)
+    if len(values) != 1:
+        raise ValueError("%s takes one %s value, got %r" % (cfg.experiment, field, values))
+    return values[0]
 
 
 def _bessel_grid(nu, xs):
@@ -202,7 +211,7 @@ def approx_limit(cfg):
     signs are also tied together through the exact change-of-variables
     identity, which must hold at every degree.
     """
-    gamma = cfg.gammas[0]
+    gamma = _single(cfg, "gammas")
     nu = cfg.nu
     cg = equilibrium.c_gamma(gamma)
     xs = cfg.grid()
@@ -291,7 +300,7 @@ def sandwich_chain(cfg):
     diagonal ordering of the kernels is unconditional, so a violation
     means a bug, not a borderline parameter.
     """
-    R = float(cfg.schedule[0])
+    R = float(_single(cfg, "schedule"))
     seq = _sequence(cfg)
     nu = cfg.nu
     w = ConditionalWeight(seq, nu, R, tail_tolerance=cfg.tail_tolerance)

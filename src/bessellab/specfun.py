@@ -283,8 +283,8 @@ def bessel_kernel(nu, x, y):
     evaluations rather than O(m^2), plus two for each entry within
     DIAG_SWITCH of the diagonal.  Against 40-digit mpmath on the
     512 x 512 Nystrom grid of (0, 1e4) every off-diagonal entry is within
-    1.5e-13 of the largest diagonal value for nu in {-0.9, -0.5, 0.5, 2},
-    and within 6.8e-13 and 1.8e-12 at nu = 10 and 37.3.  The worst entries
+    1.6e-13 of the largest diagonal value for nu in {-0.9, -0.5, 0.5, 2},
+    and within 6.9e-13 and 1.9e-12 at nu = 10 and 37.3.  The worst entries
     pair neighbouring nodes, where the numerator cancels.
 
     Within relative distance DIAG_SWITCH of the diagonal the analytic

@@ -291,6 +291,20 @@ class TestGMap:
         assert abs(jump.real) < 1e-12
 
 
+def _phi_mp(mpmath, gamma, z):
+    """phi at 40 digits in its log form, principal branches, for Im z >= 0
+    (a point x of (0, 1) is moved x 1e-40 above it) and the conjugate below."""
+    with mpmath.workdps(40):
+        g, z = mpmath.mpf(gamma), mpmath.mpc(z)
+        if z.imag < 0:
+            return _phi_mp(mpmath, gamma, complex(z.conjugate())).conjugate()
+        if z.imag == 0 and 0 < z.real < 1:
+            z = mpmath.mpc(z.real, z.real * mpmath.mpf("1e-40"))
+        sg, sg1, s1z, sz = mpmath.sqrt(g), mpmath.sqrt(g - 1), mpmath.sqrt(1 - z), mpmath.sqrt(z)
+        return complex(mpmath.log((sg * s1z + 1j * sz * sg1) / (sg * s1z - 1j * sz * sg1))
+                       + sz / sg * mpmath.log((sg1 + 1j * s1z) / (sg1 - 1j * s1z)))
+
+
 class TestPhiAndF:
     def test_phi_plus_is_i_pi_cdf(self):
         g = 2.0
@@ -311,6 +325,30 @@ class TestPhiAndF:
             eq.g_boundary(2.0, 0.5, side)
         with pytest.raises(DomainError):
             eq.global_parametrix(0.5, 0.4, side=side)
+
+    @pytest.mark.parametrize("g", [1.0, 1.1, 2.0, 5.0])
+    def test_phi_matches_mpmath(self, g):
+        # circles from |z| = 1e-12 to 1e6 in both half-planes; rows
+        # x +- 1e-300i along (1, gamma), or (1, 3) at gamma = 1, where both
+        # arctan arguments run along their branch cuts; and phi_+ on (0, 1).
+        # Near z = gamma the form is conditioned like gamma |1 - z| / |gamma - z|
+        mpmath = pytest.importorskip("mpmath")
+        angles = np.array([0.01, 1.0, 2.0, 3.1])
+        rows = 1.0 + (2.0 if g == 1.0 else g - 1.0) * np.linspace(0.05, 0.95, 7)
+        z = np.concatenate([
+            (np.geomspace(1e-12, 1e6, 7)[:, None] * np.exp(1j * np.r_[angles, -angles])).ravel(),
+            rows + 1e-300j, rows - 1e-300j, [1e-12, 0.3, 0.9, 1.0 - 1e-9]])
+        ref = np.array([_phi_mp(mpmath, g, w) for w in z.tolist()])
+        kappa = np.maximum(1.0, g * np.abs(1.0 - z) / np.abs(g - z))
+        assert np.all(np.abs(eq.phi_map(g, z, side="+") - ref) <= 1e-15 * kappa * np.abs(ref))
+
+    @pytest.mark.parametrize("g", [1.0, 1.1, 2.0, 5.0])
+    def test_phi_tends_to_its_plus_boundary_value(self, g):
+        # at gamma = 1 the log form once took log(-1) = -i pi and tended to
+        # phi_- = -i pi sqrt(x), so the lens read max Re phi = +0.88
+        x = np.linspace(0.05, 0.95, 19)
+        assert np.max(np.abs(eq.phi_map(g, x + 1e-10j) - eq.phi_boundary(g, x, "+"))) <= 1e-8
+        assert eq.lens_sign_check(g)["max_re_phi"] < 0.0
 
     def test_phi_square_root_vanishing_at_origin(self):
         # phi(z) = i pi sqrt(z)/sqrt(c_gamma) + O(z^(3/2)) in the upper half plane
@@ -417,6 +455,23 @@ class TestArrays:
             fn(2.0, np.array(z))
 
 
+def _parametrix_mp(mpmath, nu, z, side=None):
+    """N at 40 digits in the standard form diag(2^-nu, 2^nu) M(a)
+    diag(lam^nu, lam^-nu), with M's entries (a + 1/a)/2 and +-(a - 1/a)/(2i),
+    a = ((z - 1)/z)^(1/4) and lam = 1 + sqrt((z - 1)/z) on principal
+    branches; a point x of the cut is moved x 1e-40 to its side."""
+    with mpmath.workdps(40):
+        nu, z = mpmath.mpf(nu), mpmath.mpc(z)
+        if side is not None:
+            z = mpmath.mpc(z.real, z.real * mpmath.mpf("1e-40") * (1 if side == "+" else -1))
+        ratio = (z - 1) / z
+        a, lam = ratio ** mpmath.mpf(0.25), 1 + mpmath.sqrt(ratio)
+        plus, minus = (a + 1 / a) / 2, (a - 1 / a) / 2j
+        left, right = mpmath.mpf(2) ** -nu, lam ** nu
+        return np.array([[complex(left * plus * right), complex(left * minus / right)],
+                         [complex(-minus * right / left), complex(plus / right / left)]])
+
+
 class TestParametrix:
     def test_determinant_one(self):
         for z in (2.0 + 1.3j, -0.7 + 0.2j, 0.4 + 0.9j):
@@ -436,9 +491,34 @@ class TestParametrix:
         right = eq.global_parametrix(nu, x, side="-") @ jump
         assert np.max(np.abs(left - right)) < 1e-10
 
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 0.5, 2.0, 10.0, 37.3])
+    def test_matches_mpmath(self, nu):
+        # both half-planes from |z| = 1e-3 to 1e6, the real axis off the
+        # cut, and both sides of (0, 1); the closed form once cancelled in
+        # a - 1/a at large |z|, off by 1.0e-9 at nu = 37.3, |z| = 1e6
+        mpmath = pytest.importorskip("mpmath")
+        angles = np.array([0.3, 1.5, 3.0])
+        circles = np.array([1e-3, 0.5, 2.0, 1e6])[:, None] * np.exp(1j * np.r_[angles, -angles])
+        z = np.concatenate([circles.ravel(), [-0.5, 1.5, -1e6, 1e6]])
+        x = np.array([0.01, 0.4, 0.9])
+        for pts, side, out in ((z, None, eq.global_parametrix(nu, z)),
+                               (x, "+", eq.global_parametrix(nu, x, side="+")),
+                               (x, "-", eq.global_parametrix(nu, x, side="-"))):
+            for w, n in zip(pts.tolist(), out):
+                ref = _parametrix_mp(mpmath, nu, w, side)
+                assert np.max(np.abs(n - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_array_is_pointwise(self):
+        z = np.vstack([TestArrays.Z, np.linspace(0.05, 0.95, 12) + 0j])
+        for side in "+-":
+            out = eq.global_parametrix(0.5, z, side=side)
+            assert out.shape == z.shape + (2, 2)
+            each = np.array([eq.global_parametrix(0.5, w, side=side) for w in z.ravel().tolist()])
+            assert np.array_equal(out, each.reshape(out.shape))
+
     @pytest.mark.parametrize("nu, z, side", [
         (2.0, 1e-300, "+"), (2.0, complex(1e-300, 1e-300), None), (37.3, 1e-30, "-"),
-        (300.0, 1e-12, "+"), (0.0, 5e-324j, None)])
+        (300.0, 1e-12, "+")])
     def test_overflow_near_zero_raises(self, nu, z, side):
         # the entries grow like |z|^(-nu/2 - 1/4): these came back with
         # inf/NaN entries (nu = 2) or raised a bare OverflowError
@@ -449,6 +529,15 @@ class TestParametrix:
         for z, side in ((1e-100, "+"), (complex(1e-100, 1e-100), None)):
             n = eq.global_parametrix(2.0, z, side=side)
             assert np.all(np.isfinite(n)) and np.max(np.abs(n)) > 1e120
+
+    def test_finite_entries_at_smallest_subnormal(self):
+        # at nu = 0 the entries at z = 5e-324i reach 3.4e80; the closed
+        # form once raised PrecisionFailure there, because its (z - 1)/z
+        # overflowed
+        mpmath = pytest.importorskip("mpmath")
+        n = eq.global_parametrix(0.0, 5e-324j)
+        ref = _parametrix_mp(mpmath, 0.0, 5e-324j)
+        assert np.max(np.abs(n - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_singular_points_rejected(self):
         with pytest.raises(DomainError):

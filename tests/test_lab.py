@@ -93,6 +93,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             run_experiment(bad)
 
+    @pytest.mark.parametrize("experiment, field, values", [
+        ("approx_limit", "gammas", (1.5, 1.2)),
+        ("sandwich_chain", "schedule", (1000.0, 2000.0))])
+    def test_field_read_once_takes_one_value(self, experiment, field, values):
+        # approx_limit reads one gamma and sandwich_chain one window R; a
+        # second value would be silently ignored
+        cfg = default_config(experiment, **{**TRIMMED[experiment], field: values})
+        with pytest.raises(ValueError, match=field):
+            run_experiment(cfg)
+
     def test_experiment_registry(self):
         assert set(EXPERIMENTS) == {
             "hard_edge_limit", "approx_limit", "sandwich_chain",

@@ -20,7 +20,7 @@ from bessellab import errors, specfun
 from bessellab.dpp import nystrom
 from bessellab.equilibrium import cdf, density, f_map, g_boundary, g_map, log_potential, phi_map
 from bessellab.errors import ConvergenceFailure, DomainError, PrecisionFailure
-from bessellab.orthopoly import build_recurrence, weight_quadrature
+from bessellab.orthopoly import _gauss_jacobi, build_recurrence, weight_quadrature
 from bessellab.specfun import (
     bessel_j,
     bessel_j_deriv,
@@ -62,9 +62,8 @@ def _diag_mp(mpmath, nu, x):
 
 
 def _dpp_grid(m=512, T=1e4):
-    # the Nystrom nodes of dpp.nystrom, on numpy's Gauss-Legendre rule
-    # (within 7.3e-14 relative of the package's)
-    u, _ = np.polynomial.legendre.leggauss(m)
+    # the Nystrom nodes of dpp.nystrom, on the package's Gauss-Legendre rule
+    u, _ = _gauss_jacobi(m, 0.0)
     return T * (0.5 * (u + 1.0)) ** 2
 
 
@@ -412,27 +411,19 @@ class TestBesselKernel:
         assert np.array_equal(grid.ravel(), pairs)
 
     @pytest.mark.parametrize("nu", [-0.5, 0.5, 2.0])
-    def test_grid_no_farther_from_mpmath_than_pairwise_grouping(self, nu):
-        # The kernel once grouped its products as (J(sx) sy) J'(sy) on the
-        # broadcast arrays.  Where that grouping and the kernel, now
-        # J(sy) (sx J_{nu+1}(sx)) per argument, differ most on the dpp_stats
-        # grid, the kernel must be no farther from 40 digits.
+    def test_neighbouring_nodes_match_mpmath(self, nu):
+        # pairs of neighbouring dpp_stats nodes, where the numerator
+        # cancels, the first and the last pair included: the worst
+        # measured is 4.4e-16, 6.2e-14 and 1.55e-13 of the largest diagonal
+        # value at nu = -0.5, 0.5 and 2, both of the last at the last pair.
+        # The bound is the one bessel_kernel's docstring states.
         mpmath = pytest.importorskip("mpmath")
         x = _dpp_grid()
-        new = bessel_kernel(nu, x[:, None], x[None, :])
-        sx, sy = np.sqrt(x)[:, None], np.sqrt(x)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            old = ((special.jv(nu, sx) * sy * special.jvp(nu, sy)
-                    - special.jv(nu, sy) * sx * special.jvp(nu, sx))
-                   / (2.0 * (x[:, None] - x[None, :])))
-        np.fill_diagonal(old, np.diag(new))  # both use the diagonal limit there
-        rows, cols = np.unravel_index(np.argsort(np.abs(old - new), axis=None)[-20:], new.shape)
+        i = np.linspace(0, x.size - 2, 20).astype(int)
         with mpmath.workdps(40):
-            ref = np.array([float(_kernel_mp(mpmath, nu, x[i], x[j]))
-                            for i, j in zip(rows, cols)])
-        new_err = np.max(np.abs(new[rows, cols] - ref))
-        assert new_err <= np.max(np.abs(old[rows, cols] - ref))
-        assert new_err <= 1e-11 * np.max(np.abs(ref))
+            ref = np.array([float(_kernel_mp(mpmath, nu, x[k], x[k + 1])) for k in i])
+        err = np.abs(bessel_kernel(nu, x[i], x[i + 1]) - ref)
+        assert np.max(err) <= 1.6e-13 * np.max(bessel_kernel_diag(nu, x))
 
     def test_outer_grid_costs_linear_bessel_work(self, monkeypatch):
         # count every element specfun's _jv evaluates, the one seam through
