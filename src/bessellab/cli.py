@@ -1,13 +1,14 @@
 """Command-line entry point.
 
 Each subcommand runs one experiment with its default config, optionally
-overridden by a JSON file, and writes a CSV table plus a JSON summary
-into the output directory.  Exit status is nonzero when a run reports a
-hard invariant failure (e.g. a kernel-ordering violation).
+overridden field by field by a JSON file and then by ``--seed``, and
+writes a CSV table plus a JSON summary into the output directory.  A
+config that cannot be read or breaks a field's rule exits with status 2
+and a one-line error naming the field.  Exit status is 1 when a run
+reports a hard invariant failure (e.g. a kernel-ordering violation).
 """
 
 import argparse
-import dataclasses
 import sys
 
 from .lab import ExperimentConfig, default_config, run_experiment
@@ -37,25 +38,22 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config, experiment=args.experiment)
-    else:
-        cfg = default_config(args.experiment)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    try:
+        if args.config:
+            cfg = ExperimentConfig.from_json(args.config, experiment=args.experiment, **overrides)
+        else:
+            cfg = default_config(args.experiment, **overrides)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     _, _, summary = run_experiment(cfg, out_dir=args.out)
     print("experiment: %s  config=%s" % (cfg.experiment, cfg.digest()))
-    for key in sorted(summary):
-        if key in ("config", "experiment", "config_hash"):
-            continue
-        val = summary[key]
-        if isinstance(val, (list, dict)):
-            continue
-        print("  %s: %s" % (key, val))
-    if "csv" in summary:
-        print("  wrote %s" % summary["csv"])
-    if summary.get("hard_fail"):
+    for key, val in sorted(summary.items()):
+        if key not in ("experiment", "config_hash") and not isinstance(val, (list, dict)):
+            print("  %s: %s" % (key, val))
+    if summary["hard_fail"]:
         print("hard invariant failure -- see summary JSON", file=sys.stderr)
         return 1
     return 0

@@ -354,9 +354,10 @@ def _phi_upper(gamma, z):
 def phi_map(gamma, z, side=None):
     """The map phi_gamma, analytic off the cut [0, oo); z may be an array.
 
-    Real entries z >= 0 require a ``side`` and take the values of
-    ``phi_boundary``, which rejects z >= 1; on (0, 1) the boundary values
-    are purely imaginary, phi_+- = +- i pi cdf.  Every other entry is one
+    Real entries z in [0, 1) require a ``side`` and take the values of
+    ``phi_boundary``, purely imaginary there: phi_+- = +- i pi cdf.  No
+    boundary value is offered on [1, oo), and a real entry z >= 1 raises
+    DomainError with or without a side.  Every other entry is one
     array evaluation of the closed form, for Im z >= 0 (the conjugate below)
 
         phi(z) = 2i [arctan(sqrt(z (gamma-1)) / sqrt(gamma (1-z)))
@@ -375,6 +376,8 @@ def phi_map(gamma, z, side=None):
     cut = (z.imag == 0.0) & (z.real >= 0.0)
     out = np.empty_like(z)
     if cut.any():
+        if (z.real[cut] >= 1.0).any():
+            raise DomainError("phi has boundary values on [0, 1) only, not at real z >= 1")
         if side is None:
             raise DomainError("real z >= 0 lies on the cut of phi; pass side='+'/'-'")
         out[cut] = phi_boundary(gamma, z.real[cut], side)

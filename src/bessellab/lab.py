@@ -23,7 +23,7 @@ import hashlib
 import json
 import operator
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -50,17 +50,22 @@ __all__ = [
 
 PI2 = np.pi**2
 
-_TUPLE_FIELDS = ("gammas", "schedule", "thresholds")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment run.
 
+    Configs are built with ``default_config``, which applies each
+    experiment's own defaults; ``from_json`` reads a config file through it.
     ``schedule`` is experiment-specific: target point counts N(R) for
     hard_edge_limit, polynomial degrees for approx_limit, and a single
     window R for sandwich_chain.  approx_limit reads a single gamma; both
     single values raise ValueError when the tuple holds more or fewer.
+    ``gammas``, ``schedule`` and ``thresholds`` must be non-empty lists or
+    tuples and are stored as tuples, ``grid_points`` must be an integer
+    >= 1, ``sequence`` 'quadratic' or 'bessel' and ``experiment`` a key of
+    ``EXPERIMENTS``; a config that breaks one of these raises ValueError
+    naming the field.
     """
 
     experiment: str
@@ -77,30 +82,44 @@ class ExperimentConfig:
     thresholds: tuple = (1e2, 1e3, 1e4)
     tail_tolerance: float = 1e-10
 
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError("unknown experiment %r" % (self.experiment,))
+        if self.sequence not in ("quadratic", "bessel"):
+            raise ValueError("unknown sequence kind %r" % (self.sequence,))
+        for k in ("gammas", "schedule", "thresholds"):
+            values = getattr(self, k)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError("%s must be a non-empty list or tuple, got %r" % (k, values))
+            object.__setattr__(self, k, tuple(values))
+        if not (isinstance(self.grid_points, (int, np.integer)) and self.grid_points >= 1):
+            raise ValueError("grid_points must be an integer >= 1, got %r" % (self.grid_points,))
+
     def grid(self):
         return np.logspace(
             np.log10(self.grid_lo), np.log10(self.grid_hi), self.grid_points
         )
 
-    def canonical(self):
-        d = asdict(self)
-        for k in _TUPLE_FIELDS:
-            d[k] = list(d[k])
-        return d
-
     def digest(self):
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     @classmethod
     def from_json(cls, path, **overrides):
+        """``default_config`` of the JSON object in ``path``, with
+        ``overrides`` on top; a document that is not an object, holds an
+        unknown key or names no experiment raises ValueError."""
         with open(path) as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError("config file %s holds no JSON object" % (path,))
+        unknown = sorted(set(d) - {f.name for f in dataclass_fields(cls)})
+        if unknown:
+            raise ValueError("config file %s has unknown key(s) %s" % (path, ", ".join(unknown)))
         d.update(overrides)
-        for k in _TUPLE_FIELDS:
-            if k in d:
-                d[k] = tuple(d[k])
-        return cls(**d)
+        if "experiment" not in d:
+            raise ValueError("config file %s names no experiment" % (path,))
+        return default_config(**d)
 
 
 # per-experiment departures from the ExperimentConfig defaults
@@ -117,11 +136,9 @@ def default_config(experiment, **overrides):
 
 
 def _sequence(cfg):
-    if cfg.sequence == "quadratic":
-        return make_quadratic()
     if cfg.sequence == "bessel":
         return make_bessel_zero_squared(cfg.nu)
-    raise ValueError("unknown sequence kind %r" % (cfg.sequence,))
+    return make_quadratic()
 
 
 def _single(cfg, field):
@@ -395,8 +412,7 @@ def equilibrium_report(cfg):
         "parametrix_jump_residual": jump_residual,
         "parametrix_inf_residual": inf_residual,
     }
-    fields = ["gamma", "s", "density", "cdf"]
-    return rows, fields, summary
+    return rows, ["gamma", "s", "density", "cdf"], summary
 
 
 # ------------------------------------------------------------------
@@ -424,8 +440,7 @@ def dpp_stats(cfg):
         "max_growth_residual": st.max_growth_residual,
         "n_samples": st.n_samples,
     }
-    fields = ["threshold", "mean", "target_mean", "se_mean", "var", "se_var"]
-    return st.rows(), fields, summary
+    return st.rows(), ["threshold", "mean", "target_mean", "se_mean", "var", "se_var"], summary
 
 
 # ------------------------------------------------------------------
@@ -486,12 +501,9 @@ def run_experiment(cfg, out_dir=None):
     The summary carries the experiment name, its config and config hash,
     and ``hard_fail`` (False unless the experiment reports otherwise).
     """
-    fn = EXPERIMENTS.get(cfg.experiment)
-    if fn is None:
-        raise ValueError("unknown experiment %r" % (cfg.experiment,))
-    rows, fields, body = fn(cfg)
+    rows, fields, body = EXPERIMENTS[cfg.experiment](cfg)
     digest = cfg.digest()
-    summary = {"experiment": cfg.experiment, "config": cfg.canonical(),
+    summary = {"experiment": cfg.experiment, "config": asdict(cfg),
                "config_hash": digest, "hard_fail": False}
     summary.update(body)
     if out_dir is not None:

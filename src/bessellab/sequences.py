@@ -10,8 +10,9 @@ Lazy kinds cache a strictly increasing prefix and extend it on demand.
 Counting points below a threshold R is only reported when a witness
 p_{N+1} > R is available, so the count is certified rather than guessed.
 Counting builds no prefix: both lazy kinds settle the count on a short
-window of points computed by index around a leading-order estimate, in
-the prefix's own float rule (PI2 * k * k with float k, and each bessel
+window of points computed by index around a leading-order estimate.  The
+window and the prefix take their points from one float rule,
+``PointSequence._points_at`` (PI2 * k * k with float k, and each bessel
 zero computed on its own and squared), so the window's points equal the
 prefix's.  The infinite tails of the lazy kinds are Hurwitz zeta values,
 summed here by Euler-Maclaurin (``_hurwitz_zeta``) without scipy.
@@ -86,17 +87,21 @@ class PointSequence:
         if self.size is not None:
             raise SequenceExhausted(
                 f"sequence has {self.size} points, {n} requested; extend the sequence")
+        # only the new points are computed, each on its own, so a prefix
+        # grown in steps equals one built at once
+        have = self._points.size
+        new = self._points_at(np.arange(have + 1, n + 1, dtype=float))
+        if have and not new[0] > self._points[-1]:
+            raise ConvergenceFailure(f"points of {self!r} not strictly increasing")
+        self._points = np.concatenate([self._points, new])
+
+    def _points_at(self, k):
+        """The points of a lazy kind at the float indices k, in the one
+        float rule that both the prefix and ``count_upto`` use: PI2 * k * k,
+        or each Bessel zero polished on its own and squared."""
         if self.kind == "quadratic":
-            idx = np.arange(1, n + 1, dtype=float)
-            self._points = PI2 * idx * idx
-        else:
-            # only the new zeros are computed: each is polished on its own,
-            # so a prefix grown in steps equals one built at once
-            have = self._points.size
-            new = specfun._zeros_at(self.nu, np.arange(have + 1, n + 1)) ** 2
-            if have and not new[0] > self._points[-1]:
-                raise ConvergenceFailure(f"Bessel zeros not strictly increasing (nu={self.nu})")
-            self._points = np.concatenate([self._points, new])
+            return PI2 * k * k
+        return specfun._zeros_at(self.nu, k.astype(int)) ** 2
 
     def prefix(self, n):
         """First n points as an array (a read-only view of the cache)."""
@@ -127,11 +132,9 @@ class PointSequence:
         4.27e7-th zero, so R above about 1.8e16).
         """
         R = _check_number(R, _POSITIVE, math.inf, "threshold R")
-        if self.kind == "quadratic":
-            return _window_count(R, 0.0, lambda k: PI2 * k * k)
-        if self.kind == "bessel":
-            return _window_count(R, 0.25 - self.nu / 2.0,
-                                 lambda k: specfun._zeros_at(self.nu, k.astype(int)) ** 2)
+        if self.kind in _LAZY_KINDS:
+            shift = 0.0 if self.kind == "quadratic" else 0.25 - self.nu / 2.0
+            return _window_count(R, shift, self._points_at)
         if self._points[-1] <= R:
             raise SequenceExhausted(
                 f"all {self.size} points are <= R={R}; extend the sequence to certify the count")
@@ -206,8 +209,8 @@ class PointSequence:
 
 def _window_count(R, shift, points_at):
     """N with p_N <= R < p_{N+1}, where ``points_at(k)`` gives the points
-    at an array of float indices k in the float rule of the lazy prefix,
-    without building it.
+    at an array of float indices k in the float rule of the lazy prefix
+    (``PointSequence._points_at``), without building it.
 
     The estimate n = floor(sqrt(R)/pi + shift) is the leading term
     p_n ~ (n - shift)^2 pi^2 solved for n: exact up to rounding for the

@@ -442,6 +442,17 @@ class TestArrays:
             assert np.array_equal(out[:3], eq.phi_boundary(2.0, x, side))
             assert np.array_equal(out[3:], eq.phi_map(2.0, z[3:]))
 
+    @pytest.mark.parametrize("z, side", [(2.0, None), (2.0, "+"), (np.array([0.5, 2.0]), "-")],
+                             ids=["no-side", "plus", "mixed-minus"])
+    def test_phi_map_offers_no_boundary_value_past_one(self, z, side):
+        # one message on [1, oo), whether or not a side is given
+        with pytest.raises(DomainError, match=r"boundary values on \[0, 1\) only"):
+            eq.phi_map(1.5, z, side=side)
+
+    def test_phi_map_on_the_cut_below_one_asks_for_a_side(self):
+        with pytest.raises(DomainError, match="pass side"):
+            eq.phi_map(1.5, np.array([0.5 + 0.1j, 0.5]))
+
     @pytest.mark.parametrize("fn, z", [
         (eq.g_map, [0.5 + 0.1j, complex(math.nan, 0.0)]),
         (eq.g_map, [0.5 + 0.1j, 0.5 + 0j]),

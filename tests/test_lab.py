@@ -7,6 +7,7 @@ written artifacts, and exit codes.
 
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -73,25 +74,80 @@ class TestConfig:
         assert len(g) == 5
 
     def test_from_json_roundtrip(self, tmp_path):
-        cfg = default_config("dpp_stats", n_samples=7)
+        # every field written out reads back, tuples included, for every
+        # experiment's own defaults
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.canonical()))
-        back = ExperimentConfig.from_json(path)
-        assert back == cfg
-        assert back.digest() == cfg.digest()
+        for experiment in EXPERIMENTS:
+            cfg = default_config(experiment, n_samples=7)
+            path.write_text(json.dumps(dataclasses.asdict(cfg)))
+            back = ExperimentConfig.from_json(path)
+            assert back == cfg
+            assert back.digest() == cfg.digest()
 
     def test_from_json_overrides(self, tmp_path):
-        cfg = default_config("dpp_stats")
+        # the caller's overrides win over the file, the experiment included
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.canonical()))
-        back = ExperimentConfig.from_json(path, seed=1)
-        assert back.seed == 1
+        path.write_text(json.dumps({"experiment": "dpp_stats", "seed": 3, "nu": 0.25}))
+        back = ExperimentConfig.from_json(path, experiment="equilibrium_report", seed=1)
+        assert back == default_config("equilibrium_report", seed=1, nu=0.25)
+
+    @pytest.mark.parametrize("experiment", sorted(TRIMMED))
+    def test_from_json_applies_the_experiment_defaults(self, tmp_path, experiment):
+        # a config file overrides the experiment's own defaults field by
+        # field, as default_config does, whether the experiment comes from
+        # the file or from the caller
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid_points": 5}))
+        want = default_config(experiment, grid_points=5)
+        assert ExperimentConfig.from_json(path, experiment=experiment) == want
+        path.write_text(json.dumps({"experiment": experiment, "grid_points": 5}))
+        assert ExperimentConfig.from_json(path) == want
+
+    def test_tuple_fields_are_stored_as_tuples(self):
+        cfg = default_config("dpp_stats", gammas=[1.5], schedule=[10, 20], thresholds=[1e2])
+        assert (cfg.gammas, cfg.schedule, cfg.thresholds) == ((1.5,), (10, 20), (1e2,))
+        assert cfg == default_config("dpp_stats", gammas=(1.5,), schedule=(10, 20),
+                                     thresholds=(1e2,))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"schedule": []}, "schedule"),
+        ({"thresholds": []}, "thresholds"),
+        ({"gammas": ()}, "gammas"),
+        ({"gammas": 1.5}, "gammas"),
+        ({"schedule": "10"}, "schedule"),
+        ({"grid_points": 0}, "grid_points"),
+        ({"grid_points": 5.5}, "grid_points"),
+        ({"grid_points": "5"}, "grid_points"),
+        ({"sequence": "cubic"}, "sequence"),
+    ], ids=["empty-schedule", "empty-thresholds", "empty-gammas", "scalar-gammas",
+            "string-schedule", "zero-grid-points", "float-grid-points", "string-grid-points",
+            "unknown-sequence"])
+    def test_bad_field_rejected(self, overrides, field):
+        # used to fail later: UnboundLocalError, max() of an empty sequence,
+        # numpy's zero-size reduction, a TypeError, or (for the sequence
+        # kind) a ValueError only once the run began
+        for experiment in EXPERIMENTS:
+            with pytest.raises(ValueError, match=field):
+                default_config(experiment, **overrides)
+
+    @pytest.mark.parametrize("document, message", [
+        ({"grid_pts": 5}, "unknown key.*grid_pts"),
+        ([{"grid_points": 5}], "no JSON object"),
+        ({"grid_points": 5}, "no experiment"),
+        ({"grid_points": 0, "experiment": "dpp_stats"}, "grid_points"),
+    ], ids=["unknown-key", "list", "no-experiment", "bad-field"])
+    def test_bad_config_file_rejected(self, tmp_path, document, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(path)
 
     def test_unknown_experiment_rejected(self):
         cfg = default_config("equilibrium_report")
-        bad = ExperimentConfig(**{**cfg.canonical(), "experiment": "nope"})
-        with pytest.raises(ValueError):
-            run_experiment(bad)
+        with pytest.raises(ValueError, match="nope"):
+            dataclasses.replace(cfg, experiment="nope")
+        with pytest.raises(ValueError, match="nope"):
+            default_config("nope")
 
     @pytest.mark.parametrize("experiment, field, values", [
         ("approx_limit", "gammas", (1.5, 1.2)),
@@ -276,13 +332,48 @@ class TestCli:
     def test_config_file_and_seed_override(self, tmp_path):
         cfg = default_config("dpp_stats", thresholds=(50.0, 100.0), m=128, n_samples=10)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.canonical()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         rc = main(["dpp", "--config", str(path), "--seed", "42",
                    "--out", str(tmp_path / "res")])
         assert rc == 0
         written = list((tmp_path / "res").glob("dpp_stats-*.json"))
         assert len(written) == 1
         assert json.loads(written[0].read_text())["config"]["seed"] == 42
+
+    def test_config_file_overrides_the_subcommand_defaults(self, tmp_path):
+        # equilibrium_report's own nu = 0.5 and gammas (1.1, 2, 5) stay
+        # under a file that sets only grid_points
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid_points": 5}))
+        rc = main(["equilibrium", "--config", str(path), "--out", str(tmp_path / "res")])
+        assert rc == 0
+        stem = tmp_path / "res" / "equilibrium_report-53391be9728bffa8"
+        assert stem.with_suffix(".csv").exists()
+        config = json.loads(stem.with_suffix(".json").read_text())["config"]
+        assert config["nu"] == 0.5 and config["gammas"] == [1.1, 2.0, 5.0]
+
+    @pytest.mark.parametrize("command, document, field", [
+        ("hard-edge", {"schedule": []}, "schedule"),
+        ("dpp", {"thresholds": []}, "thresholds"),
+        ("equilibrium", {"grid_points": 0}, "grid_points"),
+        ("approx-limit", {"gammas": 1.5}, "gammas"),
+        ("sandwich", {"grid_pts": 5}, "grid_pts"),
+        ("dpp", [1, 2], "no JSON object"),
+        ("dpp", "{", "Expecting"),
+    ], ids=["empty-schedule", "empty-thresholds", "zero-grid-points", "scalar-gammas",
+            "unknown-key", "list", "not-json"])
+    def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, command,
+                                                  document, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(tmp_path / "res")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert field in err.splitlines()[-1]
+        assert err.splitlines()[-1].startswith("bessellab: error: ")
+        assert not (tmp_path / "res").exists()
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

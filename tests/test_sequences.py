@@ -66,6 +66,15 @@ class TestQuadratic:
         with pytest.raises(PrecisionFailure):
             make_quadratic().count_upto(1e300)
 
+    def test_prefix_grown_in_steps_equals_one_built_at_once(self):
+        # a growth computes only the new points, in the float rule PI2 * k * k
+        grown = make_quadratic()
+        for n in (10, 300, 5000):
+            grown.prefix(n)
+        k = np.arange(1, 5001, dtype=float)
+        assert np.array_equal(grown.prefix(5000), PI2 * k * k)
+        assert np.array_equal(grown.prefix(5000), make_quadratic().prefix(5000))
+
     def test_growth_residual_vanishes(self):
         q = make_quadratic()
         assert q.growth_residual(3) == 0.0
