@@ -15,6 +15,7 @@ from .dpp import (
     Samples,
     count_stats,
     exact_count_law,
+    gap_probability,
     nystrom,
     sample,
     sample_many,
@@ -68,6 +69,7 @@ __all__ = [
     "Samples",
     "count_stats",
     "exact_count_law",
+    "gap_probability",
     "nystrom",
     "sample",
     "sample_many",

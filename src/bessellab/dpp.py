@@ -2,7 +2,13 @@
 
 The kernel is discretized with a Nystrom rule adapted to the hard edge:
 substituting x = T u^2 with u Gauss-Legendre on (0, 1) clusters nodes near
-0 where the density varies on the x^{1/2} scale.
+0 where the density varies on the x^{1/2} scale.  The Nystrom matrix
+A_ij = sqrt(w_i w_j) K(x_i, x_j) is never formed.  The kernel's integral
+form K(x, y) = 1/2 int_0^1 J_nu(s sqrt x) J_nu(s sqrt y) s ds (Tracy and
+Widom, Commun. Math. Phys. 161, 1994) on a q-point Gauss rule in s gives
+A = B B^T with an m x q factor B, and q = floor(sqrt(T) / 2) + 30 is 80 at
+the default m = 512; the spectrum comes from a thin QR of B and an SVD of
+the q x q triangle (see ``nystrom``).
 
 Sampling follows the spectral recipe of Hough, Krishnapur, Peres and Virag
 (2006): Bernoulli(lambda_j) thinning of the eigenvalues selects k
@@ -45,8 +51,10 @@ offsets as well.
 
 The same recipe gives the exact count law: N(0, T'] is a sum of
 independent Bernoulli(lambda_j), lambda_j the eigenvalues of the kernel
-restricted to (0, T'], which ``exact_count_law`` reports beside the Monte
-Carlo estimates of ``count_stats``.
+restricted to (0, T'], the squared singular values of the rows of B at
+the nodes <= T'.  ``exact_count_law`` reports its mean and variance beside
+the Monte Carlo estimates of ``count_stats``, and ``gap_probability`` the
+probability of no point in (0, s], the product of (1 - lambda_j).
 
 Points are reported at quadrature nodes.  That grid-level resolution is all
 the downstream consumers (counting statistics, growth residuals) need.
@@ -57,11 +65,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .errors import (_POSITIVE, DiscretizationFailure, PrecisionFailure, _as_index,
                      _as_seed, _check_number, _check_points)
 from .orthopoly import _gauss_jacobi
 from .sequences import _growth_residual
-from .specfun import bessel_kernel
+# not called here: perfbench's self-test pins the alias
+# bessellab.dpp.bessel_kernel, so the import stays while it does
+from .specfun import bessel_kernel  # noqa: F401
 
 __all__ = [
     "DiscretizedKernel",
@@ -72,6 +83,7 @@ __all__ = [
     "sample_many",
     "count_stats",
     "exact_count_law",
+    "gap_probability",
 ]
 
 # Operator window: eigenvalues must sit in [-EIG_TOL, 1 + EIG_TOL]; anything
@@ -92,21 +104,27 @@ _DRAW_BLOCK = 16
 
 @dataclass(frozen=True)
 class DiscretizedKernel:
-    """Nystrom matrix of the kernel on [0, T] with its eigendecomposition."""
+    """Nystrom matrix of the kernel on [0, T] as B B^T, with its spectrum."""
 
     nu: float
     T: float
     m: int
     nodes: np.ndarray        # x_i in (0, T), increasing
     weights: np.ndarray      # quadrature masses for dx
-    matrix: np.ndarray       # A_ij = sqrt(w_i w_j) K(x_i, x_j), symmetric
-    eigenvalues: np.ndarray  # ascending, clipped to [0, 1]
-    eigenvectors: np.ndarray # columns, orthonormal
+    factor: np.ndarray       # B, m x q: the Nystrom matrix is B B^T
+    eigenvalues: np.ndarray  # ascending, clipped to [0, 1]; zeros past B's rank
+    eigenvectors: np.ndarray # orthonormal columns for the last min(m, q) eigenvalues
     eig_range: tuple         # (lowest, highest) eigenvalue before the clip
 
     @property
     def trace(self):
         return float(np.sum(self.eigenvalues))
+
+    @property
+    def matrix(self):
+        """A_ij = sqrt(w_i w_j) K(x_i, x_j) = (B B^T)_ij, m x m, formed on
+        each call; the library itself never needs it."""
+        return self.factor @ self.factor.T
 
 
 @dataclass(frozen=True)
@@ -148,35 +166,86 @@ def _clip_to_window(lam, m):
     return np.clip(lam, 0.0, 1.0)
 
 
+def _factor(nu, x, w, q):
+    """B with A = B B^T: B_ik = sqrt(w_i W_k / 2) J_nu(s_k sqrt x_i) s_k^-nu,
+    (s_k, W_k) the q-point Gauss rule for s^(2 nu + 1) ds on (0, 1)."""
+    try:
+        s, ws = _gauss_jacobi(q, 2.0 * nu + 1.0)
+    except PrecisionFailure as e:
+        raise PrecisionFailure(f"the {q}-point Gauss rule in s overflows at nu={nu}") from e
+    s = 0.5 * (s + 1.0)
+    ws = ws * 2.0 ** (-2.0 * nu - 2.0)  # (1 + t)^(2 nu + 1) dt = 2^(2 nu + 2) s^(2 nu + 1) ds
+    J = specfun._jv(nu, np.sqrt(x)[:, None] * s)
+    J *= np.sqrt(0.5 * w)[:, None]
+    J *= np.sqrt(ws) * s**-nu
+    return J
+
+
+def _spectrum(B):
+    """Ascending eigenvalues of B B^T, padded with exact zeros to B's row
+    count, and orthonormal eigenvectors for the r = min(m, q) last ones:
+    a thin QR of B, then an SVD of its r x q triangle R."""
+    Q, R = np.linalg.qr(B)
+    U, sigma, _ = np.linalg.svd(R, full_matrices=False)
+    lam = np.zeros(B.shape[0])
+    lam[B.shape[0] - sigma.size:] = sigma[::-1] ** 2
+    return lam, Q @ U[:, ::-1]
+
+
 def nystrom(nu, T, m=512):
     """Discretize the kernel on [0, T] with m nodes and diagonalize.
 
-    The Gauss-Legendre rule is ``orthopoly._gauss_jacobi(m, 0)``, computed
-    once per process for each m and shared with ``weight_quadrature``; its
-    nodes are within 6.4e-17 and its weights within 2.9e-11 relative at
-    m = 512, against numpy's leggauss at 6.0e-17 and 1.1e-10.
-    Raises DiscretizationFailure when an eigenvalue escapes
-    [-EIG_TOL, 1 + EIG_TOL]; the fix is more nodes.  Raises
-    PrecisionFailure when T is so close to the float maximum that the
-    matrix overflows.
+    The nodes are x_i = T u_i^2 and the masses w_i = 2 T u_i times the
+    weights, u on the Gauss-Legendre rule ``orthopoly._gauss_jacobi(m, 0)``
+    mapped to (0, 1); it is computed once per process for each m and
+    shared with ``weight_quadrature``, its nodes within 6.4e-17 and its
+    weights within 2.9e-11 relative at m = 512, against numpy's leggauss at
+    6.0e-17 and 1.1e-10.
+
+    The Nystrom matrix is A = B B^T.  In the integral form of the kernel,
+    J_nu(s sqrt x) J_nu(s sqrt y) s = f_x(s) f_y(s) s^(2 nu + 1) with
+    f_x(s) = J_nu(s sqrt x) s^-nu smooth on [0, 1] for every nu > -1, so
+    one q-point Gauss-Jacobi rule for s^(2 nu + 1) ds,
+    ``_gauss_jacobi(q, 2 nu + 1)`` mapped to (0, 1), serves every order:
+    B_ik = sqrt(w_i W_k / 2) f_{x_i}(s_k), with q = floor(sqrt(T) / 2) + 30.
+    That is m q Bessel evaluations and no m x m matrix.  Gauss-Legendre in
+    s, blind to the s^(2 nu + 1) factor, is off by 1.5e-2 at nu = -0.9.
+    The eigenvalues are the squared singular values of B (a thin QR of B,
+    then an SVD of the triangle R), padded with exact zeros to length m
+    so that ``sample`` draws m thinning uniforms; ``eigenvectors`` holds
+    the min(m, q) columns that belong to the nonzero part.
+
+    Raises DiscretizationFailure when the top eigenvalue exceeds
+    1 + EIG_TOL; the fix is more nodes.  From about sqrt(T) = 2m on the
+    top eigenvalue is 2 or more, so q > 2m raises it at once, before B is
+    allocated.  For -1/2 < nu < 0 the Gauss-Legendre rule in u resolves
+    K(x, x) ~ x^nu at 0 too slowly: nu in {-0.4, -0.3, -0.25} raises at
+    (T, m) in {(1e4, 512), (1e3, 256), (100, 128)}, and at (nu, T) =
+    (-0.25, 1e3) the top eigenvalue exceeds 1 by 6.4e-8 at m = 512 and by
+    7.7e-9 at m = 1024.  Raises PrecisionFailure when T is so close to the
+    float maximum that the masses overflow, and where the Gauss-Jacobi
+    rule for s^(2 nu + 1) overflows: from q = 530 (T = 1e6) at nu = 100,
+    and at any q from nu = 511.5.
     """
     m = int(_as_index(m, 64, math.inf, "m"))
     T = _check_number(T, _POSITIVE, math.inf, "T")
+    nu = specfun._order(nu)
     u, wu = _gauss_jacobi(m, 0.0)
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
     x = T * u**2
-    K = bessel_kernel(nu, x[:, None], x[None, :])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         w = 2.0 * T * u * wu  # dx = 2 T u du
-        sw = np.sqrt(w)
-        A = sw[:, None] * K * sw[None, :]
-        A = 0.5 * (A + A.T)
-    if not np.all(np.isfinite(A)):
-        raise PrecisionFailure(f"Nystrom matrix overflows at T={T!r}")
-    lam, vec = np.linalg.eigh(A)
+    if not np.all(np.isfinite(w)):
+        raise PrecisionFailure(f"Nystrom masses overflow at T={T!r}")
+    q = math.floor(math.sqrt(T) / 2.0) + 30
+    if q > 2 * m:
+        raise DiscretizationFailure(
+            "T=%g needs %.3g nodes in s, more than 2m; increase m (have m=%d)" % (T, q, m))
+    B = _factor(nu, x, w, q)
+    lam, vec = _spectrum(B)
     return DiscretizedKernel(
-        nu=float(nu), T=T, m=m, nodes=x, weights=w, matrix=A, eigenvectors=vec,
+        nu=nu, T=T, m=m, nodes=x, weights=w, factor=B, eigenvectors=vec,
         eigenvalues=_clip_to_window(lam, m), eig_range=(float(lam[0]), float(lam[-1])))
 
 
@@ -191,15 +260,16 @@ def _sample_block(kern, seeds):
     the samples drawn in lockstep.
 
     Each seed makes the calls of a lone sample: random(n) for the
-    eigenvalue thinning, then random(k) for the chain rule.  The block
-    shares the basis W of every eigenvector any of its samples kept
-    (m x d); the 0/1 rows of M (B x d) mark each sample's own columns.
-    Column b of the m x B marginals P starts at the row sums of
-    W^2 * M[b]; sample b's earlier directions are rows of E[b] in R^d.
-    A step draws one node i_b per sample, orthonormalizes
-    w = W[i_b] * M[b] against E[b], maps every sample's direction g to
-    its kernel column with one product c = W g^T and subtracts c^2 from
-    P.  A sample that already has its k points has M[b] = 0, so g = 0
+    eigenvalue thinning, then random(k) for the chain rule; the uniforms
+    of the chain rule fill a B x k_max array.  The block shares the basis
+    W of every eigenvector any of its samples kept (m x d); the 0/1 rows
+    of M (B x d) mark each sample's own columns.  Column b of the m x B
+    marginals P starts at the row sums of W^2 * M[b]; sample b's earlier
+    directions are rows of E[b] in R^d.  A step draws one node i_b per
+    sample, orthonormalizes w = W[i_b] * M[b] against E[b], maps every
+    sample's direction g to its kernel column with one product c = W g^T,
+    written into one m x B array allocated per block, and subtracts c^2
+    from P.  A sample that already has its k points has M[b] = 0, so g = 0
     and P[:, b] stays as it is.  W, and so P, are padded with rows of
     zero mass to a multiple of _DRAW_BLOCK, where P is viewed by blocks
     of nodes for the draw.  The points come sample after sample, each
@@ -207,26 +277,31 @@ def _sample_block(kern, seeds):
     """
     lam = kern.eigenvalues
     n_block = len(seeds)
+    rngs = [_rng(seed) for seed in seeds]
     keep = np.empty((n_block, lam.size), dtype=bool)
-    k = np.empty(n_block, dtype=int)
-    U = np.zeros((n_block, lam.size))  # U[b, t]: sample b's uniform of draw t
-    for b, seed in enumerate(seeds):
-        rng = _rng(seed)
+    for b, rng in enumerate(rngs):
         keep[b] = rng.random(lam.size) < lam
-        k[b] = np.count_nonzero(keep[b])
-        U[b, :k[b]] = rng.random(k[b])
+    k = np.count_nonzero(keep, axis=1)
     steps = int(k.max())
+    U = np.zeros((n_block, steps))  # U[b, t]: sample b's uniform of draw t
+    for b, rng in enumerate(rngs):
+        U[b, :k[b]] = rng.random(k[b])
     used = keep.any(axis=0)
-    m, d = kern.eigenvectors.shape[0], int(np.count_nonzero(used))
+    m, r = kern.eigenvectors.shape
+    d = int(np.count_nonzero(used))
     nb = -(-m // _DRAW_BLOCK)  # blocks of nodes; rows past m have zero mass
     W = np.zeros((nb * _DRAW_BLOCK, d))  # m x d, and the padding's zero rows
-    W[:m] = kern.eigenvectors[:, used]
+    # eigenvectors belong to the last r eigenvalues; a zero one is never kept
+    W[:m] = kern.eigenvectors[:, used[lam.size - r:]]
     M = keep[:, used].astype(float)  # B x d, 1 on a sample's own columns
     P = (W * W) @ M.T  # column b: diag of sample b's projection kernel
     Pb = P.reshape(nb, _DRAW_BLOCK, n_block)  # a view: P by blocks of nodes
     E = np.empty((n_block, steps, d))
     C = np.zeros((nb + 1, n_block))  # C[q]: mass of the blocks before block q
     chosen = np.empty((steps, n_block), dtype=int)
+    # every step's kernel columns go into this one buffer: a fresh m x B
+    # array per step would land on new pages, one minor fault per page
+    c = np.empty_like(P)
     cols = np.arange(n_block)
     for t in range(steps):
         active = t < k
@@ -264,7 +339,7 @@ def _sample_block(kern, seeds):
         g = w - np.matmul(h.transpose(0, 2, 1), Et)[:, 0]
         g /= np.sqrt(np.where(active, P[i, cols], 1.0))[:, None]
         E[:, t] = g
-        c = W @ g.T  # m x B: one product for the whole block
+        np.matmul(W, g.T, out=c)  # m x B: one product for the whole block
         c *= c
         P -= c
         P[i, cols] = 0.0  # taken; zero up to roundoff already
@@ -422,30 +497,50 @@ def count_stats(samples, thresholds):
     )
 
 
+def _window_eigenvalues(kern, t):
+    """Eigenvalues of the kernel restricted to the nodes <= t, clipped to
+    [0, 1]: ``kern.eigenvalues`` when the window holds every node, else
+    the squared singular values of those rows of B, checked against the
+    same [-EIG_TOL, 1 + EIG_TOL] window as ``nystrom`` before the clip,
+    which by Cauchy interlacing only a hand-built factor can fail."""
+    inside = kern.nodes <= t
+    if inside.all():
+        return kern.eigenvalues
+    if not inside.any():  # window below the first node: N = 0
+        return np.empty(0)
+    sigma = np.linalg.svd(kern.factor[inside], compute_uv=False)
+    return _clip_to_window(sigma[::-1] ** 2, kern.m)
+
+
 def exact_count_law(kern, thresholds):
     """Exact (mean, var, var_slope) of N(0, T'] in the discretized process.
 
     N(0, T'] has the law of a sum of independent Bernoulli(lambda_j), the
     lambda_j being the eigenvalues of ``kern.matrix`` restricted to the
     nodes <= T' (Hough, Krishnapur, Peres, Virag 2006), so mean = sum lambda
-    and var = sum lambda (1 - lambda).  A window that holds every node
-    reuses ``kern.eigenvalues``; the others are checked against the same
-    [-EIG_TOL, 1 + EIG_TOL] window as ``nystrom`` before clipping, which by
-    Cauchy interlacing only a hand-built matrix can fail.  var_slope is
-    fitted against log T' like ``CountStats.var_slope``.
+    and var = sum lambda (1 - lambda).  Each window's lambda_j are the
+    squared singular values of the rows of ``kern.factor`` at those nodes,
+    and a window that holds every node reuses ``kern.eigenvalues``; an
+    eigenvalue above 1 + EIG_TOL raises DiscretizationFailure.  var_slope
+    is fitted against log T' like ``CountStats.var_slope``.
     """
     thr = _check_points(thresholds, _POSITIVE, kern.T, "thresholds")
     mean = np.empty(thr.size)
     var = np.empty(thr.size)
     for j, t in enumerate(thr):
-        inside = kern.nodes <= t
-        if inside.all():
-            lam = kern.eigenvalues
-        elif not inside.any():  # window below the first node: N = 0
-            lam = np.empty(0)
-        else:
-            sub = kern.matrix[np.ix_(inside, inside)]
-            lam = _clip_to_window(np.linalg.eigvalsh(sub), kern.m)
+        lam = _window_eigenvalues(kern, t)
         mean[j] = lam.sum()
         var[j] = np.sum(lam * (1.0 - lam))
     return mean, var, _log_slope(thr, var)
+
+
+def gap_probability(kern, s):
+    """Probability that the discretized process has no point in (0, s]:
+    det(I - K) on the window, the product of (1 - lambda) over the
+    eigenvalues of the kernel restricted to the nodes <= s.  For nu = 0 it
+    tends to exp(-s/4) (Bornemann, Math. Comp. 79, 2010).  s must lie in
+    (0, T]; an eigenvalue above 1 + EIG_TOL raises DiscretizationFailure,
+    as in ``exact_count_law``.
+    """
+    s = _check_number(s, _POSITIVE, kern.T, "s")
+    return float(np.prod(1.0 - _window_eigenvalues(kern, s)))

@@ -21,6 +21,8 @@ no timestamps or environment info enter the output.
 
 import hashlib
 import json
+import math
+import numbers
 import operator
 import os
 from dataclasses import asdict, dataclass, fields as dataclass_fields
@@ -63,9 +65,10 @@ class ExperimentConfig:
     single values raise ValueError when the tuple holds more or fewer.
     ``gammas``, ``schedule`` and ``thresholds`` must be non-empty lists or
     tuples and are stored as tuples, ``grid_points`` must be an integer
-    >= 1, ``sequence`` 'quadratic' or 'bessel' and ``experiment`` a key of
-    ``EXPERIMENTS``; a config that breaks one of these raises ValueError
-    naming the field.
+    >= 1, ``nu`` a finite number > -1, ``grid_lo``, ``grid_hi`` and
+    ``tail_tolerance`` finite numbers > 0, ``sequence`` 'quadratic' or
+    'bessel' and ``experiment`` a key of ``EXPERIMENTS``; a config that
+    breaks one of these raises ValueError naming the field.
     """
 
     experiment: str
@@ -94,6 +97,11 @@ class ExperimentConfig:
             object.__setattr__(self, k, tuple(values))
         if not (isinstance(self.grid_points, (int, np.integer)) and self.grid_points >= 1):
             raise ValueError("grid_points must be an integer >= 1, got %r" % (self.grid_points,))
+        for k, lo in (("nu", -1.0), ("grid_lo", 0.0), ("grid_hi", 0.0), ("tail_tolerance", 0.0)):
+            v = getattr(self, k)
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)
+                                           and v > lo):
+                raise ValueError("%s must be a finite number > %g, got %r" % (k, lo, v))
 
     def grid(self):
         return np.logspace(

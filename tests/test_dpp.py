@@ -24,22 +24,25 @@ from bessellab.dpp import (
     _rng,
     count_stats,
     exact_count_law,
+    gap_probability,
     nystrom,
     sample,
     sample_many,
 )
 from bessellab.errors import DiscretizationFailure, DomainError, PrecisionFailure
 from bessellab.sequences import make_sampled
-from bessellab.specfun import bessel_kernel_diag
+from bessellab.specfun import bessel_kernel, bessel_kernel_diag
 
 
 def _qr_sample_points(kern, seed):
     # Reference projection sampler, O(m k^3): eliminate the chosen row by a
     # pivot column, drop that column and re-orthonormalize the rest by QR.
     # It consumes the same uniforms as dpp.sample.
+    # The eigenvectors belong to the last eigenvalues; the zeros before
+    # them are never kept.
     rng = _rng(seed)
     keep = rng.random(kern.eigenvalues.size) < kern.eigenvalues
-    V = kern.eigenvectors[:, keep]
+    V = kern.eigenvectors[:, keep[keep.size - kern.eigenvectors.shape[1]:]]
     chosen = []
     while V.shape[1] > 0:
         p = np.einsum("ij,ij->i", V, V)
@@ -67,7 +70,7 @@ def _kernel_from_columns(V):
     # a DiscretizedKernel whose "eigenvectors" are the given columns, all kept
     m, k = V.shape
     return DiscretizedKernel(nu=0.0, T=10.0, m=m, nodes=np.linspace(1.0, 9.0, m),
-                             weights=np.ones(m), matrix=V @ V.T,
+                             weights=np.ones(m), factor=V,
                              eigenvalues=np.ones(k), eigenvectors=V, eig_range=(1.0, 1.0))
 
 
@@ -107,14 +110,117 @@ class TestNystrom:
     @pytest.mark.parametrize("s", [2.0, 5.0, 10.0])
     def test_gap_probability_closed_form(self, s):
         # det(I - K) on (0, s) = exp(-s/4) for nu = 0 (Bornemann 2010)
-        lam = nystrom(0.0, s, 128).eigenvalues
-        assert abs(np.prod(1.0 - lam) - math.exp(-s / 4.0)) <= 1e-12
+        assert abs(gap_probability(nystrom(0.0, s, 128), s) - math.exp(-s / 4.0)) <= 1e-12
 
     def test_guards(self):
         with pytest.raises(ValueError):
             nystrom(0.0, 100.0, m=32)
         with pytest.raises(ValueError):
             nystrom(0.0, -5.0)
+
+
+# (nu, T, m) of the factor's accuracy checks, each with the largest
+# |B B^T - sqrt(w) K sqrt(w)| allowed against specfun.bessel_kernel: about
+# twice what was measured (4.4e-15, 1.4e-15, 1.1e-15, 7.0e-15, 1.8e-14 and,
+# at nu = -0.9, 4.8e-14 on the entry of the smallest node, whose
+# J_nu(s sqrt x) s^-nu is largest)
+_FACTOR_SETS = [((0.0, 1e4, 512), 1e-14), ((2.0, 1e3, 256), 3e-15),
+                ((0.5, 100.0, 128), 3e-15), ((-0.5, 1e4, 512), 1.5e-14),
+                ((37.3, 1e4, 512), 4e-14), ((-0.9, 1e4, 512), 1e-13)]
+_FACTOR_IDS = ["nu%g-T%g-m%d" % p for p, _ in _FACTOR_SETS]
+
+
+class TestFactor:
+    @pytest.mark.parametrize("params, bound", _FACTOR_SETS, ids=_FACTOR_IDS)
+    def test_matches_closed_form_kernel(self, params, bound):
+        kern = nystrom(*params)
+        x, sw = kern.nodes, np.sqrt(kern.weights)
+        dense = sw[:, None] * bessel_kernel(params[0], x[:, None], x[None, :]) * sw[None, :]
+        assert kern.factor.shape == (params[2], math.floor(math.sqrt(params[1]) / 2) + 30)
+        assert np.max(np.abs(kern.matrix - dense)) <= bound
+        V = kern.eigenvectors
+        assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 5e-15
+        assert np.all(kern.eigenvalues[:params[2] - V.shape[1]] == 0.0)
+
+    @pytest.mark.parametrize("params, bound", [(p, 1e-15) for p, _ in _FACTOR_SETS[:-1]]
+                             + [(_FACTOR_SETS[-1][0], 5e-13)], ids=_FACTOR_IDS)
+    def test_doubling_q_moves_little(self, params, bound):
+        # self-convergence of the rule in s: 2q nodes against q.  At
+        # nu = -0.9 the 160-point rule's weights carry about 2e-12
+        # relative error, and the smallest node's entry (0.11) moves 1.9e-13
+        kern = nystrom(*params)
+        B2 = dpp._factor(params[0], kern.nodes, kern.weights, 2 * kern.factor.shape[1])
+        assert np.max(np.abs(B2 @ B2.T - kern.matrix)) <= bound
+
+    def test_more_nodes_in_s_than_in_x(self):
+        # q = 80 > m = 64: the spectrum has no zero padding and every
+        # eigenvector is kept by some sample; the sampler still matches
+        # the QR reference
+        kern = nystrom(0.0, 1e4, 64)
+        assert kern.factor.shape == (64, 80) and kern.eigenvectors.shape == (64, 64)
+        assert np.max(np.abs(kern.eigenvectors.T @ kern.eigenvectors - np.eye(64))) <= 5e-15
+        for seed in range(20):
+            assert np.array_equal(sample(kern, seed).points, _qr_sample_points(kern, seed))
+
+    @pytest.mark.parametrize("T, error", [(1e300, DiscretizationFailure),
+                                          (8.98846567431158e307, PrecisionFailure)])
+    def test_huge_q_raises_before_the_factor(self, monkeypatch, T, error):
+        # q = floor(sqrt(T) / 2) + 30 is about 5e149 at T = 1e300; the
+        # guard q > 2m raises before B is allocated.  Near the float
+        # maximum the masses overflow first
+        def never(*args):
+            raise AssertionError("the factor was built")
+
+        monkeypatch.setattr(dpp, "_factor", never)
+        with pytest.raises(error):
+            nystrom(0.0, T, 64)
+
+    @pytest.mark.parametrize("nu", [0.0, -0.25])
+    def test_failures_match_the_dense_build(self, nu):
+        # the (T, m) at which the closed-form build with the m x m eigh
+        # raised DiscretizationFailure, recorded before it was replaced;
+        # every other (T, m) of the grid succeeded there and must here
+        fails = {0.0: {(3e4, 64), (1e5, 64), (1e5, 128), (1e6, 64), (1e6, 128), (1e6, 256)},
+                 -0.25: {(1e2, 64), (1e2, 128)}}[nu]
+        for T in (1e2, 1e4, 3e4, 1e5, 1e6):
+            for m in (64, 128, 256):
+                if nu < 0 and T > 1e2:
+                    continue
+                if (T, m) in fails:
+                    with pytest.raises(DiscretizationFailure):
+                        nystrom(nu, T, m)
+                else:
+                    assert nystrom(nu, T, m).eig_range[1] <= 1.0 + dpp.EIG_TOL
+
+    def test_negative_order_needs_more_nodes(self):
+        # for -1/2 < nu < 0 the Gauss-Legendre rule in u resolves
+        # K(x, x) ~ x^nu at 0 slowly: at (nu, T) = (-0.25, 1e3) the top
+        # eigenvalue exceeds 1 by 6.4e-8 at m = 512 and by 7.7e-9 at 1024
+        with pytest.raises(DiscretizationFailure):
+            nystrom(-0.25, 1e3, 256)
+        kern = nystrom(-0.25, 1e3, 1024)
+        assert 0.0 < kern.eig_range[1] - 1.0 <= dpp.EIG_TOL
+
+    def test_window_laws_match_the_dense_window(self):
+        # each window's eigenvalues from the SVD of B's rows against
+        # eigvalsh of the m x m matrix's block
+        kern = nystrom(0.0, 1e3, 256)
+        mean, var, _ = exact_count_law(kern, [10.0, 100.0])
+        for j, t in enumerate((10.0, 100.0)):
+            inside = kern.nodes <= t
+            lam = np.clip(np.linalg.eigvalsh(kern.matrix[np.ix_(inside, inside)]), 0.0, 1.0)
+            assert abs(mean[j] - lam.sum()) <= 1e-14
+            assert abs(var[j] - np.sum(lam * (1.0 - lam))) <= 1e-14
+            assert abs(gap_probability(kern, t) - np.prod(1.0 - lam)) <= 1e-15
+
+    def test_gap_probability_guards(self):
+        kern = nystrom(0.0, 10.0, 64)
+        assert gap_probability(kern, 1e-12) == 1.0  # below the first node
+        with pytest.raises(ValueError):
+            gap_probability(kern, 20.0)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                gap_probability(kern, bad)
 
 
 class TestSampling:
@@ -360,18 +466,24 @@ class TestCountStats:
         assert math.isnan(slope)
 
     def test_exact_law_checks_window_spectrum(self):
-        # a sub-window eigenvalue of 1.5 is an error, not a value to clip to 1
+        # a sub-window eigenvalue of 1.5625 is an error, not a value to clip
+        # to 1.  The factor is diagonal; with powers of 2 on the diagonal
+        # the SVD returns them exactly (0.5 and 0.75 came back a few ulp
+        # off), and their squares are exact
         def kernel(diag):
-            matrix = np.diag(diag)
-            lam, vec = np.linalg.eigh(matrix)
+            factor = np.diag(diag)
+            lam = np.sort(np.square(diag))
             return DiscretizedKernel(nu=0.0, T=4.0, m=3, nodes=np.array([1.0, 2.0, 3.0]),
-                                     weights=np.ones(3), matrix=matrix, eigenvalues=lam,
-                                     eigenvectors=vec, eig_range=(lam[0], lam[-1]))
+                                     weights=np.ones(3), factor=factor, eigenvalues=lam,
+                                     eigenvectors=np.eye(3)[:, np.argsort(np.square(diag))],
+                                     eig_range=(lam[0], lam[-1]))
 
-        with pytest.raises(DiscretizationFailure):
-            exact_count_law(kernel([1.5, 0.5, 0.2]), [2.5])
-        mean, var, _ = exact_count_law(kernel([0.5, 0.25, 1.5]), [2.5])
-        assert mean[0] == 0.75 and var[0] == 0.4375
+        for law in (lambda k: exact_count_law(k, [2.5]), lambda k: gap_probability(k, 2.5)):
+            with pytest.raises(DiscretizationFailure):
+                law(kernel([1.25, 0.5, 0.25]))
+        mean, var, _ = exact_count_law(kernel([0.5, 0.25, 1.25]), [2.5])
+        assert mean[0] == 0.3125 and var[0] == 0.24609375
+        assert gap_probability(kernel([0.5, 0.25, 1.25]), 2.5) == 0.703125
 
     def test_threshold_validation(self, runs):
         with pytest.raises(ValueError):

@@ -119,13 +119,24 @@ class TestConfig:
         ({"grid_points": 5.5}, "grid_points"),
         ({"grid_points": "5"}, "grid_points"),
         ({"sequence": "cubic"}, "sequence"),
+        ({"nu": "a"}, "nu"),
+        ({"nu": -1.0}, "nu"),
+        ({"nu": math.nan}, "nu"),
+        ({"grid_lo": -1}, "grid_lo"),
+        ({"grid_lo": 0.0}, "grid_lo"),
+        ({"grid_hi": math.inf}, "grid_hi"),
+        ({"tail_tolerance": 0.0}, "tail_tolerance"),
+        ({"tail_tolerance": True}, "tail_tolerance"),
     ], ids=["empty-schedule", "empty-thresholds", "empty-gammas", "scalar-gammas",
             "string-schedule", "zero-grid-points", "float-grid-points", "string-grid-points",
-            "unknown-sequence"])
+            "unknown-sequence", "string-nu", "nu-minus-one", "nan-nu", "negative-grid-lo",
+            "zero-grid-lo", "infinite-grid-hi", "zero-tail-tolerance", "bool-tail-tolerance"])
     def test_bad_field_rejected(self, overrides, field):
         # used to fail later: UnboundLocalError, max() of an empty sequence,
-        # numpy's zero-size reduction, a TypeError, or (for the sequence
-        # kind) a ValueError only once the run began
+        # numpy's zero-size reduction, a TypeError, (for the sequence kind)
+        # a ValueError only once the run began, or, for the scalar fields,
+        # a RuntimeWarning from log10 and a DomainError "x must be finite"
+        # or "could not convert string to float" from inside the library
         for experiment in EXPERIMENTS:
             with pytest.raises(ValueError, match=field):
                 default_config(experiment, **overrides)
@@ -213,18 +224,19 @@ class TestExperimentsTrimmed:
             assert abs(off) < 3.0  # loose: 40 draws only
 
     def test_dpp_stats_reports_the_spectrum_before_the_clip(self, monkeypatch):
-        # a hand-built diagonal kernel whose Nystrom matrix has eigenvalues
-        # from -1e-9 to 1 + 1e-9, inside EIG_TOL: nystrom clips them to
-        # [0, 1] for the sampler but keeps the two ends, which dpp_stats
-        # reports in place of the clipped 0 and 1
+        # a hand-built factor whose Nystrom matrix has eigenvalues 0.25,
+        # 0.0625, 1 and 1 + 1e-9, inside EIG_TOL, and zeros past them:
+        # nystrom clips them to [0, 1] for the sampler but keeps the two
+        # ends, which dpp_stats reports in place of the clipped 0 and 1
         cfg = _trimmed("dpp_stats")
         T = max(cfg.thresholds)
-        w = dpp.nystrom(cfg.nu, T, cfg.m).weights
-        lam = np.linspace(-1e-9, 1.0 + 1e-9, cfg.m)
-        monkeypatch.setattr(dpp, "bessel_kernel", lambda nu, x, y: np.diag(lam / w))
+        top = np.sqrt(1.0 + 1e-9)
+        B = np.zeros((cfg.m, 6))
+        B[[0, 1, 2, 3], [0, 1, 2, 3]] = 0.5, 0.25, 1.0, top
+        monkeypatch.setattr(dpp, "_factor", lambda nu, x, w, q: B)
         kern = dpp.nystrom(cfg.nu, T, cfg.m)
         assert kern.eigenvalues[0] == 0.0 and kern.eigenvalues[-1] == 1.0
-        assert_allclose(kern.eig_range, (lam[0], lam[-1]), rtol=0, atol=1e-15)
+        assert_allclose(kern.eig_range, (0.0, top * top), rtol=0, atol=1e-15)
         _, _, summary = run_experiment(cfg)
         assert (summary["eig_min"], summary["eig_max"]) == kern.eig_range
 
@@ -360,8 +372,13 @@ class TestCli:
         ("sandwich", {"grid_pts": 5}, "grid_pts"),
         ("dpp", [1, 2], "no JSON object"),
         ("dpp", "{", "Expecting"),
+        ("hard-edge", {"grid_lo": -1}, "grid_lo"),
+        ("dpp", {"nu": "a"}, "nu"),
+        ("hard-edge", {"grid_hi": 0}, "grid_hi"),
+        ("approx-limit", {"tail_tolerance": -1e-10}, "tail_tolerance"),
     ], ids=["empty-schedule", "empty-thresholds", "zero-grid-points", "scalar-gammas",
-            "unknown-key", "list", "not-json"])
+            "unknown-key", "list", "not-json", "negative-grid-lo", "string-nu",
+            "zero-grid-hi", "negative-tail-tolerance"])
     def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, command,
                                                   document, field):
         path = tmp_path / "cfg.json"

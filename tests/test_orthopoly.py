@@ -101,7 +101,8 @@ class TestQuadrature:
         # count the Gauss rules the package computes: three builds at one
         # (nu, n_panel) need one Gauss-Jacobi and one Gauss-Legendre rule,
         # and at nu = 0 one rule serves both panel kinds and the Nystrom
-        # rule of the same size
+        # rule of the same size; the Nystrom factor adds only its rule in
+        # s, for s ds at q = 31 nodes
         orthopoly._gauss_jacobi.cache_clear()
         for _ in range(3):
             build_recurrence(PowerWeight(0.5), 20)
@@ -109,8 +110,10 @@ class TestQuadrature:
         orthopoly._gauss_jacobi.cache_clear()
         for _ in range(3):
             build_recurrence(PowerWeight(0.0), 20)
-        nystrom(0.0, 10.0, 120)
         assert orthopoly._gauss_jacobi.cache_info().misses == 1
+        for _ in range(2):
+            nystrom(0.0, 10.0, 120)
+        assert orthopoly._gauss_jacobi.cache_info().misses == 2
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])
     def test_cached_rules_match_direct_construction(self, nu):

@@ -427,9 +427,9 @@ class TestBesselKernel:
 
     def test_outer_grid_costs_linear_bessel_work(self, monkeypatch):
         # count every element specfun's _jv evaluates, the one seam through
-        # which it calls scipy's jv: the 512 x 512 Nystrom grid needs
-        # J_nu and J_nu+1 at the m nodes of x and of y off the diagonal (4m)
-        # plus both at the m diagonal entries (2m)
+        # which it calls scipy's jv: the 512-node Nystrom build at T = 1e4
+        # needs J_nu on the m x q grid of its nodes and the q = 80 nodes of
+        # the kernel's integral form, m q in all and no m x m grid
         counted = [0]
 
         def counting(nu, u):
@@ -438,9 +438,9 @@ class TestBesselKernel:
             return out
 
         monkeypatch.setattr(specfun, "_jv", counting)
-        m = 512
+        m, q = 512, 80
         nystrom(0.0, 1e4, m)
-        assert 0 < counted[0] <= 6 * m
+        assert counted[0] == m * q
 
     def test_nonpositive_arguments_rejected(self):
         with pytest.raises(DomainError):
