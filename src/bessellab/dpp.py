@@ -198,8 +198,8 @@ def nystrom(nu, T, m=512):
     The nodes are x_i = T u_i^2 and the masses w_i = 2 T u_i times the
     weights, u on the Gauss-Legendre rule ``orthopoly._gauss_jacobi(m, 0)``
     mapped to (0, 1); it is computed once per process for each m and
-    shared with ``weight_quadrature``, its nodes within 6.4e-17 and its
-    weights within 2.9e-11 relative at m = 512, against numpy's leggauss at
+    shared with ``weight_quadrature``, its nodes within 6.1e-17 and its
+    weights within 7.5e-13 relative at m = 512, against numpy's leggauss at
     6.0e-17 and 1.1e-10.
 
     The Nystrom matrix is A = B B^T.  In the integral form of the kernel,

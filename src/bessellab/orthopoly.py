@@ -7,9 +7,10 @@ Gauss-Jacobi with the t^nu factor built in, so endpoint singularities
 the package, the Gauss-Legendre rule of the other panels and of
 ``dpp.nystrom`` included, comes from ``_gauss_jacobi``: the eigenvalues of
 the closed-form Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
-polished by the same recurrence loop that evaluates the polynomials
-below.  The three-term recurrence is then obtained by Lanczos iteration
-on the diagonal operator of the discrete measure, in double precision
+folded to half size for the symmetric Legendre weight, polished by the
+same recurrence loop that evaluates the polynomials below.  The
+three-term recurrence is then obtained by Lanczos iteration on the
+diagonal operator of the discrete measure, in double precision
 throughout, with one full reorthogonalization pass per step.  A second
 pass ("twice is enough", Parlett, The Symmetric Eigenvalue Problem, 1980)
 buys no accuracy here: with one pass the degree-160 build of the tests is
@@ -86,17 +87,29 @@ def _gauss_jacobi(n, nu):
 
     Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
     the Jacobi matrix of the closed-form recurrence (Jacobi parameters
-    0 and nu), each moved by one Newton step.  One table of the recurrence
-    at those eigenvalues, p_0 = 1, gives both: with S = sum_{k<n} p_k^2,
+    0 and nu), each moved by one Newton step.  At nu = 0 the weight is
+    symmetric and p_{2k}(x) = q_k(x^2) (Chihara, An Introduction to
+    Orthogonal Polynomials, 1978, I.8), so the eigensolve folds: the square
+    of the Jacobi matrix splits by parity, and the floor(n/2) x floor(n/2)
+    block whose indices have the parity of n has the squares of the
+    positive nodes as its eigenvalues.  Their square roots, with the exact
+    node 0 for odd n, are the nodes in [0, 1), and the rule mirrors them
+    with their weights, bit-exactly symmetric.  One table of the
+    recurrence at the eigenvalues (at the nonnegative ones only when
+    nu = 0), p_0 = 1, gives both: with S = sum_{k<n} p_k^2,
     Christoffel-Darboux makes p_n' = S / (b_n p_{n-1}) at a root, and the
-    weights are mu0 / S with mu0 = 2^(nu+1) / (nu+1).  Against 40-digit
-    mpmath, on every node of the rules the tests check (orders -0.9 to
-    100), the nodes are within 1.7e-16 absolute and the weights, worst at
-    the end nodes, within 2.9e-11 relative at n = 512 and 3.1e-12 for
-    n <= 200; numpy's leggauss and scipy's roots_jacobi reach 3.4e-16 for
-    the nodes and 1.1e-10 (n = 512) and 1.3e-9 (n = 161, nu = -0.9) for
-    the weights.  The table is taken before the Newton step, so the node
-    error of the eigensolve sets the weight error.
+    weights are mu0 / S with mu0 = 2^(nu+1) / (nu+1), S taken at the
+    stepped node to first order, S'/S = p_n''/p_n' at a root by the Jacobi
+    differential equation.  That step, not the rounded node, sets S: a
+    second table at the rounded node leaves 1.4e-12 at n = 512.  Against
+    40-digit mpmath, on every node of the rules the tests check (orders
+    -0.9 to 100), the nodes are within 1.7e-16 absolute and the weights
+    within 1.1e-12 relative, 7.5e-13 at n = 512; numpy's leggauss and
+    scipy's roots_jacobi reach 3.4e-16 for the nodes and 1.1e-10 (n = 512)
+    and 1.3e-9 (n = 161, nu = -0.9) for the weights.  The fold does an
+    eighth of the eigensolve's flops and half the table: at n = 512 the
+    rule takes 11-14 ms cold, where the n x n eigensolve took 29-38 ms
+    (``tools/dpp_phases.py``, 2-core Xeon, OpenBLAS 0.3.31).
 
     Computed once per (n, nu) and shared: both arrays are read-only.  A
     rule that overflows (very large nu) raises PrecisionFailure, which is
@@ -114,15 +127,32 @@ def _gauss_jacobi(n, nu):
         a = nu * nu / (s * (s + 2.0))
         b = 2.0 * k * (k + nu) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
     a[0], b[0] = nu / (nu + 2.0), 0.0
-    jac = np.diag(a[:n])
-    jac.flat[n::n + 1] = b[1:n]  # below the diagonal, the triangle eigvalsh reads
-    x = np.linalg.eigvalsh(jac)
+    h = n // 2
+    if nu == 0:
+        # the rows and columns of the square of the Jacobi matrix whose index
+        # has the parity of n: their eigenvalues are the squared positive nodes
+        even, odd = b[n % 2:n:2][:h], b[n % 2 + 1:n:2]
+        jac = np.diag(even * even + odd * odd)
+        jac.flat[h::h + 1] = odd[:-1] * even[1:]
+        x = np.sqrt(np.linalg.eigvalsh(jac))
+        if n % 2:
+            x = np.concatenate(([0.0], x))
+    else:
+        jac = np.diag(a[:n])
+        jac.flat[n::n + 1] = b[1:n]  # below the diagonal, the triangle eigvalsh reads
+        x = np.linalg.eigvalsh(jac)
     p = _recurrence_rows(a, b, n, x)
     S = np.einsum("ij,ij->j", p[:n], p[:n])
     if not np.all(np.isfinite(S)):  # at large nu and n
         raise PrecisionFailure(f"the Gauss-Jacobi rule for nu={nu} overflows")
-    x = x - p[n] * (b[n] * p[n - 1] / S)
-    w = mu0 / S
+    dx = p[n] * (b[n] * p[n - 1] / S)
+    x = x - dx
+    # S at the unrounded x - dx to first order: at a root S'/S = p_n''/p_n',
+    # which the Jacobi differential equation gives as ((nu+2) x - nu) / (1 - x^2)
+    w = mu0 / (S * (1.0 - dx * ((nu + 2.0) * x - nu) / (1.0 - x * x)))
+    if nu == 0:  # the negative nodes mirror the positive ones
+        x = np.concatenate((-x[::-1][:h], x))
+        w = np.concatenate((w[::-1][:h], w))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -149,7 +179,7 @@ def weight_quadrature(nu, support=1.0, n_panel=120):
     The first panel maps ``_gauss_jacobi(n_panel, nu)``, the others its
     nu = 0 case, Gauss-Legendre; at nu = 0 one rule serves both.  Each rule
     is computed once per process for each (n_panel, nu), with nodes within
-    1.7e-16 and weights within 3.1e-12 relative for n_panel <= 200; only
+    1.7e-16 and weights within 1.1e-12 relative for n_panel <= 200; only
     their mapping onto the panels is done per call.
     """
     nu = _check_number(nu, _ABOVE_MINUS_ONE, math.inf, "endpoint exponent nu")

@@ -391,16 +391,17 @@ class TestSampling:
     def test_default_points_are_pinned(self):
         # sha256 of the 500 samples of the dpp_stats default (size as
         # little-endian int64, then the points as little-endian float64),
-        # recorded on the Gauss-Legendre rule of orthopoly._gauss_jacobi; the
-        # draws pick the same node indices as the one-sample-at-a-time
-        # sampler on numpy's leggauss rule that preceded it
+        # recorded on the folded Gauss-Legendre rule of orthopoly._gauss_jacobi;
+        # the draws pick the same node indices, and the samples the same
+        # sizes, as on the unfolded rule and on numpy's leggauss rule
+        # before it
         runs = sample_many(nystrom(0.0, 1e4, 512), 500, 20260825)
         h = hashlib.sha256()
         for start, stop in zip(runs.offsets[:-1], runs.offsets[1:]):
             h.update(np.int64(stop - start).astype("<i8").tobytes())
             h.update(runs.points[start:stop].astype("<f8").tobytes())
         assert h.hexdigest() == (
-            "336ca70c0458a33477ef44074b2898b4b3839dd5add0a75a90631a6814043ea7")
+            "70bbfdef0fcc289aaa0930310bf41d2c2d2d6881705bf8dfbb7622b07e72dc64")
 
     def test_failures_name_the_seed(self):
         # every sample of this kernel keeps both columns on node 0, so each

@@ -166,21 +166,41 @@ def _jacobi_rule_mp(mpmath, n, nu, x):
 
 
 class TestGaussJacobi:
-    @pytest.mark.parametrize("n, nu", [(1, 0.0), (2, 0.5), (128, 0.0), (512, 0.0),
-                                       (161, -0.9), (161, -0.5), (161, 0.5), (200, 2.0),
-                                       (120, 37.3), (161, 100.0)])
+    @pytest.mark.parametrize("n, nu", [(1, 0.0), (2, 0.5), (3, 0.0), (128, 0.0), (161, 0.0),
+                                       (512, 0.0), (161, -0.9), (161, -0.5), (161, 0.5),
+                                       (200, 2.0), (120, 37.3), (161, 100.0)])
     def test_accuracy_against_mpmath(self, n, nu):
         # the accuracy the docstring states: nodes within 2.5e-16 absolute,
-        # weights (worst at the end nodes) within 4.2e-11 relative at
-        # n = 512 and 8e-12 up to n = 200, against 40-digit references
+        # weights (worst near the end nodes) within 2.2e-12 relative,
+        # against 40-digit references
         mpmath = pytest.importorskip("mpmath")
         x, w = orthopoly._gauss_jacobi(n, nu)
-        bound = 4.2e-11 if n > 200 else 8e-12
         with mpmath.workdps(40):
             for i in {0, 1, 2, n // 8, n // 4, n // 2, n - 3, n - 2, n - 1} & set(range(n)):
                 t, wt = _jacobi_rule_mp(mpmath, n, nu, x[i])
                 assert abs(x[i] - t) <= 2.5e-16
-                assert abs(w[i] - wt) <= bound * wt
+                assert abs(w[i] - wt) <= 2.2e-12 * wt
+
+    @pytest.mark.parametrize("n", [2, 3, 160, 161, 512])
+    def test_legendre_rule_is_symmetric(self, n):
+        x, w = orthopoly._gauss_jacobi(n, 0.0)
+        assert_array_equal(x, -x[::-1])
+        assert_array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 160, 161, 512])
+    def test_legendre_eigensolve_is_folded(self, n, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        orthopoly._gauss_jacobi.__wrapped__(n, 0.0)
+        assert shapes and all(max(s) <= (n + 1) // 2 for s in shapes)
 
     def test_cached_rule_equals_a_fresh_one(self):
         cached = orthopoly._gauss_jacobi(161, 0.5)

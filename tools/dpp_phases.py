@@ -1,15 +1,18 @@
 """Print the cost of each phase of a default dpp_stats run in this process.
 
 After the import and a reduced warm-up (m = 128, 8 samples, which loads
-scipy.special and the BLAS), the script runs the three library phases of
-``lab.dpp_stats`` at the default config, (nu, T, m) = (0, 1e4, 512) with
-500 samples, and prints one line after each:
+scipy.special and the BLAS), the script computes the m-point Gauss-Legendre
+rule of ``nystrom`` cold, ``orthopoly._gauss_jacobi(m, 0)``, then runs the
+three library phases of ``lab.dpp_stats`` at the default config,
+(nu, T, m) = (0, 1e4, 512) with 500 samples, and prints one line after
+each:
 
     <phase> wall_ms=<time of the phase> maxrss_mb=<ru_maxrss so far>
             minflt=<minor page faults in the phase>
 
 ru_maxrss is the peak resident set of the process up to that point, so
-the phase that raises it is the one that sets the run's peak.  The package
+the phase that raises it is the one that sets the run's peak.  The
+``nystrom`` line then excludes the rule, which it finds cached.  The package
 is imported from the checkout's own src/; run it in a fresh process:
 
     python tools/dpp_phases.py
@@ -24,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bessellab.dpp import exact_count_law, nystrom, sample_many  # noqa: E402
 from bessellab.lab import default_config  # noqa: E402
+from bessellab.orthopoly import _gauss_jacobi  # noqa: E402
 
 _last = [time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
 
@@ -43,6 +47,8 @@ def main():
     exact_count_law(small, [10.0, 100.0])
     report("warm-up")
     cfg = default_config("dpp_stats")
+    _gauss_jacobi(cfg.m, 0.0)
+    report("gauss rule")
     kern = nystrom(cfg.nu, max(cfg.thresholds), cfg.m)
     report("nystrom")
     sample_many(kern, cfg.n_samples, cfg.seed)
