@@ -1,14 +1,14 @@
 """Sampling the hard-edge determinantal process on [0, T].
 
 The kernel is discretized with a Nystrom rule adapted to the hard edge:
-substituting x = T u^2 with u Gauss-Legendre on (0, 1) clusters nodes near
-0 where the density varies on the x^{1/2} scale.  The Nystrom matrix
-A_ij = sqrt(w_i w_j) K(x_i, x_j) is never formed.  The kernel's integral
-form K(x, y) = 1/2 int_0^1 J_nu(s sqrt x) J_nu(s sqrt y) s ds (Tracy and
-Widom, Commun. Math. Phys. 161, 1994) on a q-point Gauss rule in s gives
-A = B B^T with an m x q factor B, and q = floor(sqrt(T) / 2) + 30 is 80 at
-the default m = 512; the spectrum comes from a thin QR of B and an SVD of
-the q x q triangle (see ``nystrom``).
+x = T u^2 with u on the Gauss-Jacobi rule for u^a on (0, 1), a = (2 nu + 1)
+- ceil(2 nu + 1), clusters nodes near 0, where the density varies on the
+x^{1/2} scale, and takes the u^(2 nu + 1) factor of the diagonal
+into the weight.  The Nystrom matrix A_ij = sqrt(w_i w_j) K(x_i, x_j) is
+never formed: the kernel's Neumann series (``specfun``) gives A = B B^T
+with B_ik = sqrt(w_i) C(x_i)_k, one row of N terms per node, N = 70 at
+the default (nu, T, m) = (0, 1e4, 512); the spectrum comes from a thin QR
+of B and an SVD of its N x N triangle (see ``nystrom``).
 
 Sampling follows the spectral recipe of Hough, Krishnapur, Peres and Virag
 (2006): Bernoulli(lambda_j) thinning of the eigenvalues selects k
@@ -111,9 +111,9 @@ class DiscretizedKernel:
     m: int
     nodes: np.ndarray        # x_i in (0, T), increasing
     weights: np.ndarray      # quadrature masses for dx
-    factor: np.ndarray       # B, m x q: the Nystrom matrix is B B^T
+    factor: np.ndarray       # B, m x N: the Nystrom matrix is B B^T
     eigenvalues: np.ndarray  # ascending, clipped to [0, 1]; zeros past B's rank
-    eigenvectors: np.ndarray # orthonormal columns for the last min(m, q) eigenvalues
+    eigenvectors: np.ndarray # orthonormal columns for the last min(m, N) eigenvalues
     eig_range: tuple         # (lowest, highest) eigenvalue before the clip
 
     @property
@@ -157,34 +157,27 @@ class Samples:
 
 def _clip_to_window(lam, m):
     """Ascending eigenvalues clipped to [0, 1], after checking that they
-    lie in [-EIG_TOL, 1 + EIG_TOL]; an escape raises DiscretizationFailure."""
+    lie in [-EIG_TOL, 1 + EIG_TOL]; an escape raises DiscretizationFailure,
+    whose message gives the excess over 1 and the deficit below 0."""
     if lam[0] < -EIG_TOL or lam[-1] > 1.0 + EIG_TOL:
         raise DiscretizationFailure(
-            "eigenvalues [%.3e, %.3e] escape [-%g, 1+%g]; increase m (have m=%d)"
-            % (lam[0], lam[-1], EIG_TOL, EIG_TOL, m)
+            "eigenvalues escape [-%g, 1+%g]: %.3e above 1 and %.3e below 0; "
+            "increase m (have m=%d)"
+            % (EIG_TOL, EIG_TOL, max(0.0, lam[-1] - 1.0), max(0.0, -lam[0]), m)
         )
     return np.clip(lam, 0.0, 1.0)
 
 
 def _factor(nu, x, w, q):
-    """B with A = B B^T: B_ik = sqrt(w_i W_k / 2) J_nu(s_k sqrt x_i) s_k^-nu,
-    (s_k, W_k) the q-point Gauss rule for s^(2 nu + 1) ds on (0, 1)."""
-    try:
-        s, ws = _gauss_jacobi(q, 2.0 * nu + 1.0)
-    except PrecisionFailure as e:
-        raise PrecisionFailure(f"the {q}-point Gauss rule in s overflows at nu={nu}") from e
-    s = 0.5 * (s + 1.0)
-    ws = ws * 2.0 ** (-2.0 * nu - 2.0)  # (1 + t)^(2 nu + 1) dt = 2^(2 nu + 2) s^(2 nu + 1) ds
-    J = specfun._jv(nu, np.sqrt(x)[:, None] * s)
-    J *= np.sqrt(0.5 * w)[:, None]
-    J *= np.sqrt(ws) * s**-nu
-    return J
+    """B with A = B B^T: B_ik = sqrt(w_i) C(x_i)_k for k < q, the rows of
+    the kernel's Neumann series (``specfun._rows``)."""
+    return specfun._rows(nu, x, q).T * np.sqrt(w)[:, None]
 
 
 def _spectrum(B):
     """Ascending eigenvalues of B B^T, padded with exact zeros to B's row
-    count, and orthonormal eigenvectors for the r = min(m, q) last ones:
-    a thin QR of B, then an SVD of its r x q triangle R."""
+    count, and orthonormal eigenvectors for the r = min(m, N) last ones:
+    a thin QR of B, then an SVD of its r x N triangle R."""
     Q, R = np.linalg.qr(B)
     U, sigma, _ = np.linalg.svd(R, full_matrices=False)
     lam = np.zeros(B.shape[0])
@@ -195,53 +188,58 @@ def _spectrum(B):
 def nystrom(nu, T, m=512):
     """Discretize the kernel on [0, T] with m nodes and diagonalize.
 
-    The nodes are x_i = T u_i^2 and the masses w_i = 2 T u_i times the
-    weights, u on the Gauss-Legendre rule ``orthopoly._gauss_jacobi(m, 0)``
-    mapped to (0, 1); it is computed once per process for each m and
-    shared with ``weight_quadrature``, its nodes within 6.1e-17 and its
-    weights within 7.5e-13 relative at m = 512, against numpy's leggauss at
-    6.0e-17 and 1.1e-10.
+    The nodes are x_i = T u_i^2 and the masses w_i = 2 T omega_i
+    u_i^(1 - a) 2^(-a - 1), (u, omega) the Gauss-Jacobi rule for the
+    weight (1 + t)^a, ``orthopoly._gauss_jacobi(m, a)``, mapped to u in
+    (0, 1), with a = (2 nu + 1) - ceil(2 nu + 1) in (-1, 0].  In u the
+    diagonal integrand K(x, x) dx is u^(2 nu + 1) times a function smooth
+    in u^2; the rule takes u^a into its weight and leaves u^ceil(2 nu + 1),
+    smooth at 0, for every order.  a = 0, Gauss-Legendre, at every integer
+    and half-integer order.  At (T, m) = (100, 128) the trace is within
+    3.3e-14 of a 20-digit mpmath integral of K(x, x) for nu in {-0.9,
+    -0.6, -0.25, 0.3}; Gauss-Legendre in u was off by 1.7e-1 at nu = -0.9
+    and 1.1e-10 at nu = 0.3, and raised at nu = -0.25.  The rule is
+    computed once per process for each (m, a) and shared with
+    ``weight_quadrature``; at m = 512 and a = 0 its nodes are within
+    6.1e-17 and its weights within 7.5e-13 relative, against numpy's
+    leggauss at 6.0e-17 and 1.1e-10.
 
-    The Nystrom matrix is A = B B^T.  In the integral form of the kernel,
-    J_nu(s sqrt x) J_nu(s sqrt y) s = f_x(s) f_y(s) s^(2 nu + 1) with
-    f_x(s) = J_nu(s sqrt x) s^-nu smooth on [0, 1] for every nu > -1, so
-    one q-point Gauss-Jacobi rule for s^(2 nu + 1) ds,
-    ``_gauss_jacobi(q, 2 nu + 1)`` mapped to (0, 1), serves every order:
-    B_ik = sqrt(w_i W_k / 2) f_{x_i}(s_k), with q = floor(sqrt(T) / 2) + 30.
-    That is m q Bessel evaluations and no m x m matrix.  Gauss-Legendre in
-    s, blind to the s^(2 nu + 1) factor, is off by 1.5e-2 at nu = -0.9.
-    The eigenvalues are the squared singular values of B (a thin QR of B,
-    then an SVD of the triangle R), padded with exact zeros to length m
-    so that ``sample`` draws m thinning uniforms; ``eigenvectors`` holds
-    the min(m, q) columns that belong to the nonzero part.
+    The Nystrom matrix is A = B B^T with B_ik = sqrt(w_i) C(x_i)_k for k
+    < N, the rows of the kernel's Neumann series (``specfun._rows``) and N
+    the number of terms for the largest node (``specfun._terms``).  That
+    is 2m Bessel evaluations and no m x m matrix.  The eigenvalues are the
+    squared singular values of B (a thin QR of B, then an SVD of the
+    triangle R), padded with exact zeros to length m so that ``sample``
+    draws m thinning uniforms; ``eigenvectors`` holds the min(m, N)
+    columns that belong to the nonzero part.
 
     Raises DiscretizationFailure when the top eigenvalue exceeds
-    1 + EIG_TOL; the fix is more nodes.  From about sqrt(T) = 2m on the
-    top eigenvalue is 2 or more, so q > 2m raises it at once, before B is
-    allocated.  For -1/2 < nu < 0 the Gauss-Legendre rule in u resolves
-    K(x, x) ~ x^nu at 0 too slowly: nu in {-0.4, -0.3, -0.25} raises at
-    (T, m) in {(1e4, 512), (1e3, 256), (100, 128)}, and at (nu, T) =
-    (-0.25, 1e3) the top eigenvalue exceeds 1 by 6.4e-8 at m = 512 and by
-    7.7e-9 at m = 1024.  Raises PrecisionFailure when T is so close to the
-    float maximum that the masses overflow, and where the Gauss-Jacobi
-    rule for s^(2 nu + 1) overflows: from q = 530 (T = 1e6) at nu = 100,
-    and at any q from nu = 511.5.
+    1 + EIG_TOL, with its excess over 1 in the message; the fix is more
+    nodes.  From about sqrt(T) = 2m on the top eigenvalue is 2 or more,
+    so N > 2m raises it at once, before B is allocated.  Raises
+    PrecisionFailure when T is so close to the float maximum that the
+    masses overflow, or so small that a node underflows to 0.  Large
+    orders need nothing special: nystrom(100, 1e6, 1024) has the trace
+    269.9028, and at (600, 1e4) J_{nu+1} underflows on the whole window
+    and the spectrum is exactly 0.
     """
     m = int(_as_index(m, 64, math.inf, "m"))
     T = _check_number(T, _POSITIVE, math.inf, "T")
     nu = specfun._order(nu)
-    u, wu = _gauss_jacobi(m, 0.0)
+    a = 0.0 - (-2.0 * nu - 1.0) % 1.0  # (2 nu + 1) - ceil(2 nu + 1), in (-1, 0]
+    u, wu = _gauss_jacobi(m, a)
     u = 0.5 * (u + 1.0)
-    wu = 0.5 * wu
     x = T * u**2
     with np.errstate(over="ignore"):
-        w = 2.0 * T * u * wu  # dx = 2 T u du
-    if not np.all(np.isfinite(w)):
-        raise PrecisionFailure(f"Nystrom masses overflow at T={T!r}")
-    q = math.floor(math.sqrt(T) / 2.0) + 30
+        # dx = 2 T u du, and u^a du is 2^(-a-1) (1 + t)^a dt for u = (1 + t) / 2
+        w = 2.0 * T * u ** (1.0 - a) * (wu * 2.0 ** (-a - 1.0))
+    if not (np.all(np.isfinite(w)) and x[0] > 0.0):
+        raise PrecisionFailure(f"Nystrom masses overflow or nodes underflow to 0 at T={T!r}")
+    q = specfun._terms(nu, x[-1])
     if q > 2 * m:
         raise DiscretizationFailure(
-            "T=%g needs %.3g nodes in s, more than 2m; increase m (have m=%d)" % (T, q, m))
+            "T=%g needs %d terms of the kernel's series, more than 2m; increase m (have m=%d)"
+            % (T, q, m))
     B = _factor(nu, x, w, q)
     lam, vec = _spectrum(B)
     return DiscretizedKernel(

@@ -1,25 +1,31 @@
 """Bessel functions of the first kind and the hard-edge Bessel kernel.
 
 All routines are parametrized by a real order nu > -1, and every value is
-built from scipy's J_nu and J_{nu+1}.  scipy.special is imported at the
-first J_nu evaluation rather than with the package, so code that evaluates
-no Bessel function (orthopoly, weights, equilibrium) loads numpy alone.
-The one derivative rule is the recurrence J_nu'(u) = (nu/u) J_nu(u) -
-J_{nu+1}(u).  The kernel lives on the squared scale: for x, y > 0, with
-J = J_nu and J1 = J_{nu+1},
+built from scipy's J_nu, J_{nu+1} and J_{nu+2}.  scipy.special is imported
+at the first J_nu evaluation rather than with the package, so code that
+evaluates no Bessel function (orthopoly, weights, equilibrium) loads numpy
+alone.  The one derivative rule is the recurrence J_nu'(u) = (nu/u)
+J_nu(u) - J_{nu+1}(u).
 
-    K(x, y) = [J(sqrt y) sqrt(x) J1(sqrt x) - J(sqrt x) sqrt(y) J1(sqrt y)]
-              / (2 (x - y))
+The kernel lives on the squared scale.  It is the Neumann series
 
-(Tracy & Widom, Commun. Math. Phys. 161, 1994), which is the form in J and
-J' with the recurrence substituted.  On the diagonal the limit is
+    K(x, y) = sum_{k>=0} C(x)_k C(y)_k,
+    C(x)_k  = sqrt(nu + 2k + 1) J_{nu+2k+1}(sqrt x) / sqrt x,
 
-    K(x, x) = [J(sqrt x)^2 + J1(sqrt x)^2
-               - (2 nu / sqrt x) J(sqrt x) J1(sqrt x)] / 4,
-
-obtained from l'Hopital's rule, the Bessel equation and the recurrence.
-The J' form of the same limit, J'^2 + (1 - nu^2/x) J^2, cancels a nu^2/x
-term near the origin; this one does not.
+the finite Hankel transform behind Slepian's generalized prolate
+functions (Bell Syst. Tech. J. 43, 1964), equal to the Christoffel-Darboux
+form [J(sqrt y) sqrt(x) J1(sqrt x) - J(sqrt x) sqrt(y) J1(sqrt y)]
+/ (2 (x - y)) of Tracy & Widom (Commun. Math. Phys. 161, 1994), J = J_nu
+and J1 = J_{nu+1}.  One row builder, ``_rows``, gives C(x) for an array
+of points: a downward ratio recurrence in the order (Miller's algorithm;
+Gautschi, SIAM Rev. 9, 1967), scaled to scipy's J_{nu+1} and J_{nu+2}.
+The series stops after N = ceil((max(sqrt x - nu, 0) + 6.5 x^(1/6) + 8)
+/ 2) terms for points up to x (``_terms``).  ``bessel_kernel``,
+``bessel_kernel_diag`` and the Nystrom factor of ``dpp`` all read these
+rows.  A row costs O(sqrt x): one at x = 1e8 took 37-72 ms and 512 of
+them 0.18-0.46 s on a 2-core Xeon, against 1.3 s for one at x = 1e10.  So
+both kernels accept x only up to KERNEL_X_MAX = 1e8 and raise DomainError
+above it.
 """
 
 from __future__ import annotations
@@ -41,13 +47,9 @@ __all__ = [
     "bessel_kernel_diag",
 ]
 
-# relative |x - y| below which the kernel switches to the diagonal limit at
-# the midpoint.  Just outside it the off-diagonal form divides the rounding
-# of jv by x - y: against 40-digit mpmath on x in [1e-4, 1e4] it is off by
-# up to 2.0e-7 relative for nu in {-0.9, -0.5, 0, 0.5, 2} and 1.6e-6 at
-# nu = 10, while the midpoint value just inside is within 1.3e-13.  The
-# kernel jumps by that much across the switch.
-DIAG_SWITCH = 1e-8
+# the largest x either kernel accepts: a row costs O(sqrt x) (see the
+# module docstring)
+KERNEL_X_MAX = 1e8
 
 # sign-change scan step for locating small zeros; consecutive zeros of J_nu
 # are always more than 2 apart for nu > -1, so pi/4 cannot skip a pair
@@ -254,62 +256,73 @@ def bessel_zero(nu, k):
     return float(_zeros_at(_order(nu), np.array([k]))[0])
 
 
-def bessel_kernel_diag(nu, x):
-    """Diagonal K(x, x) of the hard-edge kernel, x > 0.
+def _terms(nu, x_max):
+    # N, the number of rows for points up to x_max: the first order left
+    # out, nu + 2N + 1, lies 6.5 x_max^(1/6) + 8 past max(sqrt x_max, nu).
+    # For 13 orders in [-0.99, 300] and x in [1e-6, 1e8], the first order
+    # from which the tail of the series is below 2^-53 of K(x, x) lay at
+    # most 6.5 x^(1/6) + 4.9 past max(sqrt x, nu).
+    z = math.sqrt(x_max)
+    return math.ceil((max(z - nu, 0.0) + 6.5 * z ** (1.0 / 3.0) + 8.0) / 2.0)
 
-    It is [J_nu^2 + J_{nu+1}^2 - (2 nu / sqrt x) J_nu J_{nu+1}] / 4 at
-    sqrt x; no term cancels near x = 0 as nu^2 / x does in the J' form.
-    Against 40-digit mpmath on the 512 Nystrom nodes of (0, 1e4) it is
-    within 1.2e-13 relative for nu in {-0.9, -0.5, 0.5, 2}, 1.6e-13 at
-    nu = 10, and 2.6e-12 at nu = 37.3 on the 511 nodes where K(x, x) is a
-    normal float.
+
+def _rows(nu, x, n):
+    """C(x)_k = sqrt(nu + 2k + 1) J_{nu+2k+1}(sqrt x) / sqrt x for k < n,
+    one column per entry of the 1-d array x > 0: an (n, x.size) array.
+
+    Miller's algorithm: the ratios r_k = J_{nu+1+k} / J_{nu+k} come from
+    the downward recurrence r_k = 1 / (2 (nu + 1 + k) / z - r_{k+1}) from
+    r_{2n} = 0, their cumulative product is J_{nu+1+k} / J_{nu+1}, and
+    each column is scaled so that its first two entries fit scipy's
+    J_{nu+1} and J_{nu+2} by least squares.
     """
-    nu = _order(nu)
-    x = _check_points(x, _POSITIVE, math.inf, "x")
-    u = np.sqrt(x)
-    j = _jv(nu, u)
-    j1 = _jv(nu + 1.0, u)
-    return _maybe_scalar(0.25 * (j * j + j1 * j1 - 2.0 * nu / u * j * j1))
+    z = np.sqrt(x)
+    r = (2.0 * (nu + 1.0 + np.arange(2 * n)))[:, None] / z
+    r[-1] = 1.0 / r[-1]
+    for k in range(2 * n - 2, 0, -1):
+        r[k] = 1.0 / (r[k] - r[k + 1])
+    scale = (_jv(nu + 1.0, z) + _jv(nu + 2.0, z) * r[1]) / ((1.0 + r[1] * r[1]) * z)
+    r[0] = 1.0
+    np.multiply.accumulate(r, axis=0, out=r)
+    return r[:-1:2] * scale * np.sqrt(nu + 1.0 + 2.0 * np.arange(n))[:, None]
+
+
+def bessel_kernel_diag(nu, x):
+    """Diagonal K(x, x) = sum_k C(x)_k^2 of the hard-edge kernel for
+    0 < x <= KERNEL_X_MAX, which is ``bessel_kernel(nu, x, x)``; see there
+    for its accuracy."""
+    return bessel_kernel(nu, x, x)
 
 
 def bessel_kernel(nu, x, y):
-    """Hard-edge Bessel kernel K(x, y) on (0, oo)^2.
+    """Hard-edge Bessel kernel K(x, y) = sum_{k<N} C(x)_k C(y)_k on
+    (0, KERNEL_X_MAX]^2, C the rows of the module docstring and N the
+    number of terms for the largest of the points.
 
-    It is [J_nu(sqrt y) sqrt(x) J_{nu+1}(sqrt x)
-    - J_nu(sqrt x) sqrt(y) J_{nu+1}(sqrt y)] / (2 (x - y)).  J_nu(sqrt t)
-    and sqrt(t) J_{nu+1}(sqrt t) are evaluated once per entry of the
-    un-broadcast x and of y, and only the products are broadcast, so an
-    m x m outer grid such as ``x[:, None], x[None, :]`` costs 4m Bessel
-    evaluations rather than O(m^2), plus two for each entry within
-    DIAG_SWITCH of the diagonal.  Against 40-digit mpmath on the
-    512 x 512 Nystrom grid of (0, 1e4) every off-diagonal entry is within
-    1.6e-13 of the largest diagonal value for nu in {-0.9, -0.5, 0.5, 2},
-    and within 6.9e-13 and 1.9e-12 at nu = 10 and 37.3.  The worst entries
-    pair neighbouring nodes, where the numerator cancels.
+    The rows are built once per entry of the un-broadcast x and of y, and
+    once in all when y holds x's points, so an m x m outer grid such as
+    ``x[:, None], x[None, :]`` costs 2m Bessel evaluations and m rows of
+    N entries, and only the sum over k is broadcast.  Each entry is summed
+    in the order of k, whatever the shapes, so the grid and the flattened
+    pairs agree bit for bit.  Nothing divides by x - y: the kernel has no
+    diagonal branch.
 
-    Within relative distance DIAG_SWITCH of the diagonal the analytic
-    diagonal limit at the midpoint is used, evaluated on those entries
-    only; by symmetry the midpoint value differs from the true one only at
-    second order in |x - y|.
+    Against 40-digit mpmath on the 512 Nystrom nodes of (0, 1e4), the
+    diagonal is within 1.3e-13 relative for nu in {-0.9, -0.5, 0.5, 2,
+    10, 37.3} (at 37.3 on the 511 nodes where K(x, x) is a normal float);
+    most of that is scipy's J_{nu+1} at non-integer order, up to 7e-14
+    relative there, which scales each row.  Every pair of neighbouring
+    nodes is within 7.8e-15 of the largest diagonal value for nu in
+    {-0.9, -0.5, 0.5, 2, 10} and within 4.3e-14 at nu = 37.3; the closed
+    form reached 1.6e-13 and 1.7e-12.  At y = x (1 + 1.01e-8) on 41 points
+    x in [1e-4, 1e4] it is within 5.0e-14 relative for nu in {-0.9, -0.5,
+    0, 0.5, 2}, where the closed form was off by up to 2.0e-7.
     """
     nu = _order(nu)
-    x = _check_points(x, _POSITIVE, math.inf, "x")
-    y = _check_points(y, _POSITIVE, math.inf, "y")
-    sx = np.sqrt(x)
-    sy = np.sqrt(y)
-    jx = _jv(nu, sx)
-    jy = _jv(nu, sy)
-    ex = sx * _jv(nu + 1.0, sx)
-    ey = sy * _jv(nu + 1.0, sy)
-    # halving the numerator rather than doubling x - y is exact and cannot
-    # overflow when x - y is near the float maximum
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(0.5 * (jy * ex - jx * ey) / (x - y))
-
-    near = np.abs(x - y) <= DIAG_SWITCH * np.maximum(x, y)
-    if np.any(near):
-        xb, yb = np.broadcast_arrays(x, y)
-        # halving before adding is exact and cannot overflow near the float
-        # maximum
-        out[near] = bessel_kernel_diag(nu, 0.5 * xb[near] + 0.5 * yb[near])
-    return _maybe_scalar(out)
+    x = _check_points(x, _POSITIVE, KERNEL_X_MAX, "x")
+    y = _check_points(y, _POSITIVE, KERNEL_X_MAX, "y")
+    n = _terms(nu, max(np.max(x, initial=0.0), np.max(y, initial=0.0)))
+    cx = _rows(nu, x.ravel(), n)
+    cy = cx if np.array_equal(x.ravel(), y.ravel()) else _rows(nu, y.ravel(), n)
+    cx, cy = cx.reshape((n,) + x.shape), cy.reshape((n,) + y.shape)
+    return _maybe_scalar(sum(cx[k] * cy[k] for k in range(n)))

@@ -13,9 +13,9 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, special
 
-from bessellab import dpp
+from bessellab import dpp, specfun
 from bessellab.dpp import (
     _BLOCK,
     CountStats,
@@ -31,7 +31,26 @@ from bessellab.dpp import (
 )
 from bessellab.errors import DiscretizationFailure, DomainError, PrecisionFailure
 from bessellab.sequences import make_sampled
-from bessellab.specfun import bessel_kernel, bessel_kernel_diag
+
+
+def _diag_cd(nu, x):
+    # K(x, x) in closed form from scipy's jv, independent of specfun's rows:
+    # [J_nu^2 + J_{nu+1}^2 - (2 nu / sqrt x) J_nu J_{nu+1}] / 4 at sqrt x
+    u = np.sqrt(x)
+    j, j1 = special.jv(nu, u), special.jv(nu + 1.0, u)
+    return 0.25 * (j * j + j1 * j1 - 2.0 * nu / u * j * j1)
+
+
+def _kernel_cd(nu, x, y):
+    # the Christoffel-Darboux form [J(sqrt y) sqrt(x) J1(sqrt x)
+    # - J(sqrt x) sqrt(y) J1(sqrt y)] / (2 (x - y)) from scipy's jv, with
+    # _diag_cd where x == y
+    sx, sy = np.sqrt(x), np.sqrt(y)
+    jx, jy = special.jv(nu, sx), special.jv(nu, sy)
+    ex, ey = sx * special.jv(nu + 1.0, sx), sy * special.jv(nu + 1.0, sy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = 0.5 * (jy * ex - jx * ey) / (x - y)
+    return np.where(x == y, _diag_cd(nu, x), off)
 
 
 def _qr_sample_points(kern, seed):
@@ -90,7 +109,7 @@ class TestNystrom:
         # substitution but scipy's adaptive rule
         T = 100.0
         ref, err = integrate.quad(
-            lambda u: 2.0 * T * u * bessel_kernel_diag(0.0, T * u * u),
+            lambda u: 2.0 * T * u * _diag_cd(0.0, T * u * u),
             0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
         kern = nystrom(0.0, T, m=256)
         assert err < 1e-9
@@ -120,10 +139,12 @@ class TestNystrom:
 
 
 # (nu, T, m) of the factor's accuracy checks, each with the largest
-# |B B^T - sqrt(w) K sqrt(w)| allowed against specfun.bessel_kernel: about
-# twice what was measured (4.4e-15, 1.4e-15, 1.1e-15, 7.0e-15, 1.8e-14 and,
-# at nu = -0.9, 4.8e-14 on the entry of the smallest node, whose
-# J_nu(s sqrt x) s^-nu is largest)
+# |B B^T - sqrt(w) K sqrt(w)| allowed against the Christoffel-Darboux form
+# _kernel_cd: about twice what the earlier factor on a Gauss rule in s
+# measured (4.4e-15, 1.4e-15, 1.1e-15, 7.0e-15, 1.8e-14 and 4.8e-14).  The
+# Neumann rows measure 4.4e-15, 1.3e-15, 9.4e-16, 6.8e-15, 2.0e-14 and
+# 1.3e-14, each on a pair of neighbouring nodes, where the closed form
+# cancels
 _FACTOR_SETS = [((0.0, 1e4, 512), 1e-14), ((2.0, 1e3, 256), 3e-15),
                 ((0.5, 100.0, 128), 3e-15), ((-0.5, 1e4, 512), 1.5e-14),
                 ((37.3, 1e4, 512), 4e-14), ((-0.9, 1e4, 512), 1e-13)]
@@ -135,8 +156,8 @@ class TestFactor:
     def test_matches_closed_form_kernel(self, params, bound):
         kern = nystrom(*params)
         x, sw = kern.nodes, np.sqrt(kern.weights)
-        dense = sw[:, None] * bessel_kernel(params[0], x[:, None], x[None, :]) * sw[None, :]
-        assert kern.factor.shape == (params[2], math.floor(math.sqrt(params[1]) / 2) + 30)
+        dense = sw[:, None] * _kernel_cd(params[0], x[:, None], x[None, :]) * sw[None, :]
+        assert kern.factor.shape == (params[2], specfun._terms(params[0], x[-1]))
         assert np.max(np.abs(kern.matrix - dense)) <= bound
         V = kern.eigenvectors
         assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 5e-15
@@ -145,19 +166,19 @@ class TestFactor:
     @pytest.mark.parametrize("params, bound", [(p, 1e-15) for p, _ in _FACTOR_SETS[:-1]]
                              + [(_FACTOR_SETS[-1][0], 5e-13)], ids=_FACTOR_IDS)
     def test_doubling_q_moves_little(self, params, bound):
-        # self-convergence of the rule in s: 2q nodes against q.  At
-        # nu = -0.9 the 160-point rule's weights carry about 2e-12
-        # relative error, and the smallest node's entry (0.11) moves 1.9e-13
+        # self-convergence in the number of terms: 2N rows against N.  The
+        # bounds are those of the earlier rule in s; the products of the
+        # Neumann rows measure bit-identical at every set
         kern = nystrom(*params)
         B2 = dpp._factor(params[0], kern.nodes, kern.weights, 2 * kern.factor.shape[1])
         assert np.max(np.abs(B2 @ B2.T - kern.matrix)) <= bound
 
     def test_more_nodes_in_s_than_in_x(self):
-        # q = 80 > m = 64: the spectrum has no zero padding and every
-        # eigenvector is kept by some sample; the sampler still matches
-        # the QR reference
+        # N = 70 terms > m = 64 nodes: the spectrum has no zero padding and
+        # every eigenvector is kept by some sample; the sampler still
+        # matches the QR reference
         kern = nystrom(0.0, 1e4, 64)
-        assert kern.factor.shape == (64, 80) and kern.eigenvectors.shape == (64, 64)
+        assert kern.factor.shape == (64, 70) and kern.eigenvectors.shape == (64, 64)
         assert np.max(np.abs(kern.eigenvectors.T @ kern.eigenvectors - np.eye(64))) <= 5e-15
         for seed in range(20):
             assert np.array_equal(sample(kern, seed).points, _qr_sample_points(kern, seed))
@@ -165,9 +186,9 @@ class TestFactor:
     @pytest.mark.parametrize("T, error", [(1e300, DiscretizationFailure),
                                           (8.98846567431158e307, PrecisionFailure)])
     def test_huge_q_raises_before_the_factor(self, monkeypatch, T, error):
-        # q = floor(sqrt(T) / 2) + 30 is about 5e149 at T = 1e300; the
-        # guard q > 2m raises before B is allocated.  Near the float
-        # maximum the masses overflow first
+        # the number of terms N is about 5e149 at T = 1e300; the guard
+        # N > 2m raises before B is allocated.  Near the float maximum the
+        # masses overflow first
         def never(*args):
             raise AssertionError("the factor was built")
 
@@ -178,28 +199,57 @@ class TestFactor:
     @pytest.mark.parametrize("nu", [0.0, -0.25])
     def test_failures_match_the_dense_build(self, nu):
         # the (T, m) at which the closed-form build with the m x m eigh
-        # raised DiscretizationFailure, recorded before it was replaced;
-        # every other (T, m) of the grid succeeded there and must here
-        fails = {0.0: {(3e4, 64), (1e5, 64), (1e5, 128), (1e6, 64), (1e6, 128), (1e6, 256)},
-                 -0.25: {(1e2, 64), (1e2, 128)}}[nu]
+        # raised DiscretizationFailure at nu = 0, recorded before it was
+        # replaced; every other (T, m) of the grid succeeded there and must
+        # here.  On the Gauss-Jacobi rule in u, nu = -0.25 fails at the
+        # same (T, m) as nu = 0
+        fails = {(3e4, 64), (1e5, 64), (1e5, 128), (1e6, 64), (1e6, 128), (1e6, 256)}
         for T in (1e2, 1e4, 3e4, 1e5, 1e6):
             for m in (64, 128, 256):
-                if nu < 0 and T > 1e2:
-                    continue
                 if (T, m) in fails:
                     with pytest.raises(DiscretizationFailure):
                         nystrom(nu, T, m)
                 else:
                     assert nystrom(nu, T, m).eig_range[1] <= 1.0 + dpp.EIG_TOL
 
-    def test_negative_order_needs_more_nodes(self):
-        # for -1/2 < nu < 0 the Gauss-Legendre rule in u resolves
-        # K(x, x) ~ x^nu at 0 slowly: at (nu, T) = (-0.25, 1e3) the top
-        # eigenvalue exceeds 1 by 6.4e-8 at m = 512 and by 7.7e-9 at 1024
-        with pytest.raises(DiscretizationFailure):
-            nystrom(-0.25, 1e3, 256)
-        kern = nystrom(-0.25, 1e3, 1024)
-        assert 0.0 < kern.eig_range[1] - 1.0 <= dpp.EIG_TOL
+    def test_negative_order_converges_at_ordinary_sizes(self):
+        # on Gauss-Legendre in u, K(x, x) ~ x^nu at 0 left (nu, T) =
+        # (-0.25, 1e3) raising at m = 256 and the top eigenvalue 7.7e-9
+        # above 1 at m = 1024; the rule for u^a resolves it
+        small, large = nystrom(-0.25, 1e3, 256), nystrom(-0.25, 1e3, 1024)
+        assert abs(small.trace - large.trace) <= 1e-12
+        assert small.eig_range[1] - 1.0 <= 1e-13 and large.eig_range[1] - 1.0 <= 1e-13
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.6, -0.25, 0.3])
+    def test_trace_matches_mpmath_for_every_order(self, nu):
+        # the trace is the integral of K(x, x) on (0, T]; the reference
+        # substitutes x = T v^10, which leaves a smooth integrand at v = 0
+        # for every nu > -1.  On Gauss-Legendre in u nu = -0.9 was off by
+        # 1.7e-1, nu = -0.6 by 2.9e-4 and nu = 0.3 by 1.1e-10, and nu = -0.25
+        # raised; measured now within 3.3e-14
+        mpmath = pytest.importorskip("mpmath")
+        T = 100.0
+        with mpmath.workdps(20):
+            a, t = mpmath.mpf(nu), mpmath.mpf(T)
+
+            def integrand(v):
+                u = mpmath.sqrt(t * v**10)
+                j, j1 = mpmath.besselj(a, u), mpmath.besselj(a + 1, u)
+                return (j * j + j1 * j1 - 2 * a / u * j * j1) / 4 * 10 * t * v**9
+
+            ref = float(mpmath.quad(integrand, [0, 0.5, 1]))
+        assert abs(nystrom(nu, T, 128).trace - ref) <= 1e-12
+
+    @pytest.mark.parametrize("nu, T, m", [(100.0, 1e6, 1024), (600.0, 1e4, 512)])
+    def test_large_orders_give_a_spectrum(self, nu, T, m):
+        # the Gauss-Jacobi rule for s^(2 nu + 1) of the earlier factor
+        # overflowed at both.  The trace is sum w_i K(x_i, x_i) (269.9028 at
+        # nu = 100); at nu = 600 J_{nu+1} underflows on all of (0, 1e4)
+        kern = nystrom(nu, T, m)
+        assert kern.eigenvalues.min() >= 0.0 and kern.eigenvalues.max() <= 1.0
+        assert kern.eig_range[1] <= 1.0 + 1e-13
+        ref = np.sum(kern.weights * _diag_cd(nu, kern.nodes))
+        assert abs(kern.trace - ref) <= 1e-12 * max(ref, 1.0)
 
     def test_window_laws_match_the_dense_window(self):
         # each window's eigenvalues from the SVD of B's rows against

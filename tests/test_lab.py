@@ -23,6 +23,7 @@ from numpy.testing import assert_allclose
 import bessellab
 from bessellab import dpp
 from bessellab.cli import main
+from bessellab.errors import DiscretizationFailure
 from bessellab.lab import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -239,6 +240,18 @@ class TestExperimentsTrimmed:
         assert_allclose(kern.eig_range, (0.0, top * top), rtol=0, atol=1e-15)
         _, _, summary = run_experiment(cfg)
         assert (summary["eig_min"], summary["eig_max"]) == kern.eig_range
+
+    def test_escape_message_shows_the_excess(self, monkeypatch):
+        # a hand-built factor whose top eigenvalue is 1 + 6e-8, outside
+        # EIG_TOL: printed as an eigenvalue in %.3e it reads 1.000e+00, so
+        # the message gives its excess over 1 instead
+        cfg = _trimmed("dpp_stats")
+        B = np.zeros((cfg.m, 2))
+        B[0, 0] = np.sqrt(1.0 + 6e-8)
+        monkeypatch.setattr(dpp, "_factor", lambda nu, x, w, q: B)
+        with pytest.raises(DiscretizationFailure,
+                           match=r": 6\.000e-08 above 1 and 0\.000e\+00 below 0;"):
+            dpp.nystrom(cfg.nu, max(cfg.thresholds), cfg.m)
 
 
 class TestArtifacts:

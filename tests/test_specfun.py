@@ -352,10 +352,11 @@ class TestBesselKernel:
     def test_diagonal_and_near_origin_entries_match_mpmath(self, nu):
         # the 12 smallest Nystrom nodes (the first at x = 3.0e-7) and ten
         # more across (0, 1e4).  The diagonal once cancelled a nu^2 / x term
-        # there, off by up to 2.4e-5 relative at nu = 10.  The worst
-        # measured now is 1.6e-13 relative on the diagonal (nu = 10) and
-        # 5.4e-16 of the largest diagonal value off it (nu = -0.9).  From
-        # nu = 37.3 on, K at the smallest nodes underflows.
+        # there, off by up to 2.4e-5 relative at nu = 10, and the closed
+        # form reached 1.6e-13.  The worst measured now is 2.1e-14 relative
+        # on the diagonal (nu = -0.9) and 7.4e-16 of the largest diagonal
+        # value off it (nu = -0.5).  From nu = 37.3 on, K at the smallest
+        # nodes underflows.
         mpmath = pytest.importorskip("mpmath")
         x = _dpp_grid()[np.r_[0:12, 12:512:50]]
         with mpmath.workdps(40):
@@ -367,12 +368,18 @@ class TestBesselKernel:
         np.fill_diagonal(grid, 0.0)
         assert np.max(np.abs(grid - off)) <= 1.2e-15 * diag.max()
 
-    def test_diagonal_switch_is_seamless(self):
-        # crossing the near-diagonal threshold must not produce a jump
-        x = 5.0
-        for off in (1e-7, 1e-9):
-            a = bessel_kernel(0.0, x, x * (1 + off))
-            assert_allclose(a, bessel_kernel_diag(0.0, x), rtol=1e-6)
+    def test_near_diagonal_matches_mpmath(self):
+        # just outside the relative distance 1e-8 at which the closed form
+        # once switched to its diagonal limit, it divided the rounding of
+        # jv by x - y and was off by up to 2.0e-7 relative.  The Neumann
+        # rows divide nothing: the worst measured is 5.0e-14 (nu = -0.9)
+        mpmath = pytest.importorskip("mpmath")
+        x = np.geomspace(1e-4, 1e4, 41)
+        y = x * (1 + 1.01e-8)
+        for nu in (-0.9, 0.5, 2.0):
+            with mpmath.workdps(40):
+                ref = np.array([float(_kernel_mp(mpmath, nu, a, b)) for a, b in zip(x, y)])
+            assert np.max(np.abs(bessel_kernel(nu, x, y) - ref) / np.abs(ref)) <= 1e-13
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0])
     def test_diagonal_positive(self, nu):
@@ -412,24 +419,26 @@ class TestBesselKernel:
 
     @pytest.mark.parametrize("nu", [-0.5, 0.5, 2.0])
     def test_neighbouring_nodes_match_mpmath(self, nu):
-        # pairs of neighbouring dpp_stats nodes, where the numerator
-        # cancels, the first and the last pair included: the worst
-        # measured is 4.4e-16, 6.2e-14 and 1.55e-13 of the largest diagonal
-        # value at nu = -0.5, 0.5 and 2, both of the last at the last pair.
-        # The bound is the one bessel_kernel's docstring states.
+        # pairs of neighbouring dpp_stats nodes, the first and the last pair
+        # included, where the closed form's numerator cancelled: it reached
+        # 4.4e-16, 6.2e-14 and 1.55e-13 of the largest diagonal value at
+        # nu = -0.5, 0.5 and 2.  The Neumann rows measure 7.4e-16, 4.6e-15
+        # and 3.4e-16.  The bound is the one bessel_kernel's docstring
+        # states for every neighbouring pair.
         mpmath = pytest.importorskip("mpmath")
         x = _dpp_grid()
         i = np.linspace(0, x.size - 2, 20).astype(int)
         with mpmath.workdps(40):
             ref = np.array([float(_kernel_mp(mpmath, nu, x[k], x[k + 1])) for k in i])
         err = np.abs(bessel_kernel(nu, x[i], x[i + 1]) - ref)
-        assert np.max(err) <= 1.6e-13 * np.max(bessel_kernel_diag(nu, x))
+        assert np.max(err) <= 7.8e-15 * np.max(bessel_kernel_diag(nu, x))
 
     def test_outer_grid_costs_linear_bessel_work(self, monkeypatch):
         # count every element specfun's _jv evaluates, the one seam through
         # which it calls scipy's jv: the 512-node Nystrom build at T = 1e4
-        # needs J_nu on the m x q grid of its nodes and the q = 80 nodes of
-        # the kernel's integral form, m q in all and no m x m grid
+        # scales the row of each node to J_{nu+1} and J_{nu+2}, 2m in all
+        # and no m x m grid; the m x m outer grid of the kernel builds one
+        # table of rows for both of its arguments
         counted = [0]
 
         def counting(nu, u):
@@ -438,15 +447,27 @@ class TestBesselKernel:
             return out
 
         monkeypatch.setattr(specfun, "_jv", counting)
-        m, q = 512, 80
-        nystrom(0.0, 1e4, m)
-        assert counted[0] == m * q
+        m = 512
+        x = nystrom(0.0, 1e4, m).nodes
+        assert counted[0] == 2 * m
+        bessel_kernel(0.0, x[:, None], x[None, :])
+        assert counted[0] == 4 * m
 
     def test_nonpositive_arguments_rejected(self):
         with pytest.raises(DomainError):
             bessel_kernel(0.0, -1.0, 2.0)
         with pytest.raises(DomainError):
             bessel_kernel_diag(0.0, 0.0)
+
+    def test_arguments_above_the_cap_rejected(self):
+        # a row costs O(sqrt x): the cap itself is accepted, anything
+        # above it raises DomainError
+        assert np.isfinite(bessel_kernel_diag(0.0, specfun.KERNEL_X_MAX))
+        above = math.nextafter(specfun.KERNEL_X_MAX, math.inf)
+        with pytest.raises(DomainError, match="support"):
+            bessel_kernel(0.0, 1.0, above)
+        with pytest.raises(DomainError, match="support"):
+            bessel_kernel_diag(0.0, np.array([1.0, above]))
 
 
 _TAB = build_recurrence(PowerWeight(0.0), 8)
