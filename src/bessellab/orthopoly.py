@@ -8,16 +8,20 @@ the package, the Gauss-Legendre rule of the other panels and of
 ``dpp.nystrom`` included, comes from ``_gauss_jacobi``: the eigenvalues of
 the closed-form Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
 folded to half size for the symmetric Legendre weight, polished by the
-same recurrence loop that evaluates the polynomials below.  The
-three-term recurrence is then obtained by Lanczos iteration on the
-diagonal operator of the discrete measure, in double precision
-throughout, with one full reorthogonalization pass per step.  A second
-pass ("twice is enough", Parlett, The Symmetric Eigenvalue Problem, 1980)
-buys no accuracy here: with one pass the degree-160 build of the tests is
-within 1.2e-15 of a 40-digit Stieltjes build of the same measure, and
-``gram_residual`` is at most 9.1e-15 on the degree-121 builds of
-ConditionalWeight(quadratic, nu, 1e4) for nu in {-0.5, 0, 0.5, 2}.  A
-build that one pass leaves unorthogonal shows in ``gram_residual``.
+same recurrence loop that evaluates the polynomials below and builds
+every phi table.  A weight's discrete measure is computed once per
+(weight object, panel count) and kept in a small table keyed by identity,
+so weights are treated as immutable after construction.  The three-term
+recurrence is then obtained by Lanczos iteration on the diagonal operator
+of the discrete measure, in double precision throughout, with one full
+reorthogonalization pass per step.  Both loops write into preallocated
+rows.  A second pass ("twice is enough", Parlett, The Symmetric
+Eigenvalue Problem, 1980) buys no accuracy here: with one pass the
+degree-160 build of the tests is within 1.2e-15 of a 40-digit Stieltjes
+build of the same measure, and ``gram_residual`` is at most 9.1e-15 on
+the degree-121 builds of ConditionalWeight(quadratic, nu, 1e4) for nu in
+{-0.5, 0, 0.5, 2}.  A build that one pass leaves unorthogonal shows in
+``gram_residual``.
 
 Notation: phi_0, phi_1, ... are orthonormal,
 
@@ -163,11 +167,18 @@ def _recurrence_rows(a, b, n, t):
     p_0 = 1, at the 1-d points t.  PrecisionFailure when it overflows."""
     out = np.empty((n + 1, t.size))
     out[0] = 1.0
+    tmp = np.empty(t.size)
     # an overflow is caught by the check below, not reported as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        out[1] = (t - a[0]) / b[1]
+        # row k + 1 starts as t - a_k and becomes, operation for operation,
+        # ((t - a_k) p_k - b_k p_{k-1}) / b_{k+1}
+        np.subtract(t, a[:n, None], out=out[1:])
+        out[1] /= b[1]
         for k in range(1, n):
-            out[k + 1] = ((t - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
+            row = out[k + 1]
+            row *= out[k]
+            row -= np.multiply(out[k - 1], b[k], out=tmp)
+            row /= b[k + 1]
     if not np.all(np.isfinite(out)):
         raise PrecisionFailure(f"degree-{n} recurrence overflows at these points")
     return out
@@ -255,10 +266,14 @@ class RecurrenceTable:
 
     # -- kernels -----------------------------------------------------------
 
-    def _phi_rows(self, n, t):
-        """phi_0..phi_{n-1} at t with phi_0 = 1, shape t.shape + (n,)."""
-        t = np.asarray(t, dtype=float)
-        return self._phi_unnormalized(n, t)[:n].T.reshape(t.shape + (n,))
+    def _phi_rows(self, n, x, y):
+        """phi_0..phi_{n-1} at x and at y with phi_0 = 1, shapes x.shape + (n,)
+        and y.shape + (n,); one table when y holds x's points in any shape."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        tx = self._phi_unnormalized(n, x)[:n].T
+        ty = tx if np.array_equal(x.ravel(), y.ravel()) else self._phi_unnormalized(n, y)[:n].T
+        return tx.reshape(x.shape + (n,)), ty.reshape(y.shape + (n,))
 
     def _sum_rows(self, px, py, grid=False):
         """Khat from two ``_phi_rows`` tables: pairwise, their point shapes
@@ -271,10 +286,7 @@ class RecurrenceTable:
         return out
 
     def _kernel_hat(self, n, x, y, grid=False):
-        # points equal to x reuse its table, so a diagonal costs one table
-        px = self._phi_rows(n, x)
-        py = px if np.array_equal(x, y) else self._phi_rows(n, y)
-        return self._sum_rows(px, py, grid)
+        return self._sum_rows(*self._phi_rows(n, x, y), grid)
 
     def kernel_hat(self, n, x, y):
         """Khat_n(x, y), the direct sum over degrees below n, with x
@@ -324,15 +336,36 @@ class RecurrenceTable:
         return float(np.max(np.abs(gram - np.eye(n + 1))))
 
 
+# (id(weight), n_panel) -> (weight, measure), oldest first; holding the
+# weight keeps its id from being reused while the entry lives
+_MEASURES = {}
+_MEASURES_MAX = 8
+
+
 def _discrete_measure(weight, n_panel):
     """(quadrature, masses, shift): the weight's measure on the nodes of
     ``weight_quadrature`` on [0, quad_support], as masses scaled by
-    exp(-shift) so that the largest is 1."""
+    exp(-shift) so that the largest is 1.
+
+    Computed once per (weight object, n_panel) while its entry is among the
+    last _MEASURES_MAX, keyed by identity (weights are immutable, and
+    need not be hashable), so an equal but distinct weight computes its
+    own; the arrays are read-only."""
+    key = (id(weight), n_panel)
+    hit = _MEASURES.get(key)
+    if hit is not None:
+        return hit[1]
     quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=n_panel)
     log_masses = np.log(quad.weights) + np.asarray(
         weight.log_smooth(quad.nodes), dtype=float)
     shift = float(np.max(log_masses))
-    return quad, np.exp(log_masses - shift), shift
+    masses = np.exp(log_masses - shift)
+    for a in (quad.nodes, quad.weights, masses):
+        a.setflags(write=False)
+    if len(_MEASURES) >= _MEASURES_MAX:
+        del _MEASURES[next(iter(_MEASURES))]
+    _MEASURES[key] = (weight, (quad, masses, shift))
+    return quad, masses, shift
 
 
 def build_recurrence(weight, n_max):
@@ -341,9 +374,11 @@ def build_recurrence(weight, n_max):
     The build reads the weight's ``nu``, ``quad_support`` and
     ``log_smooth``; the table's ``kernel_norm`` and ``kernel_norm_grid``
     read its ``log_density``.  The quadrature has max(120, n_max + 40)
-    nodes per panel.  Raises DomainError beyond DEGREE_CAP, and
-    PrecisionFailure (naming the degree) if the discrete measure loses
-    positive definiteness.
+    nodes per panel; its measure is computed once per (weight object,
+    panel count) and shared with ``brute_force_christoffel``, so a weight
+    must not change after its first build.  Raises DomainError beyond
+    DEGREE_CAP, and PrecisionFailure (naming the degree) if the discrete
+    measure loses positive definiteness.
     """
     n_max = int(_as_index(n_max, 1, DEGREE_CAP, "n_max"))
     quad, masses, shift = _discrete_measure(weight, max(120, n_max + 40))
@@ -358,21 +393,23 @@ def build_recurrence(weight, n_max):
     beta = np.zeros(n_max + 1)
     floor = 100 * np.finfo(float).eps * quad.support
 
+    tmp = np.empty(t.size)
     for k in range(n_max):
-        w = t * basis[k]
+        # w is the next row of the basis, built in place
+        w = np.multiply(t, basis[k], out=basis[k + 1])
         alpha[k] = w @ basis[k]
-        w = w - alpha[k] * basis[k]
+        w -= np.multiply(basis[k], alpha[k], out=tmp)
         if k:
-            w = w - beta[k] * basis[k - 1]
+            w -= np.multiply(basis[k - 1], beta[k], out=tmp)
         # full reorthogonalization, one pass
-        w = w - basis[:k + 1].T @ (basis[:k + 1] @ w)
-        b = np.sqrt(w @ w)
+        w -= np.matmul(basis[:k + 1].T, basis[:k + 1] @ w, out=tmp)
+        b = math.sqrt(w @ w)
         if not (b > floor):
             raise PrecisionFailure(
                 f"recurrence construction lost positivity at degree {k + 1} "
                 f"(beta={b:.3e}); reduce the degree")
         beta[k + 1] = b
-        basis[k + 1] = w / b
+        w /= b
 
     log_mu0 = shift + 2.0 * math.log(nrm)
     return RecurrenceTable(alpha=alpha, beta=beta, log_mu0=log_mu0, n_max=n_max,
@@ -386,7 +423,9 @@ def brute_force_christoffel(weight, n, x):
     lambda_n(x) = 1 / (v(x)^T Minv v(x)) with M the (n x n) Hankel moment
     matrix of the weight and v(x) the monomial vector.  Only sensible for
     small n; the moment matrix conditioning is checked and the computation
-    refused beyond ~1e13.  The quadrature has 200 nodes per panel.
+    refused beyond ~1e13.  The quadrature has 200 nodes per panel, and its
+    measure is computed once per weight object (weights are immutable), so
+    the calls for n = 2, 4, 6 on one weight evaluate ``log_smooth`` once.
     """
     n = int(_as_index(n, 1, 8, "n"))
     x = _check_number(x, -math.inf, math.inf, "x")
@@ -431,10 +470,11 @@ def lubinsky_gap(tab_small, tab_big, n, x, y):
         (Khat_a(x,y) - Khat_b(x,y))^2 <= Khat_a(y,y) (Khat_a(x,x) - Khat_b(x,x)),
 
     returned as a raw (lhs, rhs) pair so callers can inspect slack.  x is
-    broadcast against y; the five kernels come from four phi tables.
+    broadcast against y; the five kernels come from four phi tables, two
+    when y holds x's points (as ``pts[:, None]`` and ``pts[None, :]`` do).
     """
-    ax, ay = tab_small._phi_rows(n, x), tab_small._phi_rows(n, y)
-    bx, by = tab_big._phi_rows(n, x), tab_big._phi_rows(n, y)
+    ax, ay = tab_small._phi_rows(n, x, y)
+    bx, by = tab_big._phi_rows(n, x, y)
     lhs = (tab_small._sum_rows(ax, ay) - tab_big._sum_rows(bx, by)) ** 2
     rhs = tab_small._sum_rows(ay, ay) * (tab_small._sum_rows(ax, ax)
                                          - tab_big._sum_rows(bx, bx))

@@ -275,6 +275,106 @@ class TestRecurrence:
         assert float(lines[1].split(",")[2]) == pytest.approx(1.0, rel=1e-12)
 
 
+def _recurrence_rows_ref(a, b, n, t):
+    """The rows of ``orthopoly._recurrence_rows``, one fresh temporary per
+    operation: the reference for its in-place loop."""
+    out = np.empty((n + 1, t.size))
+    out[0] = 1.0
+    out[1] = (t - a[0]) / b[1]
+    for k in range(1, n):
+        out[k + 1] = ((t - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
+    return out
+
+
+def _lanczos_ref(quad, masses, shift, n_max):
+    """(alpha, beta, log_mu0) of ``build_recurrence``'s Lanczos loop, one
+    fresh temporary per operation: the reference for its in-place loop."""
+    t = quad.nodes
+    v = np.sqrt(masses)
+    nrm = np.sqrt(v @ v)
+    basis = np.empty((n_max + 1, t.size))
+    basis[0] = v / nrm
+    alpha = np.zeros(n_max)
+    beta = np.zeros(n_max + 1)
+    for k in range(n_max):
+        w = t * basis[k]
+        alpha[k] = w @ basis[k]
+        w = w - alpha[k] * basis[k]
+        if k:
+            w = w - beta[k] * basis[k - 1]
+        w = w - basis[:k + 1].T @ (basis[:k + 1] @ w)
+        b = np.sqrt(w @ w)
+        beta[k + 1] = b
+        basis[k + 1] = w / b
+    return alpha, beta, shift + 2.0 * math.log(nrm)
+
+
+class TestLoopsInPlace:
+    """The in-place recurrence and Lanczos loops do the arithmetic of the
+    expressions they replaced, operation for operation: every bit agrees."""
+
+    @pytest.mark.parametrize("make", [lambda: PowerWeight(0.0), lambda: PowerWeight(-0.5),
+                                      lambda: ConditionalWeight(make_quadratic(), 0.5, 1e4)],
+                             ids=["legendre", "jacobi", "conditional"])
+    def test_bit_identical_to_reference_loops(self, make):
+        w = make()
+        tab = build_recurrence(w, 121)
+        alpha, beta, log_mu0 = _lanczos_ref(*orthopoly._discrete_measure(w, 161), 121)
+        assert np.array_equal(tab.alpha, alpha)
+        assert np.array_equal(tab.beta, beta)
+        assert tab.log_mu0 == log_mu0
+        t = np.concatenate((tab.quadrature.nodes, np.linspace(0.0, 1.0, 17)))
+        assert np.array_equal(orthopoly._recurrence_rows(tab.alpha, tab.beta, 121, t),
+                              _recurrence_rows_ref(tab.alpha, tab.beta, 121, t))
+
+
+class _CountingWeight:
+    """t^nu e^(-c t) on [0, 1], counting its ``log_smooth`` calls.  It
+    defines __eq__ and no __hash__, so it is unhashable."""
+
+    quad_support = 1.0
+
+    def __init__(self, nu, c):
+        self.nu, self.c, self.calls = nu, c, 0
+
+    def __eq__(self, other):
+        return isinstance(other, _CountingWeight) and (self.nu, self.c) == (other.nu, other.c)
+
+    def log_smooth(self, t):
+        self.calls += 1
+        return -self.c * np.asarray(t)
+
+
+class TestMeasureTable:
+    def test_one_measure_per_weight_object(self):
+        w = _CountingWeight(0.5, 3.0)
+        with pytest.raises(TypeError):
+            hash(w)
+        lams = [brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6)]
+        assert w.calls == 1
+        # an equal weight is a distinct object: it computes its own measure,
+        # with the same bits
+        twin = _CountingWeight(0.5, 3.0)
+        assert twin == w
+        assert [brute_force_christoffel(twin, n, 0.3) for n in (2, 4, 6)] == lams
+        assert twin.calls == 1
+        (quad, masses, shift), (tquad, tmasses, tshift) = (
+            orthopoly._discrete_measure(v, 200) for v in (w, twin))
+        assert tmasses is not masses
+        assert_array_equal(tmasses, masses)
+        assert_array_equal(tquad.nodes, quad.nodes)
+        assert tshift == shift
+        for a in (quad.nodes, quad.weights, masses):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert w.calls == twin.calls == 1
+
+    def test_table_stays_bounded(self):
+        for i in range(3 * orthopoly._MEASURES_MAX):
+            brute_force_christoffel(_CountingWeight(0.5, 1.0 + i), 2, 0.3)
+            assert len(orthopoly._MEASURES) <= orthopoly._MEASURES_MAX
+
+
 class TestKernels:
     def test_lowest_kernels_weight_one(self):
         tab = build_recurrence(PowerWeight(0.0), 8)
@@ -520,7 +620,9 @@ class TestOrderingAndGap:
         assert np.all(np.abs(rhs - pointwise[..., 1]) <= tol)
 
     def test_gap_builds_four_tables(self, monkeypatch):
-        # one phi table per (table, argument): small(x), small(y), big(x), big(y)
+        # one phi table per (table, point set): small(x), small(y), big(x),
+        # big(y) for distinct x and y; two when y holds x's points in
+        # another shape, as for a broadcast grid
         tab_a = build_recurrence(PowerWeight(0.0), 10)
         tab_b = build_recurrence(PowerWeight(0.5), 10)
         calls = []
@@ -533,6 +635,9 @@ class TestOrderingAndGap:
         monkeypatch.setattr(RecurrenceTable, "_phi_unnormalized", counting)
         pts = np.linspace(0.1, 0.9, 5)
         lubinsky_gap(tab_a, tab_b, 8, pts[:, None], pts[None, :])
+        assert len(calls) == 2
+        calls.clear()
+        lubinsky_gap(tab_a, tab_b, 8, pts[:, None], pts[None, ::-1])
         assert len(calls) == 4
         calls.clear()
         tab_a.christoffel(8, pts)

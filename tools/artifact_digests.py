@@ -6,6 +6,13 @@ written file, sorted by name:
 
     <file name> <first 16 hex digits of its sha256>
 
+A last line digests the criterion-3 numbers from library calls alone: for
+each nu in (-0.5, 0, 0.5, 2), the alpha, beta and gram_residual() of
+build_recurrence(ConditionalWeight(make_quadratic(), nu, 1e4), 121) and
+brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6), as float64 bytes:
+
+    criterion3 <first 16 hex digits of their sha256>
+
 The package is imported from the checkout's own src/, so two commits are
 compared byte for byte by running this in each and diffing the output:
 
@@ -19,10 +26,25 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from bessellab.lab import EXPERIMENTS, default_config, run_experiment  # noqa: E402
+from bessellab.orthopoly import brute_force_christoffel, build_recurrence  # noqa: E402
+from bessellab.sequences import make_quadratic  # noqa: E402
+from bessellab.weights import ConditionalWeight  # noqa: E402
 
 CONFIGS = [default_config(name) for name in EXPERIMENTS]
 CONFIGS.append(default_config("hard_edge_limit", sequence="bessel"))
+
+
+def criterion3_digest():
+    h = hashlib.sha256()
+    for nu in (-0.5, 0.0, 0.5, 2.0):
+        w = ConditionalWeight(make_quadratic(), nu, 1e4)
+        tab = build_recurrence(w, 121)
+        lams = [brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6)]
+        h.update(np.concatenate((tab.alpha, tab.beta, [tab.gram_residual()], lams)).tobytes())
+    return h.hexdigest()[:16]
 
 
 def main():
@@ -31,6 +53,7 @@ def main():
             run_experiment(cfg, out_dir=out)
         for path in sorted(Path(out).iterdir()):
             print(path.name, hashlib.sha256(path.read_bytes()).hexdigest()[:16])
+    print("criterion3", criterion3_digest())
 
 
 if __name__ == "__main__":
