@@ -86,8 +86,8 @@ __all__ = [
     "gap_probability",
 ]
 
-# Operator window: eigenvalues must sit in [-EIG_TOL, 1 + EIG_TOL]; anything
-# worse is an under-resolved discretization, not a clipping candidate.
+# Operator window: no eigenvalue may exceed 1 + EIG_TOL; anything worse
+# is an under-resolved discretization, not a clipping candidate.
 EIG_TOL = 1e-8
 
 VAR_SLOPE = 1.0 / (4.0 * np.pi**2)
@@ -156,16 +156,16 @@ class Samples:
 
 
 def _clip_to_window(lam, m):
-    """Ascending eigenvalues clipped to [0, 1], after checking that they
-    lie in [-EIG_TOL, 1 + EIG_TOL]; an escape raises DiscretizationFailure,
-    whose message gives the excess over 1 and the deficit below 0."""
-    if lam[0] < -EIG_TOL or lam[-1] > 1.0 + EIG_TOL:
+    """Ascending eigenvalues capped at 1, after checking that the top one
+    is at most 1 + EIG_TOL; an escape raises DiscretizationFailure, whose
+    message gives the excess over 1.  Both callers pass squared singular
+    values, which are never negative, so there is no lower end to check."""
+    if lam[-1] > 1.0 + EIG_TOL:
         raise DiscretizationFailure(
-            "eigenvalues escape [-%g, 1+%g]: %.3e above 1 and %.3e below 0; "
-            "increase m (have m=%d)"
-            % (EIG_TOL, EIG_TOL, max(0.0, lam[-1] - 1.0), max(0.0, -lam[0]), m)
+            "eigenvalues exceed 1+%g: %.3e above 1; increase m (have m=%d)"
+            % (EIG_TOL, lam[-1] - 1.0, m)
         )
-    return np.clip(lam, 0.0, 1.0)
+    return np.minimum(lam, 1.0)
 
 
 def _factor(nu, x, w, q):
@@ -499,8 +499,8 @@ def _window_eigenvalues(kern, t):
     """Eigenvalues of the kernel restricted to the nodes <= t, clipped to
     [0, 1]: ``kern.eigenvalues`` when the window holds every node, else
     the squared singular values of those rows of B, checked against the
-    same [-EIG_TOL, 1 + EIG_TOL] window as ``nystrom`` before the clip,
-    which by Cauchy interlacing only a hand-built factor can fail."""
+    same 1 + EIG_TOL bound as ``nystrom`` before the clip, which by
+    Cauchy interlacing only a hand-built factor can fail."""
     inside = kern.nodes <= t
     if inside.all():
         return kern.eigenvalues

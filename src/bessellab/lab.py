@@ -343,8 +343,7 @@ def sandwich_chain(cfg):
 
     lub_grid = np.linspace(0.5, 20.0, 10) * scale
     per_gamma = []
-    for gamma in cfg.gammas:
-        rep = check_sandwich(w, gamma)
+    for gamma, sandwich in zip(cfg.gammas, check_sandwich(w, cfg.gammas)):
         tp = build_recurrence(ApproxWeight("plus", gamma, n, nu), n)
         tm = build_recurrence(ApproxWeight("minus", gamma, n, nu), n)
         kp = tp.kernel_hat(n, diag_pts, diag_pts)
@@ -361,7 +360,7 @@ def sandwich_chain(cfg):
         b_hi = tm.kernel_norm(n, t5, t5) * scale
         per_gamma.append({
             "gamma": gamma,
-            "sandwich": rep.summary(),
+            "sandwich": sandwich,
             # ordering: smaller weight, larger kernel
             "ordering_violations": int(np.sum(kp > kw_diag)) + int(np.sum(kw_diag > km)),
             "ordering_margin_plus": float(np.min((kw_diag - kp) / kw_diag)),

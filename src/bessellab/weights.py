@@ -18,7 +18,8 @@ The exponential comparison weights are
 with the external field V(t) = 2 (1 + sqrt t) log(1 + sqrt t)
 + 2 (1 - sqrt t) log(1 - sqrt t).  For gamma > 1 and R large enough the
 conditional weight is sandwiched between the two; ``check_sandwich``
-measures the log-scale margins on a grid and reports violations as data.
+evaluates it once on a grid, measures the log-scale margins against the
+pair of every gamma and reports each gamma's violations as one plain dict.
 
 Every weight class here has the form t^nu h(t) on [0, support]: its
 ``log_smooth`` is log h and its ``log_density`` is nu log t + log h(t),
@@ -40,7 +41,6 @@ V~ and V_gamma raise the same errors outside their closed intervals.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "ApproxWeight",
     "PowerWeight",
     "ScaledWeight",
-    "SandwichReport",
     "check_sandwich",
 ]
 
@@ -312,59 +311,30 @@ class ScaledWeight:
 # sandwich diagnostics
 
 
-@dataclasses.dataclass
-class SandwichReport:
-    """Pointwise log-scale margins of minus <= w <= plus on a grid.
+def check_sandwich(w, gammas):
+    """Measure minus <= w <= plus for the ConditionalWeight w at each gamma.
 
-    Margins are data, not assertions: a negative entry records a violation
-    at that grid point.
-    """
-
-    gamma: float
-    R: float
-    n_cond: int
-    grid: np.ndarray
-    lower_margin: np.ndarray
-    upper_margin: np.ndarray
-
-    @property
-    def lower_violations(self):
-        return int(np.sum(self.lower_margin < 0))
-
-    @property
-    def upper_violations(self):
-        return int(np.sum(self.upper_margin < 0))
-
-    @property
-    def ok(self):
-        return self.lower_violations == 0 and self.upper_violations == 0
-
-    def summary(self):
-        return {
-            "gamma": self.gamma,
-            "R": self.R,
-            "n_cond": self.n_cond,
-            "points": int(self.grid.size),
-            "lower_violations": self.lower_violations,
-            "upper_violations": self.upper_violations,
-            "min_lower_margin": float(np.min(self.lower_margin)),
-            "min_upper_margin": float(np.min(self.upper_margin)),
-        }
-
-
-def check_sandwich(w, gamma):
-    """Measure minus <= w <= plus for the ConditionalWeight w.
-
-    The exponential weights use n = w.n_cond, the certified count of points
-    below w.R.  Returns a SandwichReport over the 1000 interior points of
-    an equispaced grid of [0, 1].
+    w.log_density is evaluated once, on the 1000 interior points of an
+    equispaced grid of [0, 1], and compared with the exponential weights of
+    every gamma, which use n = w.n_cond, the certified count of points
+    below w.R.  Returns one JSON-ready dict per gamma, in order, with the
+    gamma, R, n_cond, the number of points, the count of negative margins
+    on each side and the smallest log-scale margin on each side.  Margins
+    are data, not assertions: a negative one records a violation.
     """
     n = w.n_cond
-    plus = ApproxWeight("plus", gamma, n, w.nu)
-    minus = ApproxWeight("minus", gamma, n, w.nu)
     grid = np.linspace(0.0, 1.0, 1002)[1:-1]
     logw = w.log_density(grid)
-    lo = logw - minus.log_density(grid)
-    hi = plus.log_density(grid) - logw
-    return SandwichReport(gamma=float(gamma), R=w.R, n_cond=n, grid=grid,
-                          lower_margin=np.asarray(lo), upper_margin=np.asarray(hi))
+    out = []
+    for gamma in gammas:
+        lo = logw - ApproxWeight("minus", gamma, n, w.nu).log_density(grid)
+        hi = ApproxWeight("plus", gamma, n, w.nu).log_density(grid) - logw
+        out.append(dict(gamma=float(gamma),
+                        R=w.R,
+                        n_cond=n,
+                        points=int(grid.size),
+                        lower_violations=int(np.sum(lo < 0)),
+                        upper_violations=int(np.sum(hi < 0)),
+                        min_lower_margin=float(np.min(lo)),
+                        min_upper_margin=float(np.min(hi))))
+    return out

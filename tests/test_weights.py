@@ -272,28 +272,37 @@ class TestDomain:
 
 class TestSandwich:
     def test_holds_for_large_gap(self):
-        rep = check_sandwich(ConditionalWeight(make_quadratic(), 0.0, 1e3), 1.2)
-        assert rep.ok
-        assert rep.lower_violations == 0 and rep.upper_violations == 0
-        assert rep.summary()["points"] == 1000
+        [rep] = check_sandwich(ConditionalWeight(make_quadratic(), 0.0, 1e3), [1.2])
+        assert rep["lower_violations"] == 0 and rep["upper_violations"] == 0
+        assert rep["points"] == 1000
 
     def test_margins_at_origin_are_zero(self):
         # at t = 0 (nu = 0) all three weights equal 1; interior grid margins
         # must stay strictly positive for a comfortable gap
-        rep = check_sandwich(ConditionalWeight(make_quadratic(), 0.0, 1e3), 1.2)
-        assert rep.lower_margin.min() > 0
-        assert rep.upper_margin.min() > 0
+        [rep] = check_sandwich(ConditionalWeight(make_quadratic(), 0.0, 1e3), [1.2])
+        assert rep["min_lower_margin"] > 0
+        assert rep["min_upper_margin"] > 0
 
     def test_violations_reported_as_data(self):
         # with only one conditioned point the bracket genuinely fails on
         # part of the grid; the report must say so rather than raise
         seq = make_quadratic()
         R = (seq.p(1) + seq.p(2)) / 2.0
-        rep = check_sandwich(ConditionalWeight(seq, 0.0, R), 1.2)
-        assert not rep.ok
-        assert rep.lower_violations > 0
-        assert rep.summary()["min_lower_margin"] < 0
+        [rep] = check_sandwich(ConditionalWeight(seq, 0.0, R), [1.2])
+        assert rep["lower_violations"] > 0
+        assert rep["min_lower_margin"] < 0
 
     def test_bessel_sequence_sandwich(self):
-        rep = check_sandwich(ConditionalWeight(make_bessel_zero_squared(0.0), 0.0, 500.0), 1.3)
-        assert rep.ok
+        [rep] = check_sandwich(ConditionalWeight(make_bessel_zero_squared(0.0), 0.0, 500.0), [1.3])
+        assert rep["lower_violations"] == 0 and rep["upper_violations"] == 0
+
+    def test_one_evaluation_of_w_for_every_gamma(self, monkeypatch):
+        w = ConditionalWeight(make_quadratic(), 0.0, 1e3)
+        calls = []
+        log_density = w.log_density
+        monkeypatch.setattr(w, "log_density", lambda t: calls.append(t) or log_density(t))
+        reps = check_sandwich(w, (1.5, 1.2, 1.1))
+        assert len(calls) == 1
+        assert [rep["gamma"] for rep in reps] == [1.5, 1.2, 1.1]
+        for gamma, rep in zip((1.5, 1.2, 1.1), reps):
+            assert rep == check_sandwich(w, [gamma])[0]

@@ -13,10 +13,13 @@ brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6), as float64 bytes:
 
     criterion3 <first 16 hex digits of their sha256>
 
-The package is imported from the checkout's own src/, so two commits are
-compared byte for byte by running this in each and diffing the output:
+The package is imported from the source directory given as the argument,
+by default the checkout's own src/.  Two commits are compared byte for
+byte by digesting each and diffing the output, with one copy of the tool:
 
-    python tools/artifact_digests.py
+    python tools/artifact_digests.py [source directory]
+
+for instance with the src/ of two git worktrees.
 """
 
 import hashlib
@@ -24,7 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC.resolve()))
 
 import numpy as np  # noqa: E402
 
