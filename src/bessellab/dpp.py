@@ -92,6 +92,9 @@ EIG_TOL = 1e-8
 
 VAR_SLOPE = 1.0 / (4.0 * np.pi**2)
 
+# The fewest Nystrom nodes ``nystrom`` accepts.
+M_MIN = 64
+
 # Conditional marginals in the sampler are exact up to accumulated roundoff
 # of order k * 1e-16; anything more negative than this means the selected
 # eigenvectors were not orthonormal to working precision.
@@ -223,7 +226,7 @@ def nystrom(nu, T, m=512):
     269.9028, and at (600, 1e4) J_{nu+1} underflows on the whole window
     and the spectrum is exactly 0.
     """
-    m = int(_as_index(m, 64, math.inf, "m"))
+    m = int(_as_index(m, M_MIN, math.inf, "m"))
     T = _check_number(T, _POSITIVE, math.inf, "T")
     nu = specfun._order(nu)
     a = 0.0 - (-2.0 * nu - 1.0) % 1.0  # (2 nu + 1) - ceil(2 nu + 1), in (-1, 0]

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields as dataclass_fields
 import numpy as np
 
 from . import equilibrium
-from .dpp import VAR_SLOPE, count_stats, exact_count_law, nystrom, sample_many
+from .dpp import M_MIN, VAR_SLOPE, count_stats, exact_count_law, nystrom, sample_many
 from .orthopoly import build_recurrence, lubinsky_gap
 from .sequences import make_bessel_zero_squared, make_quadratic
 from .specfun import bessel_kernel
@@ -64,11 +64,14 @@ class ExperimentConfig:
     window R for sandwich_chain.  approx_limit reads a single gamma; both
     single values raise ValueError when the tuple holds more or fewer.
     ``gammas``, ``schedule`` and ``thresholds`` must be non-empty lists or
-    tuples and are stored as tuples, ``grid_points`` must be an integer
-    >= 1, ``nu`` a finite number > -1, ``grid_lo``, ``grid_hi`` and
-    ``tail_tolerance`` finite numbers > 0, ``sequence`` 'quadratic' or
-    'bessel' and ``experiment`` a key of ``EXPERIMENTS``; a config that
-    breaks one of these raises ValueError naming the field.
+    tuples and are stored as tuples; ``grid_points`` and ``n_samples`` must
+    be integers >= 1, ``m`` an integer >= dpp.M_MIN (``nystrom``'s least
+    node count) and ``seed`` an integer >= 0, none of them a bool, and are
+    stored as Python ints; ``nu`` must be a finite number > -1,
+    ``grid_lo``, ``grid_hi`` and ``tail_tolerance`` finite numbers > 0,
+    ``sequence`` 'quadratic' or 'bessel' and ``experiment`` a key of
+    ``EXPERIMENTS``.  A config that breaks one of these raises ValueError
+    naming the field.
     """
 
     experiment: str
@@ -95,8 +98,11 @@ class ExperimentConfig:
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError("%s must be a non-empty list or tuple, got %r" % (k, values))
             object.__setattr__(self, k, tuple(values))
-        if not (isinstance(self.grid_points, (int, np.integer)) and self.grid_points >= 1):
-            raise ValueError("grid_points must be an integer >= 1, got %r" % (self.grid_points,))
+        for k, lo in (("grid_points", 1), ("m", M_MIN), ("n_samples", 1), ("seed", 0)):
+            v = getattr(self, k)
+            if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and v >= lo):
+                raise ValueError("%s must be an integer >= %d, got %r" % (k, lo, v))
+            object.__setattr__(self, k, int(v))  # a numpy integer has no JSON form
         for k, lo in (("nu", -1.0), ("grid_lo", 0.0), ("grid_hi", 0.0), ("tail_tolerance", 0.0)):
             v = getattr(self, k)
             if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)

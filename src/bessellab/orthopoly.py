@@ -9,12 +9,13 @@ the package, the Gauss-Legendre rule of the other panels and of
 the closed-form Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
 folded to half size for the symmetric Legendre weight, polished by the
 same recurrence loop that evaluates the polynomials below and builds
-every phi table.  A weight's discrete measure is computed once per
-(weight object, panel count) and kept in a small table keyed by identity,
-so weights are treated as immutable after construction.  The three-term
-recurrence is then obtained by Lanczos iteration on the diagonal operator
-of the discrete measure, in double precision throughout, with one full
-reorthogonalization pass per step.  Both loops write into preallocated
+every phi table.  A weight's discrete measure is one pair of read-only
+arrays, nodes and masses, computed once per (weight object, panel count)
+and kept in a small table keyed by identity, so weights are treated as
+immutable after construction.  The three-term recurrence is then obtained
+by Lanczos iteration on the diagonal operator of the discrete measure, in
+double precision throughout, with one full reorthogonalization pass per
+step.  Both loops write into preallocated
 rows.  A second pass ("twice is enough", Parlett, The Symmetric
 Eigenvalue Problem, 1980) buys no accuracy here: with one pass the
 degree-160 build of the tests is within 1.2e-15 of a 40-digit Stieltjes
@@ -55,7 +56,6 @@ from .errors import (_ABOVE_MINUS_ONE, _POSITIVE, DomainError, PrecisionFailure,
 from .specfun import _maybe_scalar
 
 __all__ = [
-    "Quadrature",
     "weight_quadrature",
     "RecurrenceTable",
     "build_recurrence",
@@ -69,19 +69,6 @@ DEGREE_CAP = 160
 # geometric panel edges (fractions of the support); the first panel is
 # Gauss-Jacobi, the rest Gauss-Legendre
 _PANEL_EDGES = (0.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0, 1.0)
-
-
-@dataclasses.dataclass
-class Quadrature:
-    """Nodes and masses discretizing the measure t^nu dt on [0, support]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    support: float
-
-    def moment(self, k):
-        """Discrete moment sum W_i t_i^k (approximates support^(k+nu+1)/(k+nu+1))."""
-        return float(np.sum(self.weights * self.nodes**k))
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,7 +172,9 @@ def _recurrence_rows(a, b, n, t):
 
 
 def weight_quadrature(nu, support=1.0, n_panel=120):
-    """Composite quadrature for the measure t^nu dt on [0, support].
+    """(nodes, masses) of a composite quadrature for the measure t^nu dt on
+    [0, support], fresh arrays on each call: masses @ nodes**k approximates
+    support^(k+nu+1) / (k+nu+1).
 
     The first panel maps ``_gauss_jacobi(n_panel, nu)``, the others its
     nu = 0 case, Gauss-Legendre; at nu = 0 one rule serves both.  Each rule
@@ -218,7 +207,7 @@ def weight_quadrature(nu, support=1.0, n_panel=120):
     if not (np.all(nodes > 0) and np.all(nodes < support)
             and np.all(masses > 0) and np.all(np.isfinite(masses))):
         raise PrecisionFailure("quadrature produced out-of-range nodes or masses")
-    return Quadrature(nodes=nodes, weights=masses, support=support)
+    return nodes, masses
 
 
 @dataclasses.dataclass
@@ -227,16 +216,18 @@ class RecurrenceTable:
 
     ``alpha[k]`` and ``beta[k]`` follow the three-term recurrence in the
     module docstring (beta[0] is unused and kept at 0).  ``log_mu0`` is the
-    log of the total mass, so phi_0 = exp(-log_mu0 / 2).
+    log of the total mass, so phi_0 = exp(-log_mu0 / 2).  ``nodes`` and
+    ``scaled_masses`` are the discrete measure the table was built on, its
+    masses scaled so that the largest is 1 (read-only, shared with every
+    build of the same weight object and panel count).
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     log_mu0: float
     n_max: int
-    nu: float
     weight: object
-    quadrature: Quadrature
+    nodes: np.ndarray
     scaled_masses: np.ndarray
 
     # -- evaluation --------------------------------------------------------
@@ -330,7 +321,7 @@ class RecurrenceTable:
     def gram_residual(self):
         """max |<phi_i, phi_j> - delta_ij| over i, j <= n_max on the discrete measure."""
         n = self.n_max
-        tab = self._phi_unnormalized(n, self.quadrature.nodes)
+        tab = self._phi_unnormalized(n, self.nodes)
         m = self.scaled_masses
         gram = (tab * m) @ tab.T / m.sum()
         return float(np.max(np.abs(gram - np.eye(n + 1))))
@@ -343,9 +334,10 @@ _MEASURES_MAX = 8
 
 
 def _discrete_measure(weight, n_panel):
-    """(quadrature, masses, shift): the weight's measure on the nodes of
-    ``weight_quadrature`` on [0, quad_support], as masses scaled by
-    exp(-shift) so that the largest is 1.
+    """(nodes, masses, shift): the weight's measure on the nodes of
+    ``weight_quadrature`` on [0, quad_support], as the quadrature masses
+    times the weight's smooth factor, scaled by exp(-shift) so that the
+    largest is 1.
 
     Computed once per (weight object, n_panel) while its entry is among the
     last _MEASURES_MAX, keyed by identity (weights are immutable, and
@@ -355,17 +347,16 @@ def _discrete_measure(weight, n_panel):
     hit = _MEASURES.get(key)
     if hit is not None:
         return hit[1]
-    quad = weight_quadrature(weight.nu, weight.quad_support, n_panel=n_panel)
-    log_masses = np.log(quad.weights) + np.asarray(
-        weight.log_smooth(quad.nodes), dtype=float)
+    nodes, gauss = weight_quadrature(weight.nu, weight.quad_support, n_panel=n_panel)
+    log_masses = np.log(gauss) + np.asarray(weight.log_smooth(nodes), dtype=float)
     shift = float(np.max(log_masses))
     masses = np.exp(log_masses - shift)
-    for a in (quad.nodes, quad.weights, masses):
-        a.setflags(write=False)
+    nodes.setflags(write=False)
+    masses.setflags(write=False)
     if len(_MEASURES) >= _MEASURES_MAX:
         del _MEASURES[next(iter(_MEASURES))]
-    _MEASURES[key] = (weight, (quad, masses, shift))
-    return quad, masses, shift
+    _MEASURES[key] = (weight, (nodes, masses, shift))
+    return nodes, masses, shift
 
 
 def build_recurrence(weight, n_max):
@@ -376,14 +367,14 @@ def build_recurrence(weight, n_max):
     read its ``log_density``.  The quadrature has max(120, n_max + 40)
     nodes per panel; its measure is computed once per (weight object,
     panel count) and shared with ``brute_force_christoffel``, so a weight
-    must not change after its first build.  Raises DomainError beyond
+    must not change after its first build.  The table keeps the measure's
+    nodes and scaled masses for ``gram_residual``.  Raises DomainError beyond
     DEGREE_CAP, and PrecisionFailure (naming the degree) if the discrete
     measure loses positive definiteness.
     """
     n_max = int(_as_index(n_max, 1, DEGREE_CAP, "n_max"))
-    quad, masses, shift = _discrete_measure(weight, max(120, n_max + 40))
+    t, masses, shift = _discrete_measure(weight, max(120, n_max + 40))
 
-    t = quad.nodes
     v = np.sqrt(masses)
     nrm = np.sqrt(v @ v)
     v = v / nrm
@@ -391,7 +382,7 @@ def build_recurrence(weight, n_max):
     basis[0] = v
     alpha = np.zeros(n_max)
     beta = np.zeros(n_max + 1)
-    floor = 100 * np.finfo(float).eps * quad.support
+    floor = 100 * np.finfo(float).eps * weight.quad_support
 
     tmp = np.empty(t.size)
     for k in range(n_max):
@@ -413,8 +404,7 @@ def build_recurrence(weight, n_max):
 
     log_mu0 = shift + 2.0 * math.log(nrm)
     return RecurrenceTable(alpha=alpha, beta=beta, log_mu0=log_mu0, n_max=n_max,
-                           nu=float(weight.nu), weight=weight, quadrature=quad,
-                           scaled_masses=masses)
+                           weight=weight, nodes=t, scaled_masses=masses)
 
 
 def brute_force_christoffel(weight, n, x):
@@ -429,17 +419,17 @@ def brute_force_christoffel(weight, n, x):
     """
     n = int(_as_index(n, 1, 8, "n"))
     x = _check_number(x, -math.inf, math.inf, "x")
-    quad, masses, shift = _discrete_measure(weight, 200)
+    nodes, masses, shift = _discrete_measure(weight, 200)
 
     # The Christoffel value is invariant under any invertible change of
     # polynomial basis, so work in powers of t/sigma with sigma the mean of
     # the measure: for weights concentrated near 0 this cuts the Hankel
     # condition number by sigma^{-2(n-1)}.
     m0 = float(masses.sum())
-    sigma = float((quad.nodes * masses).sum()) / m0
+    sigma = float((nodes * masses).sum()) / m0
     if not sigma > 0:
         sigma = 1.0
-    powers = (quad.nodes[None, :] / sigma) ** np.arange(2 * n - 1)[:, None]
+    powers = (nodes[None, :] / sigma) ** np.arange(2 * n - 1)[:, None]
     moments = powers @ masses
     M = moments[np.arange(n)[:, None] + np.arange(n)]  # Hankel: M_ij = moments[i + j]
     cond = np.linalg.cond(M)

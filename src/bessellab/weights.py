@@ -8,7 +8,8 @@ points in (0, R] produces, after rescaling to [0, 1], the weight
 The infinite product is evaluated as an explicit sum of log1p terms up to
 index M plus a power-series tail in t whose coefficients are inverse-power
 sums of the sequence; the series is truncated with a certified error bound
-kept below ``tail_tolerance``.
+kept below ``tail_tolerance``.  Every method takes t on the rescaled
+interval [0, 1]; the gap's own scale [0, R] is internal to the product.
 
 The exponential comparison weights are
 
@@ -214,18 +215,13 @@ class ConditionalWeight:
                     * t_bar.reshape(-1, 1) ** k[None, :]).sum(axis=1).reshape(t_bar.shape)
         return out
 
-    def log_bar(self, t):
-        """log of t^nu prod (1 - t/p_n)^2 on the original scale t in [0, R]."""
-        t = _check_points(t, 0.0, self.R * (1 + 1e-12), "t")
-        return _log_weight(self.nu, t, self._log_product(t))
-
     def log_smooth(self, t):
         """log of the analytic factor prod (1 - R t / p_n)^2, t in [0, 1]."""
         t = _check_points(t, 0.0, self.support * (1 + 1e-12), "t")
         return _maybe_scalar(self._log_product(np.minimum(t * self.R, self.R)))
 
     def log_density(self, t):
-        """log of the rescaled weight on [0, 1]; equals -nu log R + log_bar(R t)."""
+        """log of the rescaled weight t^nu prod (1 - R t / p_n)^2 on [0, 1]."""
         return _log_weight(self.nu, t, self.log_smooth(t))
 
     def __repr__(self):

@@ -128,10 +128,19 @@ class TestConfig:
         ({"grid_hi": math.inf}, "grid_hi"),
         ({"tail_tolerance": 0.0}, "tail_tolerance"),
         ({"tail_tolerance": True}, "tail_tolerance"),
+        ({"grid_points": True}, "grid_points"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2.5}, "seed"),
+        ({"m": 10.5}, "m must"),
+        ({"m": 63}, "m must"),
+        ({"n_samples": 0}, "n_samples"),
     ], ids=["empty-schedule", "empty-thresholds", "empty-gammas", "scalar-gammas",
             "string-schedule", "zero-grid-points", "float-grid-points", "string-grid-points",
             "unknown-sequence", "string-nu", "nu-minus-one", "nan-nu", "negative-grid-lo",
-            "zero-grid-lo", "infinite-grid-hi", "zero-tail-tolerance", "bool-tail-tolerance"])
+            "zero-grid-lo", "infinite-grid-hi", "zero-tail-tolerance", "bool-tail-tolerance",
+            "bool-grid-points", "bool-seed", "negative-seed", "float-seed", "float-m",
+            "too-few-m", "zero-n-samples"])
     def test_bad_field_rejected(self, overrides, field):
         # used to fail later: UnboundLocalError, max() of an empty sequence,
         # numpy's zero-size reduction, a TypeError, (for the sequence kind)
@@ -141,6 +150,12 @@ class TestConfig:
         for experiment in EXPERIMENTS:
             with pytest.raises(ValueError, match=field):
                 default_config(experiment, **overrides)
+
+    def test_numpy_integer_fields_stored_as_int(self):
+        # a numpy integer passed the check but made digest() raise TypeError
+        cfg = default_config("dpp_stats", seed=np.int64(7), m=np.int32(256))
+        assert type(cfg.seed) is int and type(cfg.m) is int
+        assert cfg.digest() == default_config("dpp_stats", seed=7, m=256).digest()
 
     @pytest.mark.parametrize("document, message", [
         ({"grid_pts": 5}, "unknown key.*grid_pts"),
@@ -389,9 +404,16 @@ class TestCli:
         ("dpp", {"nu": "a"}, "nu"),
         ("hard-edge", {"grid_hi": 0}, "grid_hi"),
         ("approx-limit", {"tail_tolerance": -1e-10}, "tail_tolerance"),
+        ("equilibrium", {"grid_points": True}, "grid_points"),
+        ("dpp", {"seed": True}, "seed"),
+        ("dpp", {"seed": -1}, "seed"),
+        ("dpp", {"seed": 2.5}, "seed"),
+        ("dpp", {"m": 10.5}, "m must"),
+        ("dpp", {"n_samples": 0}, "n_samples"),
     ], ids=["empty-schedule", "empty-thresholds", "zero-grid-points", "scalar-gammas",
             "unknown-key", "list", "not-json", "negative-grid-lo", "string-nu",
-            "zero-grid-hi", "negative-tail-tolerance"])
+            "zero-grid-hi", "negative-tail-tolerance", "bool-grid-points", "bool-seed",
+            "negative-seed", "float-seed", "float-m", "zero-n-samples"])
     def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, command,
                                                   document, field):
         path = tmp_path / "cfg.json"

@@ -479,7 +479,7 @@ _FLOAT_ENTRY_POINTS = {
     "nystrom": lambda v: nystrom(0.0, v, 64).eigenvalues,
     "bessel_kernel": lambda v: bessel_kernel(0.0, v, 1.0),
     "bessel_kernel_diag": lambda v: bessel_kernel_diag(0.0, v),
-    "weight_quadrature": lambda v: weight_quadrature(v).weights,
+    "weight_quadrature": lambda v: weight_quadrature(v)[1],
     "ApproxWeight": lambda v: ApproxWeight("plus", v, 5, 0.0).log_density(0.5),
     "field_V": lambda v: field_V(v),
     "field_V_gamma": lambda v: field_V_gamma(v, 0.5),
