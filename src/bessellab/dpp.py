@@ -202,8 +202,9 @@ def nystrom(nu, T, m=512):
     3.3e-14 of a 20-digit mpmath integral of K(x, x) for nu in {-0.9,
     -0.6, -0.25, 0.3}; Gauss-Legendre in u was off by 1.7e-1 at nu = -0.9
     and 1.1e-10 at nu = 0.3, and raised at nu = -0.25.  The rule is
-    computed once per process for each (m, a) and shared with
-    ``weight_quadrature``; at m = 512 and a = 0 its nodes are within
+    computed once per process for each (m, a) and shared with every
+    m-node ``weight_quadrature`` of the same a, the Legendre rule with
+    those of integer order; at m = 512 and a = 0 its nodes are within
     6.1e-17 and its weights within 7.5e-13 relative, against numpy's
     leggauss at 6.0e-17 and 1.1e-10.
 

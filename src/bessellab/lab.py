@@ -53,6 +53,12 @@ __all__ = [
 PI2 = np.pi**2
 
 
+def _finite_above(v, lo):
+    # a finite real number above lo; a bool is no number here
+    return (not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+            and v > lo)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment run.
@@ -64,7 +70,8 @@ class ExperimentConfig:
     window R for sandwich_chain.  approx_limit reads a single gamma; both
     single values raise ValueError when the tuple holds more or fewer.
     ``gammas``, ``schedule`` and ``thresholds`` must be non-empty lists or
-    tuples and are stored as tuples; ``grid_points`` and ``n_samples`` must
+    tuples of finite numbers, every gamma > 1 and every schedule entry and
+    threshold > 0, and are stored as tuples; ``grid_points`` and ``n_samples`` must
     be integers >= 1, ``m`` an integer >= dpp.M_MIN (``nystrom``'s least
     node count) and ``seed`` an integer >= 0, none of them a bool, and are
     stored as Python ints; ``nu`` must be a finite number > -1,
@@ -93,10 +100,12 @@ class ExperimentConfig:
             raise ValueError("unknown experiment %r" % (self.experiment,))
         if self.sequence not in ("quadratic", "bessel"):
             raise ValueError("unknown sequence kind %r" % (self.sequence,))
-        for k in ("gammas", "schedule", "thresholds"):
+        for k, lo in (("gammas", 1.0), ("schedule", 0.0), ("thresholds", 0.0)):
             values = getattr(self, k)
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError("%s must be a non-empty list or tuple, got %r" % (k, values))
+            if not all(_finite_above(v, lo) for v in values):
+                raise ValueError("%s entries must be finite numbers > %g, got %r" % (k, lo, values))
             object.__setattr__(self, k, tuple(values))
         for k, lo in (("grid_points", 1), ("m", M_MIN), ("n_samples", 1), ("seed", 0)):
             v = getattr(self, k)
@@ -105,8 +114,7 @@ class ExperimentConfig:
             object.__setattr__(self, k, int(v))  # a numpy integer has no JSON form
         for k, lo in (("nu", -1.0), ("grid_lo", 0.0), ("grid_hi", 0.0), ("tail_tolerance", 0.0)):
             v = getattr(self, k)
-            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)
-                                           and v > lo):
+            if not _finite_above(v, lo):
                 raise ValueError("%s must be a finite number > %g, got %r" % (k, lo, v))
 
     def grid(self):

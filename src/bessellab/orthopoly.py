@@ -1,25 +1,29 @@
 """Orthonormal polynomials and their reproducing kernels for weights
 t^nu h(t) on [0, b].
 
-The measure is discretized by a composite quadrature whose first panel is
-Gauss-Jacobi with the t^nu factor built in, so endpoint singularities
-(-1 < nu < 0) and zeros (nu > 0) cost no accuracy.  Every Gauss rule of
-the package, the Gauss-Legendre rule of the other panels and of
-``dpp.nystrom`` included, comes from ``_gauss_jacobi``: the eigenvalues of
-the closed-form Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
-folded to half size for the symmetric Legendre weight, polished by the
-same recurrence loop that evaluates the polynomials below and builds
-every phi table.  A weight's discrete measure is one pair of read-only
-arrays, nodes and masses, computed once per (weight object, panel count)
-and kept in a small table keyed by identity, so weights are treated as
-immutable after construction.  The three-term recurrence is then obtained
-by Lanczos iteration on the diagonal operator of the discrete measure, in
-double precision throughout, with one full reorthogonalization pass per
-step.  Both loops write into preallocated
+The measure is discretized by one Gauss-Jacobi rule on the whole support
+with t^a, a = nu - k in (-1, 1/2), built in and t^k, an integer power,
+folded into the masses, so endpoint singularities (-1 < nu < 0) and zeros
+(nu > 0) cost no accuracy.  Every Gauss rule of the package, the
+Gauss-Legendre rule of ``dpp.nystrom`` included, comes from
+``_gauss_jacobi``: the eigenvalues of the closed-form Jacobi matrix
+(Golub & Welsch, Math. Comp. 23, 1969), folded to half size for the
+symmetric Legendre weight, polished by the same recurrence loop that
+evaluates the polynomials below and builds every phi table.  A build of
+degree n takes 2n + 40 nodes (Gautschi, Orthogonal Polynomials:
+Computation and Approximation, 2004, 2.2): n + 1 keep the orthonormality
+integrals exact and the rest resolve the weight's smooth factor, whose
+features scale with n.  A weight's discrete measure is one pair of
+read-only arrays, nodes and masses, computed once per (weight object,
+degree) and kept in a small table keyed by identity, so weights are
+treated as immutable after construction.  The three-term recurrence is
+then obtained by Lanczos iteration on the diagonal operator of the
+discrete measure, in double precision throughout, with one full
+reorthogonalization pass per step.  Both loops write into preallocated
 rows.  A second pass ("twice is enough", Parlett, The Symmetric
 Eigenvalue Problem, 1980) buys no accuracy here: with one pass the
-degree-160 build of the tests is within 1.2e-15 of a 40-digit Stieltjes
-build of the same measure, and ``gram_residual`` is at most 9.1e-15 on
+degree-160 build of the tests is within 1.4e-15 of a 40-digit Stieltjes
+build of the same measure, and ``gram_residual`` is at most 1.2e-14 on
 the degree-121 builds of ConditionalWeight(quadratic, nu, 1e4) for nu in
 {-0.5, 0, 0.5, 2}.  A build that one pass leaves unorthogonal shows in
 ``gram_residual``.
@@ -65,11 +69,6 @@ __all__ = [
 ]
 
 DEGREE_CAP = 160
-
-# geometric panel edges (fractions of the support); the first panel is
-# Gauss-Jacobi, the rest Gauss-Legendre
-_PANEL_EDGES = (0.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0, 1.0)
-
 
 @functools.lru_cache(maxsize=64)
 def _gauss_jacobi(n, nu):
@@ -171,39 +170,33 @@ def _recurrence_rows(a, b, n, t):
     return out
 
 
-def weight_quadrature(nu, support=1.0, n_panel=120):
-    """(nodes, masses) of a composite quadrature for the measure t^nu dt on
-    [0, support], fresh arrays on each call: masses @ nodes**k approximates
-    support^(k+nu+1) / (k+nu+1).
+def weight_quadrature(nu, support=1.0, n=120):
+    """(nodes, masses) of an n-point Gauss rule for the measure t^nu dt on
+    [0, support], fresh arrays on each call: masses @ nodes**j approximates
+    support^(j+nu+1) / (j+nu+1), exactly up to j = 2n - 1 - k.
 
-    The first panel maps ``_gauss_jacobi(n_panel, nu)``, the others its
-    nu = 0 case, Gauss-Legendre; at nu = 0 one rule serves both.  Each rule
-    is computed once per process for each (n_panel, nu), with nodes within
-    1.7e-16 and weights within 1.1e-12 relative for n_panel <= 200; only
-    their mapping onto the panels is done per call.
+    t^nu = t^k t^a with k = max(0, floor(nu + 1/2)) and a = nu - k in
+    (-1, 1/2): the rule maps ``_gauss_jacobi(n, a)``, which carries t^a,
+    and the masses carry t^k.  So every integer order shares the Legendre
+    rule, and nu and nu +- 1 share one rule.  Each rule is computed once
+    per process for each (n, a), with nodes within 1.7e-16 and weights
+    within 1.1e-12 relative for n <= 512; only its mapping is done per call.
     """
     nu = _check_number(nu, _ABOVE_MINUS_ONE, math.inf, "endpoint exponent nu")
     support = _check_number(support, _POSITIVE, math.inf, "support")
-    n_panel = int(_as_index(n_panel, 1, math.inf, "n_panel"))
-
-    nodes, masses = [], []
-    # Gauss-Jacobi on [0, c]: t = c (1+x)/2 picks up (c/2)^(nu+1)
-    c = support * _PANEL_EDGES[1]
-    xj, wj = _gauss_jacobi(n_panel, nu)
-    xl, wl = _gauss_jacobi(n_panel, 0.0)
-    # masses that overflow or vanish are caught by the range check below;
-    # the np.float64 power gives inf where a float power raises OverflowError
+    n = int(_as_index(n, 1, math.inf, "n"))
+    # k from the exact fraction nu - floor(nu): a rounded nu + 1/2 would
+    # give a = -1 at nu = 2^52 + 1
+    k = float(math.floor(nu))
+    k = max(0.0, k + 1.0 if nu - k >= 0.5 else k)
+    a = nu - k
+    x, w = _gauss_jacobi(n, a)
+    # t = support (1+x)/2 picks up (support/2)^(a+1); masses that overflow
+    # or vanish are caught by the range check below, and the np.float64
+    # powers give inf where a float power raises OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes.append(c * 0.5 * (1.0 + xj))
-        masses.append(wj * np.float64(0.5 * c) ** (nu + 1.0))
-        # Gauss-Legendre elsewhere, t^nu folded into the mass
-        for a, b in zip(_PANEL_EDGES[1:-1], _PANEL_EDGES[2:]):
-            lo, hi = support * a, support * b
-            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xl
-            nodes.append(t)
-            masses.append(0.5 * (hi - lo) * wl * t**nu)
-    nodes = np.concatenate(nodes)
-    masses = np.concatenate(masses)
+        nodes = support * 0.5 * (1.0 + x)
+        masses = w * np.float64(0.5 * support) ** (a + 1.0) * nodes**k
     if not (np.all(nodes > 0) and np.all(nodes < support)
             and np.all(masses > 0) and np.all(np.isfinite(masses))):
         raise PrecisionFailure("quadrature produced out-of-range nodes or masses")
@@ -219,7 +212,7 @@ class RecurrenceTable:
     log of the total mass, so phi_0 = exp(-log_mu0 / 2).  ``nodes`` and
     ``scaled_masses`` are the discrete measure the table was built on, its
     masses scaled so that the largest is 1 (read-only, shared with every
-    build of the same weight object and panel count).
+    build of the same weight object and degree).
     """
 
     alpha: np.ndarray
@@ -327,27 +320,27 @@ class RecurrenceTable:
         return float(np.max(np.abs(gram - np.eye(n + 1))))
 
 
-# (id(weight), n_panel) -> (weight, measure), oldest first; holding the
+# (id(weight), degree) -> (weight, measure), oldest first; holding the
 # weight keeps its id from being reused while the entry lives
 _MEASURES = {}
 _MEASURES_MAX = 8
 
 
-def _discrete_measure(weight, n_panel):
-    """(nodes, masses, shift): the weight's measure on the nodes of
-    ``weight_quadrature`` on [0, quad_support], as the quadrature masses
-    times the weight's smooth factor, scaled by exp(-shift) so that the
-    largest is 1.
+def _discrete_measure(weight, degree):
+    """(nodes, masses, shift): the measure of the weight's builds up to
+    ``degree``, on the 2 degree + 40 nodes of ``weight_quadrature`` on
+    [0, quad_support], as the quadrature masses times the weight's smooth
+    factor, scaled by exp(-shift) so that the largest is 1.
 
-    Computed once per (weight object, n_panel) while its entry is among the
+    Computed once per (weight object, degree) while its entry is among the
     last _MEASURES_MAX, keyed by identity (weights are immutable, and
     need not be hashable), so an equal but distinct weight computes its
     own; the arrays are read-only."""
-    key = (id(weight), n_panel)
+    key = (id(weight), degree)
     hit = _MEASURES.get(key)
     if hit is not None:
         return hit[1]
-    nodes, gauss = weight_quadrature(weight.nu, weight.quad_support, n_panel=n_panel)
+    nodes, gauss = weight_quadrature(weight.nu, weight.quad_support, 2 * degree + 40)
     log_masses = np.log(gauss) + np.asarray(weight.log_smooth(nodes), dtype=float)
     shift = float(np.max(log_masses))
     masses = np.exp(log_masses - shift)
@@ -364,16 +357,19 @@ def build_recurrence(weight, n_max):
 
     The build reads the weight's ``nu``, ``quad_support`` and
     ``log_smooth``; the table's ``kernel_norm`` and ``kernel_norm_grid``
-    read its ``log_density``.  The quadrature has max(120, n_max + 40)
-    nodes per panel; its measure is computed once per (weight object,
-    panel count) and shared with ``brute_force_christoffel``, so a weight
-    must not change after its first build.  The table keeps the measure's
-    nodes and scaled masses for ``gram_residual``.  Raises DomainError beyond
-    DEGREE_CAP, and PrecisionFailure (naming the degree) if the discrete
-    measure loses positive definiteness.
+    read its ``log_density``.  The measure has 2 n_max + 40 nodes, one
+    ``weight_quadrature`` rule on [0, quad_support]: its alpha and beta are
+    within 1e-14 of a five-panel rule of 2000 nodes for every weight the
+    default experiments build (``TestMeasureSize``).  It is computed once
+    per (weight object, degree) and shared with
+    ``brute_force_christoffel``, so a weight must not change after its
+    first build.  The table keeps the measure's nodes and scaled masses for
+    ``gram_residual``.  Raises DomainError beyond DEGREE_CAP, and
+    PrecisionFailure (naming the degree) if the discrete measure loses
+    positive definiteness.
     """
     n_max = int(_as_index(n_max, 1, DEGREE_CAP, "n_max"))
-    t, masses, shift = _discrete_measure(weight, max(120, n_max + 40))
+    t, masses, shift = _discrete_measure(weight, n_max)
 
     v = np.sqrt(masses)
     nrm = np.sqrt(v @ v)
@@ -413,13 +409,14 @@ def brute_force_christoffel(weight, n, x):
     lambda_n(x) = 1 / (v(x)^T Minv v(x)) with M the (n x n) Hankel moment
     matrix of the weight and v(x) the monomial vector.  Only sensible for
     small n; the moment matrix conditioning is checked and the computation
-    refused beyond ~1e13.  The quadrature has 200 nodes per panel, and its
-    measure is computed once per weight object (weights are immutable), so
-    the calls for n = 2, 4, 6 on one weight evaluate ``log_smooth`` once.
+    refused beyond ~1e13.  The measure is ``build_recurrence``'s at the cap
+    n = 8, 56 nodes, computed once per weight object (weights are
+    immutable), so the calls for n = 2, 4, 6 on one weight evaluate
+    ``log_smooth`` once.
     """
     n = int(_as_index(n, 1, 8, "n"))
     x = _check_number(x, -math.inf, math.inf, "x")
-    nodes, masses, shift = _discrete_measure(weight, 200)
+    nodes, masses, shift = _discrete_measure(weight, 8)
 
     # The Christoffel value is invariant under any invertible change of
     # polynomial basis, so work in powers of t/sigma with sigma the mean of

@@ -135,12 +135,22 @@ class TestConfig:
         ({"m": 10.5}, "m must"),
         ({"m": 63}, "m must"),
         ({"n_samples": 0}, "n_samples"),
+        ({"thresholds": [-1.0]}, "thresholds"),
+        ({"thresholds": [1e2, math.inf]}, "thresholds"),
+        ({"gammas": [0.5]}, "gammas"),
+        ({"gammas": [1.0]}, "gammas"),
+        ({"gammas": [1.5, True]}, "gammas"),
+        ({"schedule": ["x"]}, "schedule"),
+        ({"schedule": [10, 0]}, "schedule"),
+        ({"schedule": [math.nan]}, "schedule"),
     ], ids=["empty-schedule", "empty-thresholds", "empty-gammas", "scalar-gammas",
             "string-schedule", "zero-grid-points", "float-grid-points", "string-grid-points",
             "unknown-sequence", "string-nu", "nu-minus-one", "nan-nu", "negative-grid-lo",
             "zero-grid-lo", "infinite-grid-hi", "zero-tail-tolerance", "bool-tail-tolerance",
             "bool-grid-points", "bool-seed", "negative-seed", "float-seed", "float-m",
-            "too-few-m", "zero-n-samples"])
+            "too-few-m", "zero-n-samples", "negative-threshold", "infinite-threshold",
+            "gamma-below-one", "gamma-one", "bool-gamma", "string-schedule-entry",
+            "zero-schedule-entry", "nan-schedule-entry"])
     def test_bad_field_rejected(self, overrides, field):
         # used to fail later: UnboundLocalError, max() of an empty sequence,
         # numpy's zero-size reduction, a TypeError, (for the sequence kind)
@@ -410,10 +420,14 @@ class TestCli:
         ("dpp", {"seed": 2.5}, "seed"),
         ("dpp", {"m": 10.5}, "m must"),
         ("dpp", {"n_samples": 0}, "n_samples"),
+        ("dpp", {"thresholds": [-1.0]}, "thresholds"),
+        ("sandwich", {"gammas": [1.2, 0.5]}, "gammas"),
+        ("hard-edge", {"schedule": ["x"]}, "schedule"),
     ], ids=["empty-schedule", "empty-thresholds", "zero-grid-points", "scalar-gammas",
             "unknown-key", "list", "not-json", "negative-grid-lo", "string-nu",
             "zero-grid-hi", "negative-tail-tolerance", "bool-grid-points", "bool-seed",
-            "negative-seed", "float-seed", "float-m", "zero-n-samples"])
+            "negative-seed", "float-seed", "float-m", "zero-n-samples", "negative-threshold",
+            "gamma-below-one", "string-schedule-entry"])
     def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, command,
                                                   document, field):
         path = tmp_path / "cfg.json"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal, assert_array_less
 from scipy import special
 
-from bessellab import orthopoly
+from bessellab import lab, orthopoly
 from bessellab.dpp import nystrom
 from bessellab.errors import DomainError, PrecisionFailure
 from bessellab.orthopoly import (
@@ -89,7 +89,7 @@ class TestQuadrature:
             weight_quadrature(-1.2)
         with pytest.raises(DomainError):
             weight_quadrature(0.0, support=-1.0)
-        # (support/32)^(nu+1) overflows the Gauss-Jacobi masses
+        # t^2 overflows the masses at the nodes near the support's end
         with pytest.raises(PrecisionFailure):
             weight_quadrature(2.0, support=1e300)
         # a Gauss rule whose mass (from nu ~ 1023) or Christoffel sums overflow
@@ -98,42 +98,36 @@ class TestQuadrature:
                 orthopoly._gauss_jacobi(n, nu)
 
     def test_rules_computed_once_per_pair(self):
-        # count the Gauss rules the package computes: three builds at one
-        # (nu, n_panel) need one Gauss-Jacobi and one Gauss-Legendre rule,
-        # and at nu = 0 one rule serves both panel kinds and the Nystrom
-        # rule of the same size; the Nystrom factor needs no rule of its own
+        # count the Gauss rules the package computes: builds at one (n, a)
+        # need one rule, and nu and nu + 1 share it; at integer nu it is the
+        # Legendre rule, which the Nystrom factor of the same size shares
         orthopoly._gauss_jacobi.cache_clear()
-        for _ in range(3):
-            build_recurrence(PowerWeight(0.5), 20)
-        assert orthopoly._gauss_jacobi.cache_info().misses == 2
+        for nu in (0.5, 0.5, 1.5):
+            build_recurrence(PowerWeight(nu), 20)
+        assert orthopoly._gauss_jacobi.cache_info().misses == 1
         orthopoly._gauss_jacobi.cache_clear()
-        for _ in range(3):
-            build_recurrence(PowerWeight(0.0), 20)
+        for nu in (0.0, 0.0, 2.0):
+            build_recurrence(PowerWeight(nu), 20)
         assert orthopoly._gauss_jacobi.cache_info().misses == 1
         for _ in range(2):
-            nystrom(0.0, 10.0, 120)
+            nystrom(0.0, 10.0, 2 * 20 + 40)
         assert orthopoly._gauss_jacobi.cache_info().misses == 1
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])
     def test_cached_rules_match_direct_construction(self, nu):
-        # the composite rule built from freshly computed Gauss rules, bit for
-        # bit, on the first (uncached) and the second (cached) call
+        # the mapped rule built from a freshly computed Gauss rule, bit for
+        # bit, on the first (uncached) and the second (cached) call: t^nu is
+        # t^k t^a, the rule carries t^a and the masses t^k
         n, support = 120, 3.0
-        xj, wj = orthopoly._gauss_jacobi.__wrapped__(n, nu)
-        xl, wl = orthopoly._gauss_jacobi.__wrapped__(n, 0.0)
-        c = support / 16.0
-        nodes, masses = [c * 0.5 * (1.0 + xj)], [wj * (0.5 * c) ** (nu + 1.0)]
-        edges = (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0, 1.0)
-        for a, b in zip(edges[:-1], edges[1:]):
-            lo, hi = support * a, support * b
-            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xl
-            nodes.append(t)
-            masses.append(0.5 * (hi - lo) * wl * t**nu)
+        k = {-0.5: 0.0, 0.0: 0.0, 2.0: 2.0}[nu]
+        x, w = orthopoly._gauss_jacobi.__wrapped__(n, nu - k)
+        nodes = support * 0.5 * (1.0 + x)
+        masses = w * (0.5 * support) ** (nu - k + 1.0) * nodes**k
         orthopoly._gauss_jacobi.cache_clear()
         for _ in range(2):
-            got_nodes, got_masses = weight_quadrature(nu, support, n_panel=n)
-            assert_array_equal(got_nodes, np.concatenate(nodes))
-            assert_array_equal(got_masses, np.concatenate(masses))
+            got_nodes, got_masses = weight_quadrature(nu, support, n=n)
+            assert_array_equal(got_nodes, nodes)
+            assert_array_equal(got_masses, masses)
 
     def test_cached_rules_cannot_be_corrupted(self):
         first = weight_quadrature(0.5)
@@ -143,7 +137,7 @@ class TestQuadrature:
         again_nodes, again_masses = weight_quadrature(0.5)
         assert_array_equal(again_nodes, nodes)
         assert_array_equal(again_masses, masses)
-        for rule in (orthopoly._gauss_jacobi(120, 0.5), orthopoly._gauss_jacobi(120, 0.0)):
+        for rule in (orthopoly._gauss_jacobi(120, -0.5), orthopoly._gauss_jacobi(120, 0.0)):
             for arr in rule:
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
@@ -249,7 +243,7 @@ class TestRecurrence:
         # orthonormality re-checked on a finer, separately built quadrature
         nu = 0.5
         tab = build_recurrence(PowerWeight(nu), 30)
-        nodes, masses = weight_quadrature(nu, n_panel=200)
+        nodes, masses = weight_quadrature(nu, n=200)
         phi = tab.phi_table(30, nodes)
         gram = (phi * masses) @ phi.T
         assert np.max(np.abs(gram - np.eye(31))) < 1e-12
@@ -317,7 +311,7 @@ class TestLoopsInPlace:
     def test_bit_identical_to_reference_loops(self, make):
         w = make()
         tab = build_recurrence(w, 121)
-        alpha, beta, log_mu0 = _lanczos_ref(*orthopoly._discrete_measure(w, 161), 121)
+        alpha, beta, log_mu0 = _lanczos_ref(*orthopoly._discrete_measure(w, 121), 121)
         assert np.array_equal(tab.alpha, alpha)
         assert np.array_equal(tab.beta, beta)
         assert tab.log_mu0 == log_mu0
@@ -357,7 +351,7 @@ class TestMeasureTable:
         assert [brute_force_christoffel(twin, n, 0.3) for n in (2, 4, 6)] == lams
         assert twin.calls == 1
         (nodes, masses, shift), (tnodes, tmasses, tshift) = (
-            orthopoly._discrete_measure(v, 200) for v in (w, twin))
+            orthopoly._discrete_measure(v, 8) for v in (w, twin))
         assert tmasses is not masses
         assert_array_equal(tmasses, masses)
         assert_array_equal(tnodes, nodes)
@@ -371,6 +365,91 @@ class TestMeasureTable:
         for i in range(3 * orthopoly._MEASURES_MAX):
             brute_force_christoffel(_CountingWeight(0.5, 1.0 + i), 2, 0.3)
             assert len(orthopoly._MEASURES) <= orthopoly._MEASURES_MAX
+
+
+def _composite_rule(nu, support, n):
+    """t^nu dt on [0, support] by 5 geometric panels of n nodes each:
+    Gauss-Jacobi with t^nu built in on [0, support/16], Gauss-Legendre
+    with t^nu in the masses on the doubling panels after it."""
+    x, w = orthopoly._gauss_jacobi(n, nu)
+    c = support / 16.0
+    nodes, masses = [c * 0.5 * (1.0 + x)], [w * (0.5 * c) ** (nu + 1.0)]
+    x, w = orthopoly._gauss_jacobi(n, 0.0)
+    for lo, hi in ((c, 2 * c), (2 * c, 4 * c), (4 * c, 8 * c), (8 * c, support)):
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        nodes.append(t)
+        masses.append(0.5 * (hi - lo) * w * t**nu)
+    return np.concatenate(nodes), np.concatenate(masses)
+
+
+def _built_by(experiment, monkeypatch):
+    """Every (weight, degree) the experiment's default run builds."""
+    built = []
+
+    def recording(w, n):
+        built.append((w, n))
+        return build_recurrence(w, n)
+
+    monkeypatch.setattr(lab, "build_recurrence", recording)
+    getattr(lab, experiment)(lab.default_config(experiment))
+    return built
+
+
+def _in_gap(seq, n):
+    # the window of hard_edge_limit: 0.9 of the way from p_n to p_{n+1}
+    return seq.p(n) + 0.9 * (seq.p(n + 1) - seq.p(n))
+
+
+class TestMeasureSize:
+    """``build_recurrence``'s 2n + 40 nodes give alpha and beta within 1e-14,
+    relative to max(1, max|alpha|), of a 5-panel build at 400 nodes per
+    panel.  The measured values, in the order the cases are built:
+
+    - hard_edge_limit (N = 10, 20, 40, then the [0, R] twin): 3.9e-16,
+      2.8e-16, 5.6e-16, 1.0e-15;
+    - approx_limit (plus, minus at n = 10, 20, 40): 3.3e-16, 8.3e-17,
+      4.4e-16, 1.7e-16, 5.0e-16, 2.5e-16;
+    - sandwich_chain (the weight at n = 31, then plus, minus at gamma =
+      1.5, 1.2, 1.1): 3.3e-16, 7.8e-16, 3.1e-16, 6.1e-16, 4.4e-16,
+      4.4e-16, 4.4e-16;
+    - criterion 3 (nu = -0.5, 0, 0.5, 2 at degree 121): 8.9e-16, 7.8e-16,
+      1.0e-15, 7.8e-16;
+    - the Legendre weight at degree 160: 8.9e-16;
+    - stress: 7.2e-16, 1.4e-15, 1.8e-15, 1.2e-15, 2.3e-15.
+
+    With n + 40 nodes the stress cases at N = 80 and 150 are off by 9.3e-2
+    and 3.3e-1, and the degree-160 nu = 37.3 case by 7.1e-8.
+    """
+
+    @staticmethod
+    def _worst_error(cases):
+        worst = []
+        for w, n in cases:
+            tab = build_recurrence(w, n)
+            nodes, masses = _composite_rule(w.nu, w.quad_support, 400)
+            log_masses = np.log(masses) + np.asarray(w.log_smooth(nodes), dtype=float)
+            alpha, beta, _ = _lanczos_ref(nodes, np.exp(log_masses - log_masses.max()), 0.0, n)
+            err = max(np.max(np.abs(tab.alpha - alpha)), np.max(np.abs(tab.beta - beta)))
+            worst.append(err / max(1.0, np.max(np.abs(alpha))))
+        return max(worst)
+
+    @pytest.mark.parametrize("experiment", ["hard_edge_limit", "approx_limit", "sandwich_chain"])
+    def test_every_default_experiment_weight(self, experiment, monkeypatch):
+        assert self._worst_error(_built_by(experiment, monkeypatch)) <= 1e-14
+
+    def test_criterion_3_and_legendre_weights(self):
+        cases = [(ConditionalWeight(make_quadratic(), nu, 1e4), 121)
+                 for nu in (-0.5, 0.0, 0.5, 2.0)]
+        assert self._worst_error(cases + [(PowerWeight(0.0), 160)]) <= 1e-14
+
+    def test_stress_weights(self):
+        q, b = make_quadratic(), make_bessel_zero_squared(0.3)
+        cases = [(ConditionalWeight(q, 0.0, _in_gap(q, 80)), 80),
+                 (ConditionalWeight(q, -0.9, _in_gap(q, 150)), 150),
+                 (ConditionalWeight(b, 0.3, _in_gap(b, 150)), 150),
+                 (ConditionalWeight(q, 37.3, 1e4), 160),
+                 (ApproxWeight("plus", 1.01, 160, -0.9), 160)]
+        assert self._worst_error(cases) <= 1e-14
 
 
 class TestKernels:
