@@ -59,6 +59,12 @@ def _finite_above(v, lo):
             and v > lo)
 
 
+def _python_number(v):
+    # a numpy scalar has no JSON form; Python numbers are kept as given, so
+    # that 10 and 10.0 keep their distinct digests
+    return v.item() if isinstance(v, np.generic) else v
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment run.
@@ -71,14 +77,17 @@ class ExperimentConfig:
     single values raise ValueError when the tuple holds more or fewer.
     ``gammas``, ``schedule`` and ``thresholds`` must be non-empty lists or
     tuples of finite numbers, every gamma > 1 and every schedule entry and
-    threshold > 0, and are stored as tuples; ``grid_points`` and ``n_samples`` must
-    be integers >= 1, ``m`` an integer >= dpp.M_MIN (``nystrom``'s least
-    node count) and ``seed`` an integer >= 0, none of them a bool, and are
-    stored as Python ints; ``nu`` must be a finite number > -1,
+    threshold > 0, and are stored as tuples; the schedule entries of
+    hard_edge_limit and approx_limit must be integer-valued (10.0 passes);
+    ``grid_points`` and ``n_samples`` must be integers >= 1, ``m`` an
+    integer >= dpp.M_MIN (``nystrom``'s least node count) and ``seed`` an
+    integer >= 0, none of them a bool, and are stored as Python ints;
+    ``nu`` must be a finite number > -1,
     ``grid_lo``, ``grid_hi`` and ``tail_tolerance`` finite numbers > 0,
     ``sequence`` 'quadratic' or 'bessel' and ``experiment`` a key of
     ``EXPERIMENTS``.  A config that breaks one of these raises ValueError
-    naming the field.
+    naming the field.  A numpy scalar in a tuple or a number field is
+    stored as the Python number of its ``item()``.
     """
 
     experiment: str
@@ -104,18 +113,24 @@ class ExperimentConfig:
             values = getattr(self, k)
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError("%s must be a non-empty list or tuple, got %r" % (k, values))
+            values = tuple(map(_python_number, values))
             if not all(_finite_above(v, lo) for v in values):
                 raise ValueError("%s entries must be finite numbers > %g, got %r" % (k, lo, values))
-            object.__setattr__(self, k, tuple(values))
+            object.__setattr__(self, k, values)
+        if (self.experiment in ("hard_edge_limit", "approx_limit")
+                and not all(float(v).is_integer() for v in self.schedule)):
+            raise ValueError("schedule entries must be integers for %s, got %r"
+                             % (self.experiment, self.schedule))
         for k, lo in (("grid_points", 1), ("m", M_MIN), ("n_samples", 1), ("seed", 0)):
             v = getattr(self, k)
             if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and v >= lo):
                 raise ValueError("%s must be an integer >= %d, got %r" % (k, lo, v))
             object.__setattr__(self, k, int(v))  # a numpy integer has no JSON form
         for k, lo in (("nu", -1.0), ("grid_lo", 0.0), ("grid_hi", 0.0), ("tail_tolerance", 0.0)):
-            v = getattr(self, k)
+            v = _python_number(getattr(self, k))
             if not _finite_above(v, lo):
                 raise ValueError("%s must be a finite number > %g, got %r" % (k, lo, v))
+            object.__setattr__(self, k, v)
 
     def grid(self):
         return np.logspace(

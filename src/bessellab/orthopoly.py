@@ -13,10 +13,8 @@ evaluates the polynomials below and builds every phi table.  A build of
 degree n takes 2n + 40 nodes (Gautschi, Orthogonal Polynomials:
 Computation and Approximation, 2004, 2.2): n + 1 keep the orthonormality
 integrals exact and the rest resolve the weight's smooth factor, whose
-features scale with n.  A weight's discrete measure is one pair of
-read-only arrays, nodes and masses, computed once per (weight object,
-degree) and kept in a small table keyed by identity, so weights are
-treated as immutable after construction.  The three-term recurrence is
+features scale with n.  Each build computes the weight's discrete measure,
+one pair of arrays, nodes and masses, afresh.  The three-term recurrence is
 then obtained by Lanczos iteration on the diagonal operator of the
 discrete measure, in double precision throughout, with one full
 reorthogonalization pass per step.  Both loops write into preallocated
@@ -211,8 +209,7 @@ class RecurrenceTable:
     module docstring (beta[0] is unused and kept at 0).  ``log_mu0`` is the
     log of the total mass, so phi_0 = exp(-log_mu0 / 2).  ``nodes`` and
     ``scaled_masses`` are the discrete measure the table was built on, its
-    masses scaled so that the largest is 1 (read-only, shared with every
-    build of the same weight object and degree).
+    masses scaled so that the largest is 1.
     """
 
     alpha: np.ndarray
@@ -320,36 +317,16 @@ class RecurrenceTable:
         return float(np.max(np.abs(gram - np.eye(n + 1))))
 
 
-# (id(weight), degree) -> (weight, measure), oldest first; holding the
-# weight keeps its id from being reused while the entry lives
-_MEASURES = {}
-_MEASURES_MAX = 8
-
-
 def _discrete_measure(weight, degree):
     """(nodes, masses, shift): the measure of the weight's builds up to
     ``degree``, on the 2 degree + 40 nodes of ``weight_quadrature`` on
     [0, quad_support], as the quadrature masses times the weight's smooth
-    factor, scaled by exp(-shift) so that the largest is 1.
-
-    Computed once per (weight object, degree) while its entry is among the
-    last _MEASURES_MAX, keyed by identity (weights are immutable, and
-    need not be hashable), so an equal but distinct weight computes its
-    own; the arrays are read-only."""
-    key = (id(weight), degree)
-    hit = _MEASURES.get(key)
-    if hit is not None:
-        return hit[1]
+    factor, scaled by exp(-shift) so that the largest is 1.  Fresh arrays
+    on each call, computed from the weight as it is at the call."""
     nodes, gauss = weight_quadrature(weight.nu, weight.quad_support, 2 * degree + 40)
     log_masses = np.log(gauss) + np.asarray(weight.log_smooth(nodes), dtype=float)
     shift = float(np.max(log_masses))
-    masses = np.exp(log_masses - shift)
-    nodes.setflags(write=False)
-    masses.setflags(write=False)
-    if len(_MEASURES) >= _MEASURES_MAX:
-        del _MEASURES[next(iter(_MEASURES))]
-    _MEASURES[key] = (weight, (nodes, masses, shift))
-    return nodes, masses, shift
+    return nodes, np.exp(log_masses - shift), shift
 
 
 def build_recurrence(weight, n_max):
@@ -360,13 +337,11 @@ def build_recurrence(weight, n_max):
     read its ``log_density``.  The measure has 2 n_max + 40 nodes, one
     ``weight_quadrature`` rule on [0, quad_support]: its alpha and beta are
     within 1e-14 of a five-panel rule of 2000 nodes for every weight the
-    default experiments build (``TestMeasureSize``).  It is computed once
-    per (weight object, degree) and shared with
-    ``brute_force_christoffel``, so a weight must not change after its
-    first build.  The table keeps the measure's nodes and scaled masses for
-    ``gram_residual``.  Raises DomainError beyond DEGREE_CAP, and
-    PrecisionFailure (naming the degree) if the discrete measure loses
-    positive definiteness.
+    default experiments build (``TestMeasureSize``).  It is computed on
+    each call, so a build reads the weight as it is at the call.  The table
+    keeps the measure's nodes and scaled masses for ``gram_residual``.
+    Raises DomainError beyond DEGREE_CAP, and PrecisionFailure (naming the
+    degree) if the discrete measure loses positive definiteness.
     """
     n_max = int(_as_index(n_max, 1, DEGREE_CAP, "n_max"))
     t, masses, shift = _discrete_measure(weight, n_max)
@@ -410,9 +385,7 @@ def brute_force_christoffel(weight, n, x):
     matrix of the weight and v(x) the monomial vector.  Only sensible for
     small n; the moment matrix conditioning is checked and the computation
     refused beyond ~1e13.  The measure is ``build_recurrence``'s at the cap
-    n = 8, 56 nodes, computed once per weight object (weights are
-    immutable), so the calls for n = 2, 4, 6 on one weight evaluate
-    ``log_smooth`` once.
+    n = 8, 56 nodes, computed on each call.
     """
     n = int(_as_index(n, 1, 8, "n"))
     x = _check_number(x, -math.inf, math.inf, "x")

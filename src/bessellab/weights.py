@@ -31,9 +31,6 @@ with the head left out at nu = 0.  The supports are attributes:
                                         or gamma^-2 (minus, zero beyond),
     ScaledWeight(base, c, d)            base's supports divided by c.
 
-Weights are immutable after construction: ``orthopoly`` keeps the
-discrete measure of each weight object it has discretized.
-
 Both methods raise DomainError, naming "finite" or "support", for any
 point that is not finite or lies outside [0, support (1 + 1e-12)]; the
 relative slack admits endpoints rounded up by a rescaling.  The fields V,

@@ -161,6 +161,28 @@ class TestConfig:
             with pytest.raises(ValueError, match=field):
                 default_config(experiment, **overrides)
 
+    def test_fractional_schedule_entry_rejected_where_read_as_a_count(self):
+        # hard_edge_limit reads the schedule as point counts and approx_limit
+        # as degrees; a fractional entry ended in a DomainError traceback
+        for experiment in ("hard_edge_limit", "approx_limit"):
+            with pytest.raises(ValueError, match="schedule"):
+                default_config(experiment, schedule=(10, 10.5))
+            assert default_config(experiment, schedule=(10.0,)).schedule == (10.0,)
+        # sandwich_chain reads its one schedule entry as a window R
+        assert default_config("sandwich_chain", schedule=(10000.5,)).schedule == (10000.5,)
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        # each made digest() raise TypeError: ... is not JSON serializable
+        for field, value, plain in (("thresholds", (np.float32(100.0),), (100.0,)),
+                                    ("schedule", (np.int64(10),), (10,)),
+                                    ("nu", np.float32(0.5), 0.5)):
+            cfg = default_config("hard_edge_limit", **{field: value})
+            assert getattr(cfg, field) == plain
+            assert cfg.digest() == default_config("hard_edge_limit", **{field: plain}).digest()
+        # Python numbers are kept as given: 10.0 and 10 digest differently
+        assert (default_config("hard_edge_limit", schedule=(10.0,)).digest()
+                != default_config("hard_edge_limit", schedule=(10,)).digest())
+
     def test_numpy_integer_fields_stored_as_int(self):
         # a numpy integer passed the check but made digest() raise TypeError
         cfg = default_config("dpp_stats", seed=np.int64(7), m=np.int32(256))
@@ -423,11 +445,14 @@ class TestCli:
         ("dpp", {"thresholds": [-1.0]}, "thresholds"),
         ("sandwich", {"gammas": [1.2, 0.5]}, "gammas"),
         ("hard-edge", {"schedule": ["x"]}, "schedule"),
+        ("hard-edge", {"schedule": [10.5]}, "schedule"),
+        ("approx-limit", {"schedule": [40.5]}, "schedule"),
     ], ids=["empty-schedule", "empty-thresholds", "zero-grid-points", "scalar-gammas",
             "unknown-key", "list", "not-json", "negative-grid-lo", "string-nu",
             "zero-grid-hi", "negative-tail-tolerance", "bool-grid-points", "bool-seed",
             "negative-seed", "float-seed", "float-m", "zero-n-samples", "negative-threshold",
-            "gamma-below-one", "string-schedule-entry"])
+            "gamma-below-one", "string-schedule-entry", "fractional-schedule-entry",
+            "fractional-degree"])
     def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, command,
                                                   document, field):
         path = tmp_path / "cfg.json"

@@ -337,34 +337,37 @@ class _CountingWeight:
         return -self.c * np.asarray(t)
 
 
-class TestMeasureTable:
-    def test_one_measure_per_weight_object(self):
+class TestDiscreteMeasure:
+    def test_measure_computed_per_call(self):
         w = _CountingWeight(0.5, 3.0)
         with pytest.raises(TypeError):
             hash(w)
         lams = [brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6)]
-        assert w.calls == 1
-        # an equal weight is a distinct object: it computes its own measure,
-        # with the same bits
+        assert w.calls == 3
+        # an equal but distinct weight gives the same bits
         twin = _CountingWeight(0.5, 3.0)
         assert twin == w
         assert [brute_force_christoffel(twin, n, 0.3) for n in (2, 4, 6)] == lams
-        assert twin.calls == 1
         (nodes, masses, shift), (tnodes, tmasses, tshift) = (
             orthopoly._discrete_measure(v, 8) for v in (w, twin))
         assert tmasses is not masses
         assert_array_equal(tmasses, masses)
         assert_array_equal(tnodes, nodes)
         assert tshift == shift
-        for a in (nodes, masses):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
-        assert w.calls == twin.calls == 1
+        assert w.calls == twin.calls == 4
 
-    def test_table_stays_bounded(self):
-        for i in range(3 * orthopoly._MEASURES_MAX):
-            brute_force_christoffel(_CountingWeight(0.5, 1.0 + i), 2, 0.3)
-            assert len(orthopoly._MEASURES) <= orthopoly._MEASURES_MAX
+    def test_changed_weight_is_read_afresh(self):
+        w = _CountingWeight(0.5, 3.0)
+        old_lam = brute_force_christoffel(w, 4, 0.3)
+        old_alpha = build_recurrence(w, 10).alpha
+        w.c = 8.0
+        fresh = _CountingWeight(0.5, 8.0)
+        lam = brute_force_christoffel(w, 4, 0.3)
+        assert lam == brute_force_christoffel(fresh, 4, 0.3)
+        assert lam != old_lam
+        alpha = build_recurrence(w, 10).alpha
+        assert_array_equal(alpha, build_recurrence(fresh, 10).alpha)
+        assert not np.array_equal(alpha, old_alpha)
 
 
 def _composite_rule(nu, support, n):

@@ -1,10 +1,15 @@
-"""Compare the default-config artifacts of two source trees, the src/
-directories of two checkouts: ``python tools/artifact_diff.py OLD_SRC NEW_SRC``.
+"""Compare the artifacts of two source trees, the src/ directories of two
+checkouts: ``python tools/artifact_diff.py OLD_SRC NEW_SRC``.
 
-Runs every experiment of ``bessellab.lab.EXPERIMENTS`` at its defaults,
-each tree in its own Python process, and prints per artifact file either
-"identical" or the largest absolute difference of the CSV cells and JSON
-leaves that parse as floats, then any other cell that differs.
+Runs, for each tree in its own Python process, every experiment of
+``bessellab.lab.EXPERIMENTS`` at its defaults, hard_edge_limit on the
+bessel sequence, and the criterion-3 library calls: for each nu in
+(-0.5, 0, 0.5, 2), the alpha, beta and gram_residual() of
+build_recurrence(ConditionalWeight(make_quadratic(), nu, 1e4), 121) and
+brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6), written to
+criterion3.json.  Prints per artifact file either "identical" or the
+largest absolute difference of the CSV cells and JSON leaves that parse as
+floats, then any other cell that differs.
 """
 
 import csv
@@ -14,9 +19,27 @@ import sys
 import tempfile
 from pathlib import Path
 
-RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from bessellab import lab\n"
-       "for name in lab.EXPERIMENTS: lab.run_experiment(lab.default_config(name), sys.argv[2])")
-
+RUN = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from bessellab import lab
+from bessellab.orthopoly import brute_force_christoffel, build_recurrence
+from bessellab.sequences import make_quadratic
+from bessellab.weights import ConditionalWeight
+out = sys.argv[2]
+for cfg in [lab.default_config(name) for name in lab.EXPERIMENTS] + [
+        lab.default_config("hard_edge_limit", sequence="bessel")]:
+    lab.run_experiment(cfg, out)
+criterion3 = {}
+for nu in (-0.5, 0.0, 0.5, 2.0):
+    w = ConditionalWeight(make_quadratic(), nu, 1e4)
+    tab = build_recurrence(w, 121)
+    criterion3[repr(nu)] = {
+        "alpha": tab.alpha.tolist(), "beta": tab.beta.tolist(),
+        "gram_residual": tab.gram_residual(),
+        "christoffel": [brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6)]}
+lab.write_summary(os.path.join(out, "criterion3.json"), criterion3)
+"""
 
 def cells(node):
     """The CSV cells, row by row, or a JSON value's leaves, in key order."""
