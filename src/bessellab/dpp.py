@@ -1,11 +1,12 @@
 """Sampling the hard-edge determinantal process on [0, T].
 
 The kernel is discretized with a Nystrom rule adapted to the hard edge:
-x = T u^2 with u on the Gauss-Jacobi rule for u^a on (0, 1), a = (2 nu + 1)
-- ceil(2 nu + 1), clusters nodes near 0, where the density varies on the
-x^{1/2} scale, and takes the u^(2 nu + 1) factor of the diagonal
-into the weight.  The Nystrom matrix A_ij = sqrt(w_i w_j) K(x_i, x_j) is
-never formed: the kernel's Neumann series (``specfun``) gives A = B B^T
+x = T u^2 with u on ``weight_quadrature(a, 1, m)``, the Gauss rule for u^a
+du on (0, 1), a = (2 nu + 1) - ceil(2 nu + 1), clusters nodes near 0, where
+the density varies on the x^{1/2} scale, and takes the u^(2 nu + 1) factor
+of the diagonal into the weight.  The Nystrom matrix A_ij = sqrt(w_i w_j)
+K(x_i, x_j) is never formed: the kernel's Neumann series (``specfun``)
+gives A = B B^T
 with B_ik = sqrt(w_i) C(x_i)_k, one row of N terms per node, N = 70 at
 the default (nu, T, m) = (0, 1e4, 512); the spectrum comes from a thin QR
 of B and an SVD of its N x N triangle (see ``nystrom``).
@@ -68,7 +69,7 @@ import numpy as np
 from . import specfun
 from .errors import (_POSITIVE, DiscretizationFailure, PrecisionFailure, _as_index,
                      _as_seed, _check_number, _check_points)
-from .orthopoly import _gauss_jacobi
+from .orthopoly import weight_quadrature
 from .sequences import _growth_residual
 # not called here: perfbench's self-test pins the alias
 # bessellab.dpp.bessel_kernel, so the import stays while it does
@@ -191,22 +192,21 @@ def _spectrum(B):
 def nystrom(nu, T, m=512):
     """Discretize the kernel on [0, T] with m nodes and diagonalize.
 
-    The nodes are x_i = T u_i^2 and the masses w_i = 2 T omega_i
-    u_i^(1 - a) 2^(-a - 1), (u, omega) the Gauss-Jacobi rule for the
-    weight (1 + t)^a, ``orthopoly._gauss_jacobi(m, a)``, mapped to u in
-    (0, 1), with a = (2 nu + 1) - ceil(2 nu + 1) in (-1, 0].  In u the
-    diagonal integrand K(x, x) dx is u^(2 nu + 1) times a function smooth
-    in u^2; the rule takes u^a into its weight and leaves u^ceil(2 nu + 1),
-    smooth at 0, for every order.  a = 0, Gauss-Legendre, at every integer
+    The nodes are x_i = T u_i^2 and the masses w_i = 2 T u_i^(1 - a)
+    mu_i, (u, mu) the m-point Gauss rule for u^a du on (0, 1),
+    ``weight_quadrature(a, 1, m)``, with a = (2 nu + 1) - ceil(2 nu + 1)
+    in (-1, 0].  In u the diagonal integrand K(x, x) dx is u^(2 nu + 1)
+    times a function smooth in u^2; the rule takes u^a into its weight and
+    leaves u^ceil(2 nu + 1), smooth at 0, for every order.  a = 0, Gauss-Legendre, at every integer
     and half-integer order.  At (T, m) = (100, 128) the trace is within
     3.3e-14 of a 20-digit mpmath integral of K(x, x) for nu in {-0.9,
     -0.6, -0.25, 0.3}; Gauss-Legendre in u was off by 1.7e-1 at nu = -0.9
-    and 1.1e-10 at nu = 0.3, and raised at nu = -0.25.  The rule is
-    computed once per process for each (m, a) and shared with every
-    m-node ``weight_quadrature`` of the same a, the Legendre rule with
-    those of integer order; at m = 512 and a = 0 its nodes are within
-    6.1e-17 and its weights within 7.5e-13 relative, against numpy's
-    leggauss at 6.0e-17 and 1.1e-10.
+    and 1.1e-10 at nu = 0.3, and raised at nu = -0.25.  The Gauss-Jacobi
+    rule under ``weight_quadrature`` is computed once per process for each
+    (m, a), the Legendre rule shared with the measures of integer order;
+    at m = 512 and a = 0 its nodes are within 6.1e-17 and its weights
+    within 7.5e-13 relative, against numpy's leggauss at 6.0e-17 and
+    1.1e-10.
 
     The Nystrom matrix is A = B B^T with B_ik = sqrt(w_i) C(x_i)_k for k
     < N, the rows of the kernel's Neumann series (``specfun._rows``) and N
@@ -231,12 +231,10 @@ def nystrom(nu, T, m=512):
     T = _check_number(T, _POSITIVE, math.inf, "T")
     nu = specfun._order(nu)
     a = 0.0 - (-2.0 * nu - 1.0) % 1.0  # (2 nu + 1) - ceil(2 nu + 1), in (-1, 0]
-    u, wu = _gauss_jacobi(m, a)
-    u = 0.5 * (u + 1.0)
+    u, mu = weight_quadrature(a, 1.0, m)
     x = T * u**2
     with np.errstate(over="ignore"):
-        # dx = 2 T u du, and u^a du is 2^(-a-1) (1 + t)^a dt for u = (1 + t) / 2
-        w = 2.0 * T * u ** (1.0 - a) * (wu * 2.0 ** (-a - 1.0))
+        w = 2.0 * T * u ** (1.0 - a) * mu  # dx = 2 T u du, and mu carries u^a du
     if not (np.all(np.isfinite(w)) and x[0] > 0.0):
         raise PrecisionFailure(f"Nystrom masses overflow or nodes underflow to 0 at T={T!r}")
     q = specfun._terms(nu, x[-1])
@@ -436,7 +434,7 @@ class CountStats:
     se_var: np.ndarray
     target_mean: np.ndarray      # sqrt(T')/pi
     n_samples: int
-    var_slope: float             # fit of var against log T'
+    var_slope: float             # fit of var against log T', or NaN
     max_growth_residual: float
 
     def rows(self):
@@ -465,17 +463,19 @@ def _max_growth_residual(samples):
 
 
 def _log_slope(thresholds, var):
-    # least-squares slope of var against log T', or NaN when undefined
-    if thresholds.size < 2 or not np.all(var > 0):
+    # least-squares slope of var against log T', or NaN when undefined:
+    # fewer than two distinct thresholds, or a variance that is not > 0
+    if np.unique(thresholds).size < 2 or not np.all(var > 0):
         return np.nan
     return float(np.polyfit(np.log(thresholds), var, 1)[0])
 
 
 def count_stats(samples, thresholds):
     """Mean/variance table of N(T') with standard errors and the variance
-    slope against log T'.  Also reports the worst growth residual
-    (p_n - pi^2 n^2) / (n^{3/2} log^{3/2} n) across all samples (eps =
-    GROWTH_EPS = 1/2 of ``PointSequence.growth_residual``)."""
+    slope against log T', NaN when the thresholds hold fewer than two
+    distinct values or a variance is 0.  Also reports the worst growth
+    residual (p_n - pi^2 n^2) / (n^{3/2} log^{3/2} n) across all samples
+    (eps = GROWTH_EPS = 1/2 of ``PointSequence.growth_residual``)."""
     thr = _check_points(thresholds, _POSITIVE, samples.T, "thresholds")
     ns = samples.offsets.size - 1
     # below[i]: points among the first i of the batch that lie in (0, T']

@@ -32,7 +32,7 @@ import numpy as np
 from . import equilibrium
 from .dpp import M_MIN, VAR_SLOPE, count_stats, exact_count_law, nystrom, sample_many
 from .orthopoly import build_recurrence, lubinsky_gap
-from .sequences import make_bessel_zero_squared, make_quadratic
+from .sequences import PI2, make_bessel_zero_squared, make_quadratic
 from .specfun import bessel_kernel
 from .weights import ApproxWeight, ConditionalWeight, ScaledWeight, check_sandwich
 
@@ -50,8 +50,6 @@ __all__ = [
     "default_config",
 ]
 
-PI2 = np.pi**2
-
 
 def _finite_above(v, lo):
     # a finite real number above lo; a bool is no number here
@@ -65,6 +63,11 @@ def _python_number(v):
     return v.item() if isinstance(v, np.generic) else v
 
 
+def _nan_to_none(v):
+    # an undefined (NaN) slope is null in a summary: strict JSON has no NaN
+    return None if math.isnan(v) else v
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment run.
@@ -73,8 +76,8 @@ class ExperimentConfig:
     experiment's own defaults; ``from_json`` reads a config file through it.
     ``schedule`` is experiment-specific: target point counts N(R) for
     hard_edge_limit, polynomial degrees for approx_limit, and a single
-    window R for sandwich_chain.  approx_limit reads a single gamma; both
-    single values raise ValueError when the tuple holds more or fewer.
+    window R for sandwich_chain.  approx_limit reads a single gamma; each
+    of the two must hold exactly one value in the field it reads once.
     ``gammas``, ``schedule`` and ``thresholds`` must be non-empty lists or
     tuples of finite numbers, every gamma > 1 and every schedule entry and
     threshold > 0, and are stored as tuples; the schedule entries of
@@ -116,6 +119,8 @@ class ExperimentConfig:
             values = tuple(map(_python_number, values))
             if not all(_finite_above(v, lo) for v in values):
                 raise ValueError("%s entries must be finite numbers > %g, got %r" % (k, lo, values))
+            if _READ_ONCE.get(self.experiment) == k and len(values) != 1:
+                raise ValueError("%s takes one %s value, got %r" % (self.experiment, k, values))
             object.__setattr__(self, k, values)
         if (self.experiment in ("hard_edge_limit", "approx_limit")
                 and not all(float(v).is_integer() for v in self.schedule)):
@@ -159,6 +164,9 @@ class ExperimentConfig:
         return default_config(**d)
 
 
+# the tuple field an experiment reads only once, so holds one value
+_READ_ONCE = {"approx_limit": "gammas", "sandwich_chain": "schedule"}
+
 # per-experiment departures from the ExperimentConfig defaults
 _DEFAULTS = {
     "approx_limit": dict(gammas=(1.5,)),
@@ -176,14 +184,6 @@ def _sequence(cfg):
     if cfg.sequence == "bessel":
         return make_bessel_zero_squared(cfg.nu)
     return make_quadratic()
-
-
-def _single(cfg, field):
-    # the one value of a tuple field an experiment reads only once
-    values = getattr(cfg, field)
-    if len(values) != 1:
-        raise ValueError("%s takes one %s value, got %r" % (cfg.experiment, field, values))
-    return values[0]
 
 
 def _bessel_grid(nu, xs):
@@ -215,8 +215,9 @@ def hard_edge_limit(cfg):
     For each target count N in the schedule, the window R is placed 0.9 of
     the way from p_N to p_{N+1}, the weight is rescaled to [0,1], and
     (1/R) K_N(x/R, y/R) is tabulated against the kernel on the grid.
-    The run at the largest R is repeated through the rescaling identity
-    (building the recurrence directly on [0,R]) as a consistency check.
+    The run at the schedule's last window is repeated through the
+    rescaling identity (building the recurrence directly on [0,R]) as a
+    consistency check.
     """
     seq = _sequence(cfg)
     xs = cfg.grid()
@@ -235,7 +236,7 @@ def hard_edge_limit(cfg):
         counts.append(int(n))
         symmetry_defect = max(symmetry_defect, float(np.max(np.abs(K - K.T))))
 
-    # Identity route at the largest window: same kernel from the unscaled
+    # Identity route at the last window: same kernel from the unscaled
     # weight living on [0,R].  Agreement is algebra, not asymptotics.
     bar = ScaledWeight(w, 1.0 / R, R**cfg.nu)
     K_bar = build_recurrence(bar, n).kernel_norm_grid(n, xs, xs)
@@ -265,7 +266,7 @@ def approx_limit(cfg):
     signs are also tied together through the exact change-of-variables
     identity, which must hold at every degree.
     """
-    gamma = _single(cfg, "gammas")
+    gamma = cfg.gammas[0]
     nu = cfg.nu
     cg = equilibrium.c_gamma(gamma)
     xs = cfg.grid()
@@ -354,7 +355,7 @@ def sandwich_chain(cfg):
     diagonal ordering of the kernels is unconditional, so a violation
     means a bug, not a borderline parameter.
     """
-    R = float(_single(cfg, "schedule"))
+    R = float(cfg.schedule[0])
     seq = _sequence(cfg)
     nu = cfg.nu
     w = ConditionalWeight(seq, nu, R, tail_tolerance=cfg.tail_tolerance)
@@ -468,11 +469,11 @@ def dpp_stats(cfg):
         "eig_max": kern.eig_range[1],
         "mean_offsets": (st.mean - st.target_mean).tolist(),
         "var": st.var.tolist(),
-        "var_slope": st.var_slope,
+        "var_slope": _nan_to_none(st.var_slope),
         "var_slope_target": VAR_SLOPE,
         "exact_mean": exact_mean.tolist(),
         "exact_var": exact_var.tolist(),
-        "exact_var_slope": exact_var_slope,
+        "exact_var_slope": _nan_to_none(exact_var_slope),
         "max_growth_residual": st.max_growth_residual,
         "n_samples": st.n_samples,
     }
@@ -527,7 +528,7 @@ def write_csv(path, rows, fields):
 
 def write_summary(path, summary):
     with open(path, "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+        json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -179,6 +179,8 @@ def weight_quadrature(nu, support=1.0, n=120):
     rule, and nu and nu +- 1 share one rule.  Each rule is computed once
     per process for each (n, a), with nodes within 1.7e-16 and weights
     within 1.1e-12 relative for n <= 512; only its mapping is done per call.
+    This is the package's one map of a rule off [-1, 1]: ``dpp.nystrom``
+    takes its rule in u from ``weight_quadrature(a, 1, m)``.
     """
     nu = _check_number(nu, _ABOVE_MINUS_ONE, math.inf, "endpoint exponent nu")
     support = _check_number(support, _POSITIVE, math.inf, "support")

@@ -527,6 +527,15 @@ class TestCountStats:
         assert mean[1] == kern1000.trace
         assert math.isnan(slope)
 
+    def test_slope_needs_two_distinct_thresholds(self, runs, kern1000):
+        # a repeated threshold is one point of the fit: polyfit warned
+        # RankWarning and returned the slope of a vertical line (0.0276 for
+        # the exact law), where the slope is undefined
+        thr = [100.0, 100.0]
+        assert math.isnan(exact_count_law(kern1000, thr)[2])
+        assert math.isnan(count_stats(runs, thr).var_slope)
+        assert count_stats(runs, [100.0, 1000.0, 100.0]).var_slope > 0.0
+
     def test_exact_law_checks_window_spectrum(self):
         # a sub-window eigenvalue of 1.5625 is an error, not a value to clip
         # to 1.  The factor is diagonal; with powers of 2 on the diagonal

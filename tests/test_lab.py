@@ -214,9 +214,8 @@ class TestConfig:
     def test_field_read_once_takes_one_value(self, experiment, field, values):
         # approx_limit reads one gamma and sandwich_chain one window R; a
         # second value would be silently ignored
-        cfg = default_config(experiment, **{**TRIMMED[experiment], field: values})
         with pytest.raises(ValueError, match=field):
-            run_experiment(cfg)
+            default_config(experiment, **{**TRIMMED[experiment], field: values})
 
     def test_experiment_registry(self):
         assert set(EXPERIMENTS) == {
@@ -312,6 +311,18 @@ class TestArtifacts:
             first = (tmp_path / "a" / (stem + suffix)).read_bytes()
             assert first == (tmp_path / "b" / (stem + suffix)).read_bytes()
         assert json.loads(first)["config_hash"] == cfg.digest()
+
+    def test_undefined_slope_is_null_in_strict_json(self, tmp_path):
+        # one threshold leaves the variance slopes undefined; they were
+        # written as the NaN token, which no strict JSON parser accepts
+        def reject(token):
+            raise ValueError("non-JSON constant %s" % token)
+
+        cfg = default_config("dpp_stats", **{**TRIMMED["dpp_stats"], "thresholds": (100.0,)})
+        run_experiment(cfg, out_dir=tmp_path)
+        text = (tmp_path / f"dpp_stats-{cfg.digest()}.json").read_text()
+        written = json.loads(text, parse_constant=reject)
+        assert written["var_slope"] is None and written["exact_var_slope"] is None
 
     @pytest.mark.parametrize("experiment", ["hard_edge_limit", "approx_limit",
                                             "sandwich_chain"])
@@ -447,12 +458,14 @@ class TestCli:
         ("hard-edge", {"schedule": ["x"]}, "schedule"),
         ("hard-edge", {"schedule": [10.5]}, "schedule"),
         ("approx-limit", {"schedule": [40.5]}, "schedule"),
+        ("approx-limit", {"gammas": [1.5, 1.2]}, "gammas"),
+        ("sandwich", {"schedule": [100.0, 200.0]}, "schedule"),
     ], ids=["empty-schedule", "empty-thresholds", "zero-grid-points", "scalar-gammas",
             "unknown-key", "list", "not-json", "negative-grid-lo", "string-nu",
             "zero-grid-hi", "negative-tail-tolerance", "bool-grid-points", "bool-seed",
             "negative-seed", "float-seed", "float-m", "zero-n-samples", "negative-threshold",
             "gamma-below-one", "string-schedule-entry", "fractional-schedule-entry",
-            "fractional-degree"])
+            "fractional-degree", "two-gammas", "two-windows"])
     def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, command,
                                                   document, field):
         path = tmp_path / "cfg.json"

@@ -3,7 +3,9 @@ checkouts: ``python tools/artifact_diff.py OLD_SRC NEW_SRC``.
 
 Runs, for each tree in its own Python process, every experiment of
 ``bessellab.lab.EXPERIMENTS`` at its defaults, hard_edge_limit on the
-bessel sequence, and the criterion-3 library calls: for each nu in
+bessel sequence, dpp_stats at nu = 0.3 (Nystrom order a = -0.4, so the
+samples are drawn on a genuine Gauss-Jacobi rule, where the defaults'
+a = 0 is Gauss-Legendre), and the criterion-3 library calls: for each nu in
 (-0.5, 0, 0.5, 2), the alpha, beta and gram_residual() of
 build_recurrence(ConditionalWeight(make_quadratic(), nu, 1e4), 121) and
 brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6), written to
@@ -28,7 +30,8 @@ from bessellab.sequences import make_quadratic
 from bessellab.weights import ConditionalWeight
 out = sys.argv[2]
 for cfg in [lab.default_config(name) for name in lab.EXPERIMENTS] + [
-        lab.default_config("hard_edge_limit", sequence="bessel")]:
+        lab.default_config("hard_edge_limit", sequence="bessel"),
+        lab.default_config("dpp_stats", nu=0.3)]:
     lab.run_experiment(cfg, out)
 criterion3 = {}
 for nu in (-0.5, 0.0, 0.5, 2.0):

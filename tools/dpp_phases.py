@@ -2,8 +2,8 @@
 
 After the import and a reduced warm-up (m = 128, 8 samples, which loads
 scipy.special and the BLAS), the script computes the m-point Gauss-Legendre
-rule of ``nystrom`` cold, ``orthopoly._gauss_jacobi(m, 0)``, then runs the
-three library phases of ``lab.dpp_stats`` at the default config,
+rule of ``nystrom`` cold, ``orthopoly.weight_quadrature(0, 1, m)``, then
+runs the three library phases of ``lab.dpp_stats`` at the default config,
 (nu, T, m) = (0, 1e4, 512) with 500 samples, and prints one line after
 each:
 
@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bessellab.dpp import exact_count_law, nystrom, sample_many  # noqa: E402
 from bessellab.lab import default_config  # noqa: E402
-from bessellab.orthopoly import _gauss_jacobi  # noqa: E402
+from bessellab.orthopoly import weight_quadrature  # noqa: E402
 
 _last = [time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
 
@@ -47,7 +47,7 @@ def main():
     exact_count_law(small, [10.0, 100.0])
     report("warm-up")
     cfg = default_config("dpp_stats")
-    _gauss_jacobi(cfg.m, 0.0)
+    weight_quadrature(0.0, 1.0, cfg.m)
     report("gauss rule")
     kern = nystrom(cfg.nu, max(cfg.thresholds), cfg.m)
     report("nystrom")
