@@ -136,7 +136,9 @@ class Samples:
     """A batch of sampled configurations together with what determined them.
 
     Sample j holds points[offsets[j]:offsets[j + 1]], strictly increasing,
-    drawn from seeds[j] by the kernel of order nu on (0, T] at m nodes.
+    drawn from seeds[j] by the kernel of order nu on (0, T] at m nodes.  A
+    point outside (0, T], NaN included, or a T that is not finite and
+    positive raises DomainError.
     """
 
     points: np.ndarray   # every sample's points, one sample after another
@@ -147,8 +149,10 @@ class Samples:
     m: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        T = _check_number(self.T, _POSITIVE, math.inf, "T")
+        pts = _check_points(self.points, _POSITIVE, T, "sample points")
         off = np.asarray(self.offsets)
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "offsets", off)
         if (off.shape != (len(self.seeds) + 1,) or off.size < 2 or off[0] != 0

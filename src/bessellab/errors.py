@@ -31,6 +31,14 @@ import operator
 
 import numpy as np
 
+__all__ = [
+    "DomainError",
+    "ConvergenceFailure",
+    "SequenceExhausted",
+    "PrecisionFailure",
+    "DiscretizationFailure",
+]
+
 _POSITIVE = math.ulp(0.0)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _ABOVE_ONE = math.nextafter(1.0, 2.0)

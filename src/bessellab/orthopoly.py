@@ -46,7 +46,6 @@ sum everywhere; it serves only as a test oracle for the coefficients.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import math
@@ -278,7 +277,7 @@ class RecurrenceTable:
 
     def kernel_hat_grid(self, n, xs, ys):
         """Khat_n on the product grid xs x ys, shape (len(xs), len(ys))."""
-        return self._kernel_hat(n, xs, ys, grid=True)
+        return self._kernel_hat(n, *_grid_axes(xs, ys), grid=True)
 
     def _sqrt_weight_factor(self, x, y):
         # the weight raises DomainError for points not finite or off its support
@@ -299,8 +298,7 @@ class RecurrenceTable:
 
     def kernel_norm_grid(self, n, xs, ys):
         """K_n on the product grid xs x ys, shape (len(xs), len(ys))."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        xs, ys = _grid_axes(xs, ys)
         fac = self._sqrt_weight_factor(xs[:, None], ys[None, :])
         return fac * self._kernel_hat(n, xs, ys, grid=True)
 
@@ -317,6 +315,16 @@ class RecurrenceTable:
         m = self.scaled_masses
         gram = (tab * m) @ tab.T / m.sum()
         return float(np.max(np.abs(gram - np.eye(n + 1))))
+
+
+def _grid_axes(xs, ys):
+    """xs and ys as float arrays; DomainError unless both are 1-d, the two
+    axes of a product grid."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise DomainError(f"grid points must be 1-d, got shapes {xs.shape} and {ys.shape}")
+    return xs, ys
 
 
 def _discrete_measure(weight, degree):
@@ -445,10 +453,11 @@ def lubinsky_gap(tab_small, tab_big, n, x, y):
 
 def save_recurrence_csv(tab, path):
     """Write rows (k, alpha_k, beta_k); the beta_0 slot carries the total
-    mass mu0, following the classical convention for recurrence tables."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "alpha", "beta"])
-        for k in range(tab.n_max):
-            b = math.exp(tab.log_mu0) if k == 0 else float(tab.beta[k])
-            writer.writerow([k, f"{float(tab.alpha[k]):.17g}", f"{b:.17g}"])
+    mass mu0, following the classical convention for recurrence tables.
+    Written by ``lab.write_csv``, like every other CSV of the package."""
+    from .lab import write_csv  # here, not at the top: lab imports orthopoly
+
+    rows = [{"k": k, "alpha": float(tab.alpha[k]),
+             "beta": math.exp(tab.log_mu0) if k == 0 else float(tab.beta[k])}
+            for k in range(tab.n_max)]
+    write_csv(path, rows, ["k", "alpha", "beta"])

@@ -613,3 +613,11 @@ class TestSerialization:
         for off in ([0, 1], [0, 3, 2], [1, 2], [0, 2, 3], [0]):
             with pytest.raises(ValueError, match="offsets"):
                 batch([1.0, 2.0], off)
+        # every point lies in (0, T], T = 10 included
+        assert batch([1.0, 10.0], [0, 2]).points.tolist() == [1.0, 10.0]
+        for bad, reason in ((math.nan, "finite"), (30.0, "support"), (-1.0, "support"),
+                            (0.0, "support")):
+            with pytest.raises(DomainError, match=reason):
+                batch([1.0, bad, 3.0], [0, 3])
+        with pytest.raises(DomainError, match="T must be finite"):
+            Samples(points=[1.0], offsets=[0, 1], seeds=[1], T=math.nan, nu=0.0, m=64)

@@ -518,6 +518,21 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def test_package_exports_each_module_all():
+    # the package's __all__ is the union of six modules' __all__ plus the
+    # names it chooses itself, each once, each bound to its module's object
+    modules = [importlib.import_module(f"bessellab.{name}") for name in
+               ("errors", "sequences", "specfun", "weights", "orthopoly", "dpp")]
+    owner = {name: module for module in modules for name in module.__all__}
+    lab = importlib.import_module("bessellab.lab")
+    owner.update({name: lab for name in ("ExperimentConfig", "default_config", "run_experiment")})
+    assert len(bessellab.__all__) == len(set(bessellab.__all__))
+    assert set(bessellab.__all__) == set(owner) | {"equilibrium", "__version__"}
+    assert all(getattr(bessellab, name) is getattr(module, name)
+               for name, module in owner.items())
+    assert bessellab.equilibrium is importlib.import_module("bessellab.equilibrium")
+
+
 def test_only_specfun_imports_scipy():
     importers = set()
     for path in pathlib.Path(bessellab.__file__).parent.glob("*.py"):

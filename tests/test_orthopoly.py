@@ -574,6 +574,12 @@ class TestKernelAccuracy:
             tab.kernel_hat(5, 1e200, 0.4)
         with pytest.raises(PrecisionFailure):
             tab.kernel_hat_grid(5, [0.2, 1e200], [0.4])
+        # a product grid takes two 1-d axes, and nothing else
+        for xs, ys in (([[0.1, 0.2]], [0.3]), ([0.1, 0.2], [[0.3]]), (0.1, [0.3])):
+            with pytest.raises(DomainError, match="1-d"):
+                tab.kernel_hat_grid(4, xs, ys)
+            with pytest.raises(DomainError, match="1-d"):
+                tab.kernel_norm_grid(4, xs, ys)
         # phi_0 is a constant, but it rejects a non-finite point like phi_j
         half = build_recurrence(PowerWeight(0.5), 8)
         for j in (0, 3):

@@ -11,7 +11,9 @@ build_recurrence(ConditionalWeight(make_quadratic(), nu, 1e4), 121) and
 brute_force_christoffel(w, n, 0.3) for n in (2, 4, 6), written to
 criterion3.json.  Prints per artifact file either "identical" or the
 largest absolute difference of the CSV cells and JSON leaves that parse as
-floats, then any other cell that differs.
+floats, then any other cell that differs.  A tree whose run raises gets one
+line with the last line of its stderr; the artifacts both trees wrote are
+still compared, and the exit status is 1.
 """
 
 import csv
@@ -74,11 +76,18 @@ def compare(old, new):
 
 with tempfile.TemporaryDirectory() as tmp:
     dirs = [Path(tmp, "old"), Path(tmp, "new")]
-    for src, out in zip(sys.argv[1:3], dirs):
-        subprocess.run([sys.executable, "-c", RUN, str(Path(src).resolve()), out], check=True)
+    failed = False
+    for label, src, out in zip(("old", "new"), sys.argv[1:3], dirs):
+        out.mkdir()
+        run = subprocess.run([sys.executable, "-c", RUN, str(Path(src).resolve()), out],
+                             stderr=subprocess.PIPE, text=True)
+        if run.returncode:
+            failed = True
+            print(label, "run failed:", (run.stderr.strip().splitlines() or ["(no stderr)"])[-1])
     for name in sorted({p.name for d in dirs for p in d.iterdir()}):
         old, new = (d / name for d in dirs)
         if not (old.exists() and new.exists()):
             print(name, "only in", "old" if old.exists() else "new")
         else:
             print(name, "identical" if old.read_bytes() == new.read_bytes() else compare(old, new))
+sys.exit(1 if failed else 0)
